@@ -128,9 +128,15 @@ def transform(mu: DiscreteMeasure, m: np.ndarray, s: np.ndarray) -> DiscreteMeas
 
 def moments(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and (symmetrized) covariance of the point set."""
-    mean = mu.weights @ mu.points
-    dev = mu.points - mean
-    cov = (mu.weights * dev.T) @ dev
+    return weighted_moments(mu.weights, mu.points)
+
+
+def weighted_moments(weights: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and (symmetrized) covariance of stacked points (m, k) under m
+    weights that sum to one, without building a DiscreteMeasure."""
+    mean = weights @ points
+    dev = points - mean
+    cov = (weights * dev.T) @ dev
     return mean, 0.5 * (cov + cov.T)
 
 

@@ -6,7 +6,7 @@ augment, assimilate the next observation into the joint state-and-noise
 belief through the composed map, then propagate the conditioned joint.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

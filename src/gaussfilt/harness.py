@@ -8,7 +8,7 @@ perturbs another filter's results.
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +207,8 @@ class ExperimentConfig:
                 entry["rule_degree"] = f.rule_degree
             if f.family in ("PGF", "PGSF"):
                 entry["sample_count"] = f.sample_count
+            if f.variational is not None:
+                entry["variational"] = asdict(f.variational)
             out["filters"].append(entry)
         return out
 

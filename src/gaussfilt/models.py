@@ -7,28 +7,38 @@ both the conventional filters and the filters that condition the noise on
 the next observation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DivergedEvaluation
 from .gaussian import Gaussian
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
 
-def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with per-coordinate step sqrt(eps)*(1+|x_i|)."""
+def central_difference(rows: Callable, x: np.ndarray, step: float | None = None) -> np.ndarray:
+    """Central-difference Jacobian (out x k) of a stacked evaluator at x.
+
+    ``rows`` maps stacked points (m, k) to (m, out) values, or (m,) for a
+    scalar function; all 2k probes x +- h_i e_i go to it in one call.  The
+    step h_i is ``step``, or sqrt(eps)*(1+|x_i|) when that is None.
+    """
     x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.shape[0]):
-        h = _SQRT_EPS * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((np.atleast_1d(fn(xp)) - np.atleast_1d(fn(xm))) / (2.0 * h))
-    return np.column_stack(cols)
+    h = np.full(x.shape, step) if step is not None else _SQRT_EPS * (1.0 + np.abs(x))
+    k = x.shape[0]
+    probes = np.repeat(x[None, :], 2 * k, axis=0)
+    idx = np.arange(k)
+    probes[idx, idx] += h
+    probes[k + idx, idx] -= h
+    vals = np.asarray(rows(probes), dtype=float).reshape(2 * k, -1)
+    return ((vals[:k] - vals[k:]) / (2.0 * h)[:, None]).T
+
+
+def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a one-point function, step sqrt(eps)*(1+|x_i|)."""
+    return central_difference(ObsFunction(fn).rows, x)
 
 
 @dataclass(frozen=True)
@@ -36,7 +46,8 @@ class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
 
     When ``vectorized`` is set, propagate also accepts stacked inputs of
-    shape (m, d) / (m, D) and returns (m, d).
+    shape (m, d) / (m, D) and returns (m, d); otherwise ``forward`` calls it
+    once per row.
     """
 
     propagate: Callable
@@ -46,16 +57,29 @@ class ProcessModel:
     jacobian: Callable | None = None  # (n, x, xi) -> d x (d+D)
     vectorized: bool = False
 
+    def forward(self, n: int, z: np.ndarray) -> np.ndarray:
+        """Push stacked augmented rows z = [x, xi] of shape (m, d+D) through
+        the forward map; returns (m, d).
+
+        The only reader of ``vectorized``; raises DivergedEvaluation if any
+        output is not finite.
+        """
+        d = self.state_dim
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.vectorized:
+                out = self.propagate(n, z[:, :d], z[:, d:])
+            else:
+                out = [self.propagate(n, row[:d], row[d:]) for row in z]
+            out = np.asarray(out, dtype=float).reshape(z.shape[0], d)
+        if not np.isfinite(out).all():
+            raise DivergedEvaluation("propagated points are not finite")
+        return out
+
     def full_jacobian(self, n: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """d x (d+D) Jacobian of the forward map in the augmented variable."""
         if self.jacobian is not None:
             return np.atleast_2d(self.jacobian(n, x, xi))
-        d = self.state_dim
-
-        def fn(z):
-            return self.propagate(n, z[:d], z[d:])
-
-        return finite_difference_jacobian(fn, np.concatenate([x, xi]))
+        return central_difference(lambda z: self.forward(n, z), np.concatenate([x, xi]))
 
 
 @dataclass(frozen=True)
@@ -82,7 +106,7 @@ class ObservationModel:
         if self.jacobian is not None:
             jac = lambda x: np.atleast_2d(self.jacobian(n, x))
         return ObsFunction(
-            fn=lambda x: np.atleast_1d(self.observe(n, x)),
+            fn=lambda x: self.observe(n, x),
             jacobian=jac,
             innovation=self.innovation,
             vectorized=self.vectorized,
@@ -92,7 +116,11 @@ class ObservationModel:
 
 @dataclass(frozen=True)
 class ObsFunction:
-    """A concrete observation map handed to the measurement-update kernels."""
+    """A concrete observation map handed to the measurement-update kernels.
+
+    When ``vectorized`` is set, fn maps stacked points (m, k) to (m, out_dim);
+    otherwise ``rows`` calls it once per row.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
@@ -100,8 +128,24 @@ class ObsFunction:
     vectorized: bool = False
     out_dim: int | None = None
 
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        """The map at stacked points (m, k); returns (m, out_dim).
+
+        The only reader of ``vectorized``; raises DivergedEvaluation if any
+        output is not finite.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.vectorized:
+                out = self.fn(xs)
+            else:
+                out = [np.atleast_1d(self.fn(x)) for x in xs]
+            out = np.asarray(out, dtype=float).reshape(xs.shape[0], self.out_dim or -1)
+        if not np.isfinite(out).all():
+            raise DivergedEvaluation("pushed points are not finite")
+        return out
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(x)
+        return self.rows(np.asarray(x, dtype=float)[None])[0]
 
     def residual(self, y: np.ndarray, predicted: np.ndarray) -> np.ndarray:
         if self.innovation is not None:
@@ -111,7 +155,7 @@ class ObsFunction:
     def jac(self, x: np.ndarray) -> np.ndarray:
         if self.jacobian is not None:
             return np.atleast_2d(self.jacobian(x))
-        return np.atleast_2d(finite_difference_jacobian(lambda z: self.fn(z), np.asarray(x, float)))
+        return central_difference(self.rows, x)
 
 
 @dataclass(frozen=True)
@@ -162,16 +206,12 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
     d, n_brown, m_steps, dt = spec.state_dim, spec.brownian_dim, spec.substeps, spec.dt
 
     def propagate(n, x, xi):
+        # Serves one point (d,) and, for a vectorized spec, stacked rows (m, d).
         x = np.asarray(x, dtype=float)
         for m in range(m_steps):
             t = (n * m_steps + m) * dt
             w = xi[..., m * n_brown:(m + 1) * n_brown]
-            if spec.vectorized:
-                x = x + dt * spec.drift(t, x) + np.einsum(
-                    "...ij,...j->...i", np.broadcast_to(spec.volatility(t, x), x.shape[:-1] + (d, n_brown)), w
-                )
-            else:
-                x = x + dt * spec.drift(t, x) + spec.volatility(t, x) @ w
+            x = x + dt * spec.drift(t, x) + np.einsum("...ij,...j->...i", spec.volatility(t, x), w)
         return x
 
     jacobian = None
@@ -223,24 +263,19 @@ def composed_observation(process: ProcessModel, obs: ObservationModel, n: int) -
     predicted observation at step n+1.  Nonlinear whenever the dynamics are,
     even for a linear measurement function."""
     d = process.state_dim
+    obs_next = obs.at_step(n + 1)
 
     def fn(z):
-        return np.atleast_1d(obs.observe(n + 1, process.propagate(n, z[..., :d], z[..., d:])))
+        return obs_next.rows(process.forward(n, z))
 
     def jacobian(z):
-        x, xi = z[:d], z[d:]
-        jp = process.full_jacobian(n, x, xi)
-        x_next = process.propagate(n, x, xi)
-        if obs.jacobian is not None:
-            jo = np.atleast_2d(obs.jacobian(n + 1, x_next))
-        else:
-            jo = finite_difference_jacobian(lambda v: np.atleast_1d(obs.observe(n + 1, v)), x_next)
-        return jo @ jp
+        jp = process.full_jacobian(n, z[:d], z[d:])
+        return obs_next.jac(process.forward(n, z[None])[0]) @ jp
 
     return ObsFunction(
         fn=fn,
         jacobian=jacobian,
         innovation=obs.innovation,
-        vectorized=process.vectorized and obs.vectorized,
+        vectorized=True,
         out_dim=obs.obs_dim,
     )

@@ -4,7 +4,7 @@ Each builder returns a (ProcessModel, ObservationModel) pair; simulate_truth
 rolls out a synthetic truth with observations for twin experiments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

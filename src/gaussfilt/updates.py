@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
-from .cubature import RuleKind, standard_rule, transform
+from .cubature import RuleKind, standard_rule, transform, weighted_moments
 from .diagnostics import Diagnostics
 from .errors import (
     DivergedEvaluation,
@@ -22,7 +22,7 @@ from .errors import (
     SingularInnovationCov,
 )
 from .gaussian import Gaussian, cholesky_factor, repair_covariance, symmetrize
-from .models import AugmentedGaussian, ObsFunction, ProcessModel
+from .models import AugmentedGaussian, ObsFunction, ProcessModel, central_difference
 
 _EPS = np.finfo(float).eps
 
@@ -51,38 +51,23 @@ class VariationalSettings:
 DEFAULT_VARIATIONAL = VariationalSettings()
 
 
-def _grad_steps(x: np.ndarray, step: float | None) -> np.ndarray:
-    if step is not None:
-        return np.full(x.shape, step)
-    return np.sqrt(_EPS) * (1.0 + np.abs(x))
-
-
-def _hess_steps(x: np.ndarray, step: float | None) -> np.ndarray:
-    if step is not None:
-        return np.full(x.shape, step)
-    return _EPS ** 0.25 * (1.0 + np.abs(x))
+def _stacked(f, f_batch):
+    """The objective at stacked points (m, k): f_batch itself, or the
+    one-point f called once per row."""
+    if f_batch is not None:
+        return f_batch
+    return lambda xs: np.array([f(x) for x in xs], dtype=float)
 
 
 def numerical_gradient(f, x, step=None, f_batch=None):
     """Central-difference gradient; uses a batched evaluator when provided."""
-    x = np.asarray(x, dtype=float)
-    h = _grad_steps(x, step)
-    k = x.shape[0]
-    probes = np.repeat(x[None, :], 2 * k, axis=0)
-    idx = np.arange(k)
-    probes[idx, idx] += h
-    probes[k + idx, idx] -= h
-    if f_batch is not None:
-        vals = np.asarray(f_batch(probes), dtype=float)
-    else:
-        vals = np.array([f(p) for p in probes])
-    return (vals[:k] - vals[k:]) / (2.0 * h)
+    return central_difference(_stacked(f, f_batch), x, step)[0]
 
 
 def numerical_hessian(f, x, step=None, f_batch=None):
     """Symmetric central-difference Hessian."""
     x = np.asarray(x, dtype=float)
-    h = _hess_steps(x, step)
+    h = np.full(x.shape, step) if step is not None else _EPS ** 0.25 * (1.0 + np.abs(x))
     k = x.shape[0]
     probes = [x]
     for i in range(k):
@@ -100,11 +85,7 @@ def numerical_hessian(f, x, step=None, f_batch=None):
                     p[j] += sj
                     pair_index[(i, j, si > 0, sj > 0)] = len(probes)
                     probes.append(p)
-    probes = np.asarray(probes)
-    if f_batch is not None:
-        vals = np.asarray(f_batch(probes), dtype=float)
-    else:
-        vals = np.array([f(p) for p in probes])
+    vals = _stacked(f, f_batch)(np.asarray(probes))
     hess = np.empty((k, k))
     f0 = vals[0]
     for i in range(k):
@@ -123,6 +104,8 @@ def numerical_hessian(f, x, step=None, f_batch=None):
 def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=None):
     """BFGS with numerical gradients and Armijo backtracking.
 
+    ``f`` maps one point to a float; ``f_batch``, when given, maps stacked
+    points (m, k) to m values and takes the finite-difference probes.
     Returns (minimizer, iteration count).  The inverse-Hessian approximation
     starts at the identity; the line search tries steps 1, 1/2, 1/4, ...
     (at most 40 halvings) against the Armijo condition with c = 1e-4.
@@ -177,6 +160,22 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
     )
 
 
+def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
+    """The Gaussian measurement update from the predicted observation z, the
+    cross covariance P_xz and the observation covariance P_zz, which every
+    non-variational family supplies in its own way."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    r = np.atleast_2d(np.asarray(r, dtype=float))
+    try:
+        f = cho_factor(symmetrize(p_zz + r), lower=True)
+    except LinAlgError as exc:
+        raise SingularInnovationCov("innovation covariance is singular") from exc
+    gain = cho_solve(f, p_xz.T).T
+    mean = prior.mean + gain @ obs_map.residual(y, z)
+    cov = repair_covariance(prior.cov - gain @ p_xz.T, diag)
+    return Gaussian(mean, cov)
+
+
 def time_update_linear(
     aug: AugmentedGaussian, process: ProcessModel, n: int, diag: Diagnostics | None = None
 ) -> Gaussian:
@@ -187,23 +186,10 @@ def time_update_linear(
     """
     d = aug.state_dim
     mean_aug = aug.belief.mean
-    x, xi = mean_aug[:d], mean_aug[d:]
-    jac = process.full_jacobian(n, x, xi)
-    mean = np.atleast_1d(process.propagate(n, x, xi))
+    jac = process.full_jacobian(n, mean_aug[:d], mean_aug[d:])
+    mean = process.forward(n, mean_aug[None])[0]
     cov = repair_covariance(jac @ aug.belief.cov @ jac.T, diag)
     return Gaussian(mean, cov)
-
-
-def _push_points(fn, pts, vectorized, out_dim):
-    with np.errstate(over="ignore", invalid="ignore"):
-        if vectorized:
-            out = np.asarray(fn(pts), dtype=float)
-        else:
-            out = np.array([np.atleast_1d(fn(p)) for p in pts], dtype=float)
-    out = out.reshape(pts.shape[0], out_dim)
-    if not np.all(np.isfinite(out)):
-        raise DivergedEvaluation("pushed points are not finite")
-    return out
 
 
 def time_update_points(
@@ -216,23 +202,10 @@ def time_update_points(
 ) -> Gaussian:
     """Push a discrete measure for the augmented belief through the forward
     map and return the Gaussian with the push-forward's first two moments."""
-    d = aug.state_dim
-    k = aug.belief.dim
     s = cholesky_factor(aug.belief.cov, diag)
-    mu = transform(standard_rule(kind, k, rng), aug.belief.mean, s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if process.vectorized:
-            prop = process.propagate(n, mu.points[:, :d], mu.points[:, d:])
-            prop = np.asarray(prop, dtype=float).reshape(mu.size, d)
-        else:
-            prop = np.array([process.propagate(n, p[:d], p[d:]) for p in mu.points], dtype=float)
-            prop = prop.reshape(mu.size, d)
-    if not np.all(np.isfinite(prop)):
-        raise DivergedEvaluation("propagated points are not finite")
-    mean = mu.weights @ prop
-    dev = prop - mean
-    cov = repair_covariance((mu.weights * dev.T) @ dev, diag)
-    return Gaussian(mean, cov)
+    mu = transform(standard_rule(kind, aug.belief.dim, rng), aug.belief.mean, s)
+    mean, cov = weighted_moments(mu.weights, process.forward(n, mu.points))
+    return Gaussian(mean, repair_covariance(cov, diag))
 
 
 def measurement_update_linear(
@@ -243,20 +216,9 @@ def measurement_update_linear(
     diag: Diagnostics | None = None,
 ) -> Gaussian:
     """Kalman-style update with the observation map linearized at the mean."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
     h = obs_map.jac(prior.mean)
-    predicted = np.atleast_1d(obs_map(prior.mean))
     ch = prior.cov @ h.T
-    s = h @ ch + r
-    try:
-        f = cho_factor(symmetrize(s), lower=True)
-    except LinAlgError as exc:
-        raise SingularInnovationCov("innovation covariance is singular") from exc
-    gain = cho_solve(f, ch.T).T
-    mean = prior.mean + gain @ obs_map.residual(y, predicted)
-    cov = repair_covariance(prior.cov - gain @ ch.T, diag)
-    return Gaussian(mean, cov)
+    return _kalman_update(prior, obs_map, y, r, obs_map(prior.mean), ch, h @ ch, diag)
 
 
 def measurement_update_points(
@@ -270,26 +232,15 @@ def measurement_update_points(
 ) -> Gaussian:
     """Update using cross/auto covariances of a discrete measure pushed
     through the observation map."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
     s = cholesky_factor(prior.cov, diag)
     mu = transform(standard_rule(kind, prior.dim, rng), prior.mean, s)
-    out_dim = obs_map.out_dim if obs_map.out_dim is not None else y.shape[0]
-    zpts = _push_points(obs_map.fn, mu.points, obs_map.vectorized, out_dim)
-    z = mu.weights @ zpts
-    xbar = mu.weights @ mu.points
-    dx = mu.points - xbar
-    dz = zpts - z
-    p_xz = (mu.weights * dx.T) @ dz
-    p_zz = (mu.weights * dz.T) @ dz
-    try:
-        f = cho_factor(symmetrize(p_zz + r), lower=True)
-    except LinAlgError as exc:
-        raise SingularInnovationCov("innovation covariance is singular") from exc
-    gain = cho_solve(f, p_xz.T).T
-    mean = prior.mean + gain @ obs_map.residual(y, z)
-    cov = repair_covariance(prior.cov - gain @ p_xz.T, diag)
-    return Gaussian(mean, cov)
+    zpts = obs_map.rows(mu.points)
+    # Express every pushed observation relative to one of them through the
+    # map's residual, so an angle averages across its wrap at +-pi.
+    zpts = zpts[0] + obs_map.residual(zpts, zpts[0])
+    mean, cov = weighted_moments(mu.weights, np.hstack([mu.points, zpts]))
+    k = prior.dim
+    return _kalman_update(prior, obs_map, y, r, mean[k:], cov[:k, k:], cov[k:, k:], diag)
 
 
 def measurement_update_variational(
@@ -309,36 +260,26 @@ def measurement_update_variational(
     l_obs = cholesky_factor(r, diag)
     mean0 = prior.mean
 
-    def misfit(x):
-        dx = solve_triangular(l_prior, x - mean0, lower=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pred = np.atleast_1d(obs_map(x))
-        if not np.all(np.isfinite(pred)):
-            return np.inf  # line-search probe left the map's domain
-        dr = solve_triangular(l_obs, obs_map.residual(y, pred), lower=True)
+    def misfit(xs):
+        """Misfit at stacked points (m, k); inf where the map leaves its domain."""
+        try:
+            pred = obs_map.rows(xs)
+        except DivergedEvaluation:
+            return np.full(xs.shape[0], np.inf)  # a probe left the map's domain
+        dx = solve_triangular(l_prior, (xs - mean0).T, lower=True)
+        dr = solve_triangular(l_obs, obs_map.residual(y, pred).T, lower=True)
         with np.errstate(over="ignore"):
             # an overflowing quadratic means a hopeless probe point; the
             # resulting inf makes the line search back off, as intended
-            return 0.5 * (float(dx @ dx) + float(dr @ dr))
+            return 0.5 * np.sum(dx * dx, axis=0) + 0.5 * np.sum(dr * dr, axis=0)
 
-    misfit_batch = None
-    if obs_map.vectorized:
-        def misfit_batch(xs):
-            dx = solve_triangular(l_prior, (xs - mean0).T, lower=True)
-            out_dim = obs_map.out_dim if obs_map.out_dim is not None else y.shape[0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                pred = np.asarray(obs_map.fn(xs), dtype=float).reshape(xs.shape[0], out_dim)
-            ok = np.all(np.isfinite(pred), axis=1)
-            res = np.where(ok[:, None], np.nan_to_num(obs_map.residual(y, pred)), 0.0)
-            dr = solve_triangular(l_obs, res.T, lower=True)
-            with np.errstate(over="ignore"):
-                vals = 0.5 * np.sum(dx * dx, axis=0) + 0.5 * np.sum(dr * dr, axis=0)
-            return np.where(ok, vals, np.inf)
+    def misfit_at(x):
+        return misfit(x[None])[0]
 
-    minimizer, iters = bfgs_minimize(misfit, mean0, settings, misfit_batch)
+    minimizer, iters = bfgs_minimize(misfit_at, mean0, settings, misfit)
     if diag is not None:
         diag.bfgs_iterations += iters
-    hess = numerical_hessian(misfit, minimizer, settings.hessian_fd_step, misfit_batch)
+    hess = numerical_hessian(misfit_at, minimizer, settings.hessian_fd_step, misfit)
     try:
         lh = cholesky_factor(hess, diag)
     except Exception as exc:

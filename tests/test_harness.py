@@ -74,6 +74,21 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
+    def test_from_dict_inverts_to_dict(self):
+        cfg = ExperimentConfig.from_dict(
+            bistable_config(
+                filters=[
+                    {"family": "CGF", "rule_degree": 5},
+                    {"family": "PGF", "sample_count": 50},
+                    {"family": "VGF", "variational": {"max_iter": 7, "grad_tol": 1e-5}},
+                    {"family": "VGSF", "variational": {"fd_step": 1e-6, "hessian_fd_step": 1e-3}},
+                ],
+                window=[2, 4],
+            )
+        )
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
     def test_missing_field(self):
         raw = bistable_config()
         del raw["seed"]

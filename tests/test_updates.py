@@ -17,7 +17,14 @@ from gaussfilt import (
     time_update_points,
 )
 from gaussfilt.errors import LineSearchFailed, OptimizerDidNotConverge
-from gaussfilt.models import AugmentedGaussian, ObsFunction, ProcessModel, augment
+from gaussfilt.models import (
+    AugmentedGaussian,
+    ObservationModel,
+    ObsFunction,
+    ProcessModel,
+    augment,
+    composed_observation,
+)
 from gaussfilt.updates import numerical_gradient, numerical_hessian
 
 
@@ -273,3 +280,78 @@ class TestMeasurementUpdateVariational:
         ):
             assert np.max(np.abs(other.mean - lin.mean)) <= 1e-6
             assert np.max(np.abs(other.cov - lin.cov)) <= 1e-6
+
+
+def _model_pair(nonlinear, vectorized):
+    """A 2-D process and observation model without Jacobians.  The maps are
+    written elementwise on ``x[..., i]``, so one point and stacked rows give
+    the same floating-point results and only the evaluation path differs."""
+    if nonlinear:
+        def propagate(n, x, xi):
+            return np.sin(x) + 0.5 * x + xi
+
+        def observe(n, x):
+            return np.stack([np.tanh(x[..., 0]), x[..., 1] ** 2 + x[..., 0]], axis=-1)
+    else:
+        def propagate(n, x, xi):
+            x1, x2 = x[..., 0], x[..., 1]
+            return np.stack([0.9 * x1 + 0.2 * x2, 0.8 * x2 - 0.1 * x1], axis=-1) + xi
+
+        def observe(n, x):
+            return np.stack([x[..., 0] - 0.5 * x[..., 1], 0.3 * x[..., 0] + 2.0 * x[..., 1]], axis=-1)
+
+    process = ProcessModel(propagate, 0.1 * np.eye(2), 2, 2, vectorized=vectorized)
+    obs = ObservationModel(observe, np.diag([0.3, 0.5]), 2, vectorized=vectorized)
+    return process, obs
+
+
+@pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+class TestVectorizedFlag:
+    """A vectorized model and the same model looped row by row give the same
+    posteriors through every kernel and finite-difference fallback."""
+
+    prior = Gaussian([0.4, -0.3], [[0.5, 0.1], [0.1, 0.3]])
+    y = np.array([0.2, 0.7])
+
+    @staticmethod
+    def assert_same(a, b):
+        assert np.allclose(a.mean, b.mean, rtol=1e-12, atol=1e-14)
+        assert np.allclose(a.cov, b.cov, rtol=1e-12, atol=1e-14)
+
+    def both(self, nonlinear):
+        return _model_pair(nonlinear, True), _model_pair(nonlinear, False)
+
+    def test_time_updates(self, nonlinear):
+        (pv, _), (pl, _) = self.both(nonlinear)
+        aug_v, aug_l = augment(self.prior, pv, 0), augment(self.prior, pl, 0)
+        for rule in (cubature3(), cubature5()):
+            self.assert_same(time_update_points(aug_v, pv, 0, rule), time_update_points(aug_l, pl, 0, rule))
+        self.assert_same(time_update_linear(aug_v, pv, 0), time_update_linear(aug_l, pl, 0))
+
+    def test_jacobian_fallbacks(self, nonlinear):
+        (pv, ov), (pl, ol) = self.both(nonlinear)
+        x, xi = self.prior.mean, np.array([0.05, -0.02])
+        assert np.allclose(pv.full_jacobian(0, x, xi), pl.full_jacobian(0, x, xi), rtol=1e-12, atol=1e-14)
+        assert np.allclose(ov.at_step(1).jac(x), ol.at_step(1).jac(x), rtol=1e-12, atol=1e-14)
+
+    def test_measurement_updates(self, nonlinear):
+        (pv, ov), (pl, ol) = self.both(nonlinear)
+        r = ov.obs_cov
+        cases = [
+            (self.prior, ov.at_step(1), ol.at_step(1)),
+            (augment(self.prior, pv, 0).belief, composed_observation(pv, ov, 0), composed_observation(pl, ol, 0)),
+        ]
+        for prior, map_v, map_l in cases:
+            for rule in (cubature3(), cubature5()):
+                self.assert_same(
+                    measurement_update_points(prior, map_v, self.y, r, rule),
+                    measurement_update_points(prior, map_l, self.y, r, rule),
+                )
+            self.assert_same(
+                measurement_update_linear(prior, map_v, self.y, r),
+                measurement_update_linear(prior, map_l, self.y, r),
+            )
+            self.assert_same(
+                measurement_update_variational(prior, map_v, self.y, r),
+                measurement_update_variational(prior, map_l, self.y, r),
+            )
