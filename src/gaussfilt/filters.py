@@ -6,7 +6,7 @@ augment, assimilate the next observation into the joint state-and-noise
 belief through the composed map, then propagate the conditioned joint.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,10 +75,23 @@ class FilterKind:
         return None
 
     def label(self) -> str:
+        """Family plus rule parameters, e.g. ``CGF5``, ``PGSF1000``, or for
+        non-default variational settings ``VGF[grad_tol=1e-08;max_iter=50]``
+        (the changed fields in field order; no commas, as labels are CSV
+        fields)."""
         if self.family in ("CGF", "CGSF"):
             return f"{self.family}{self.rule_degree}"
         if self.family in ("PGF", "PGSF"):
             return f"{self.family}{self.sample_count}"
+        if self.family in ("VGF", "VGSF") and self.variational is not None:
+            default = VariationalSettings()
+            changed = ";".join(
+                f"{f.name}={getattr(self.variational, f.name)!r}"
+                for f in fields(VariationalSettings)
+                if getattr(self.variational, f.name) != getattr(default, f.name)
+            )
+            if changed:
+                return f"{self.family}[{changed}]"
         return self.family
 
 

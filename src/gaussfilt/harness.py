@@ -222,7 +222,7 @@ class RunResult:
     dt_obs: float
     truths: np.ndarray       # (replicates, steps + 1, d)
     estimates: dict          # label -> (replicates, steps, d)
-    diagnostics: dict        # label -> (replicates, steps, 2) [fallbacks, jitters]
+    diagnostics: dict        # label -> (replicates, steps, 3) [fallbacks, jitters, bfgs_iterations]
     failures: list = field(default_factory=list)  # (replicate, label, message)
 
     def per_step_errors(self, label: str, components=None) -> np.ndarray:
@@ -264,7 +264,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     reps, steps = config.replicates, config.steps
     truths = np.zeros((reps, steps + 1, d))
     estimates = {lab: np.zeros((reps, steps, d)) for lab in labels}
-    diagnostics = {lab: np.zeros((reps, steps, 2), dtype=int) for lab in labels}
+    diagnostics = {lab: np.zeros((reps, steps, 3), dtype=int) for lab in labels}
     failures = []
     for r in range(reps):
         rep_seed = replicate_seed(config.seed, r)
@@ -280,6 +280,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 diagnostics[lab][r, rec.step - 1] = (
                     rec.diagnostics.fallbacks,
                     rec.diagnostics.jitters,
+                    rec.diagnostics.bfgs_iterations,
                 )
             if traj.error is not None:
                 failures.append((r, lab, str(traj.error)))
@@ -306,7 +307,7 @@ def write_results(result: RunResult, out_dir) -> list:
 
     per_step = out / "per_step.csv"
     with open(per_step, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("replicate,filter,step,time,rmse,fallbacks,jitters\n")
+        fh.write("replicate,filter,step,time,rmse,fallbacks,jitters,bfgs_iterations\n")
         errors = {lab: result.per_step_errors(lab) for lab in result.labels}
         for r in range(cfg.replicates):
             for lab in result.labels:
@@ -315,7 +316,8 @@ def write_results(result: RunResult, out_dir) -> list:
                         f"{r},{lab},{k + 1},{_fmt((k + 1) * result.dt_obs)},"
                         f"{_fmt(errors[lab][r, k])},"
                         f"{result.diagnostics[lab][r, k, 0]},"
-                        f"{result.diagnostics[lab][r, k, 1]}\n"
+                        f"{result.diagnostics[lab][r, k, 1]},"
+                        f"{result.diagnostics[lab][r, k, 2]}\n"
                     )
 
     summary = out / "summary.csv"

@@ -31,9 +31,17 @@ _EPS = np.finfo(float).eps
 class VariationalSettings:
     """Stopping and finite-difference controls for the variational update.
 
-    A ``None`` tolerance or step resolves to the scale-aware defaults:
-    grad_tol = 1e-6 * (1 + |J(x0)|), gradient step sqrt(eps)*(1+|x_i|) and
-    Hessian step eps^(1/4)*(1+|x_i|).
+    The update runs BFGS in whitened coordinates u = L^-1 (x - m), where
+    L L^T is the prior covariance, with the chain-rule gradient of the
+    misfit.  ``grad_tol`` is therefore compared with the norm of that
+    whitened gradient; ``None`` still resolves to 1e-6 * (1 + |J(x0)|), J(x0)
+    being the misfit at the prior mean.  ``fd_step``, when set, replaces the
+    observation map's Jacobian in that gradient with central differences of
+    that step; ``None`` uses the map's own Jacobian.  Called without a
+    gradient, ``bfgs_minimize`` takes ``fd_step`` (default
+    sqrt(eps)*(1+|x_i|)) as its central-difference step.
+    ``hessian_fd_step`` is the step of the x-space Hessian whose inverse is
+    the posterior covariance; ``None`` means eps^(1/4)*(1+|x_i|).
     """
 
     grad_tol: float | None = None
@@ -65,52 +73,50 @@ def numerical_gradient(f, x, step=None, f_batch=None):
 
 
 def numerical_hessian(f, x, step=None, f_batch=None):
-    """Symmetric central-difference Hessian."""
+    """Symmetric central-difference Hessian.
+
+    All 1 + 2k + 4 k(k-1)/2 probes go to one stacked evaluation: x, then
+    x + h_i e_i and x - h_i e_i for each i, then x +- h_i e_i +- h_j e_j in
+    sign order (++, +-, -+, --) for each pair i < j in row-major order.
+    """
     x = np.asarray(x, dtype=float)
     h = np.full(x.shape, step) if step is not None else _EPS ** 0.25 * (1.0 + np.abs(x))
     k = x.shape[0]
-    probes = [x]
-    for i in range(k):
-        for s in (h[i], -h[i]):
-            p = x.copy()
-            p[i] += s
-            probes.append(p)
-    pair_index = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            for si in (h[i], -h[i]):
-                for sj in (h[j], -h[j]):
-                    p = x.copy()
-                    p[i] += si
-                    p[j] += sj
-                    pair_index[(i, j, si > 0, sj > 0)] = len(probes)
-                    probes.append(p)
-    vals = _stacked(f, f_batch)(np.asarray(probes))
+    idx = np.arange(k)
+    iu, ju = np.triu_indices(k, 1)
+    first_pair = 1 + 2 * k
+    probes = np.repeat(x[None, :], first_pair + 4 * iu.size, axis=0)
+    probes[1 + 2 * idx, idx] += h
+    probes[2 + 2 * idx, idx] += -h
+    pair_rows = (first_pair + 4 * np.arange(iu.size)[:, None] + np.arange(4)).ravel()
+    probes[pair_rows, np.repeat(iu, 4)] += (h[iu][:, None] * [1.0, 1.0, -1.0, -1.0]).ravel()
+    probes[pair_rows, np.repeat(ju, 4)] += (h[ju][:, None] * [1.0, -1.0, 1.0, -1.0]).ravel()
+    vals = _stacked(f, f_batch)(probes)
     hess = np.empty((k, k))
-    f0 = vals[0]
-    for i in range(k):
-        fp, fm = vals[1 + 2 * i], vals[2 + 2 * i]
-        hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
-    for i in range(k):
-        for j in range(i + 1, k):
-            fpp = vals[pair_index[(i, j, True, True)]]
-            fpm = vals[pair_index[(i, j, True, False)]]
-            fmp = vals[pair_index[(i, j, False, True)]]
-            fmm = vals[pair_index[(i, j, False, False)]]
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+    # h_i ** 2 through pow, as a scalar square is computed; h * h differs in
+    # the last bit for a few steps in ten thousand.
+    h_sq = np.array([hi ** 2 for hi in h])
+    hess[idx, idx] = (vals[1:first_pair:2] - 2.0 * vals[0] + vals[2:first_pair:2]) / h_sq
+    fpp, fpm, fmp, fmm = vals[first_pair:].reshape(-1, 4).T
+    hess[iu, ju] = hess[ju, iu] = (fpp - fpm - fmp + fmm) / (4.0 * h[iu] * h[ju])
     return hess
 
 
-def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=None):
-    """BFGS with numerical gradients and Armijo backtracking.
+def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=None, grad=None):
+    """BFGS with Armijo backtracking.
 
-    ``f`` maps one point to a float; ``f_batch``, when given, maps stacked
-    points (m, k) to m values and takes the finite-difference probes.
-    Returns (minimizer, iteration count).  The inverse-Hessian approximation
-    starts at the identity; the line search tries steps 1, 1/2, 1/4, ...
-    (at most 40 halvings) against the Armijo condition with c = 1e-4.
+    ``f`` maps one point to a float.  ``grad``, when given, maps one point to
+    the gradient of ``f``; otherwise central differences supply it, with the
+    probes going to ``f_batch`` (stacked points (m, k) to m values) when that
+    is given.  Returns (minimizer, iteration count).  The inverse-Hessian
+    approximation starts at the identity; the line search tries steps 1,
+    1/2, 1/4, ... (at most 40 halvings) and accepts the first that meets the
+    Armijo condition with c = 1e-4 and strictly lowers f.  A decrease lost in
+    f's rounding thus fails the search instead of passing it vacuously.
     """
     settings = settings or DEFAULT_VARIATIONAL
+    if grad is None:
+        grad = lambda v: numerical_gradient(f, v, settings.fd_step, f_batch)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     fx = float(f(x))
     if not np.isfinite(fx):
@@ -118,7 +124,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
     tol = settings.grad_tol
     if tol is None:
         tol = 1e-6 * (1.0 + abs(fx))
-    g = numerical_gradient(f, x, settings.fd_step, f_batch)
+    g = grad(x)
     h_inv = np.eye(x.shape[0])
     for it in range(settings.max_iter):
         if np.linalg.norm(g) <= tol:
@@ -133,7 +139,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
         for _ in range(41):
             x_new = x + alpha * p
             f_new = float(f(x_new))
-            if np.isfinite(f_new) and f_new <= fx + 1e-4 * alpha * slope:
+            if np.isfinite(f_new) and f_new < fx and f_new <= fx + 1e-4 * alpha * slope:
                 ok = True
                 break
             alpha *= 0.5
@@ -143,7 +149,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
             raise LineSearchFailed(
                 f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})"
             )
-        g_new = numerical_gradient(f, x_new, settings.fd_step, f_batch)
+        g_new = grad(x_new)
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
@@ -243,6 +249,65 @@ def measurement_update_points(
     return _kalman_update(prior, obs_map, y, r, mean[k:], cov[:k, k:], cov[k:, k:], diag)
 
 
+class WhitenedMisfit:
+    """The variational misfit of a prior N(m, L L^T) and an observation y,
+
+        J(x) = 1/2 |L^-1 (x - m)|^2 + 1/2 |L_R^-1 r(x)|^2,
+
+    with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T, in x and in the
+    whitened coordinates u = L^-1 (x - m), where it reads
+    1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2.  A point where the map leaves its
+    domain scores inf.
+    """
+
+    def __init__(self, prior, obs_map, y, r, fd_step=None, diag=None):
+        self.mean = prior.mean
+        self.l_prior = cholesky_factor(prior.cov, diag)
+        self.l_obs = cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag)
+        self.obs_map = obs_map
+        self.y = np.atleast_1d(np.asarray(y, dtype=float))
+        self.fd_step = fd_step
+
+    def to_x(self, us):
+        """x = m + L u, for one u or stacked rows."""
+        return self.mean + us @ self.l_prior.T
+
+    def _data_term(self, xs):
+        try:
+            pred = self.obs_map.rows(xs)
+        except DivergedEvaluation:
+            return np.full(xs.shape[0], np.inf)  # a probe left the map's domain
+        dr = solve_triangular(self.l_obs, self.obs_map.residual(self.y, pred).T, lower=True)
+        with np.errstate(over="ignore"):
+            # an overflowing quadratic means a hopeless probe point; the
+            # resulting inf makes the line search back off, as intended
+            return 0.5 * np.sum(dr * dr, axis=0)
+
+    def at_x(self, xs):
+        """J at stacked points (m, k)."""
+        dx = solve_triangular(self.l_prior, (xs - self.mean).T, lower=True)
+        with np.errstate(over="ignore"):
+            return 0.5 * np.sum(dx * dx, axis=0) + self._data_term(xs)
+
+    def at_u(self, us):
+        """J at stacked whitened points (m, k)."""
+        with np.errstate(over="ignore"):
+            return 0.5 * np.sum(us * us, axis=1) + self._data_term(self.to_x(us))
+
+    def gradient(self, u):
+        """Exact whitened gradient u - (L_R^-1 H L)^T L_R^-1 r at one u, with
+        H the map's Jacobian at x = m + L u (central differences of step
+        ``fd_step`` when that is set)."""
+        x = self.to_x(u)
+        if self.fd_step is None:
+            jac = self.obs_map.jac(x)
+        else:
+            jac = central_difference(self.obs_map.rows, x, self.fd_step)
+        w = solve_triangular(self.l_obs, self.obs_map.residual(self.y, self.obs_map(x)), lower=True)
+        a = solve_triangular(self.l_obs, jac @ self.l_prior, lower=True)
+        return u - a.T @ w
+
+
 def measurement_update_variational(
     prior: Gaussian,
     obs_map: ObsFunction,
@@ -251,35 +316,22 @@ def measurement_update_variational(
     settings: VariationalSettings | None = None,
     diag: Diagnostics | None = None,
 ) -> Gaussian:
-    """Posterior mean as the misfit minimizer (BFGS from the prior mean),
-    covariance as the inverse of the numerically differenced Hessian there."""
+    """Posterior mean as the misfit minimizer, covariance as the inverse of
+    the numerically differenced x-space Hessian there.
+
+    BFGS runs in whitened coordinates from u = 0 (the prior mean), where the
+    prior term's Hessian is the identity BFGS starts from, and takes the
+    misfit's chain-rule gradient.
+    """
     settings = settings or DEFAULT_VARIATIONAL
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    l_prior = cholesky_factor(prior.cov, diag)
-    l_obs = cholesky_factor(r, diag)
-    mean0 = prior.mean
-
-    def misfit(xs):
-        """Misfit at stacked points (m, k); inf where the map leaves its domain."""
-        try:
-            pred = obs_map.rows(xs)
-        except DivergedEvaluation:
-            return np.full(xs.shape[0], np.inf)  # a probe left the map's domain
-        dx = solve_triangular(l_prior, (xs - mean0).T, lower=True)
-        dr = solve_triangular(l_obs, obs_map.residual(y, pred).T, lower=True)
-        with np.errstate(over="ignore"):
-            # an overflowing quadratic means a hopeless probe point; the
-            # resulting inf makes the line search back off, as intended
-            return 0.5 * np.sum(dx * dx, axis=0) + 0.5 * np.sum(dr * dr, axis=0)
-
-    def misfit_at(x):
-        return misfit(x[None])[0]
-
-    minimizer, iters = bfgs_minimize(misfit_at, mean0, settings, misfit)
+    misfit = WhitenedMisfit(prior, obs_map, y, r, settings.fd_step, diag)
+    u_min, iters = bfgs_minimize(
+        lambda u: misfit.at_u(u[None])[0], np.zeros(prior.dim), settings, grad=misfit.gradient
+    )
     if diag is not None:
         diag.bfgs_iterations += iters
-    hess = numerical_hessian(misfit_at, minimizer, settings.hessian_fd_step, misfit)
+    minimizer = misfit.to_x(u_min)
+    hess = numerical_hessian(None, minimizer, settings.hessian_fd_step, misfit.at_x)
     try:
         lh = cholesky_factor(hess, diag)
     except Exception as exc:

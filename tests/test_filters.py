@@ -8,6 +8,7 @@ from gaussfilt import (
     Gaussian,
     JointGaussian,
     ObservationModel,
+    VariationalSettings,
     condition,
     conventional_step,
     run_filter,
@@ -57,6 +58,14 @@ class TestFilterKind:
         assert FilterKind("LGF").label() == "LGF"
         assert FilterKind("CGF", rule_degree=5).label() == "CGF5"
         assert FilterKind("PGSF", sample_count=200).label() == "PGSF200"
+
+    def test_variational_labels(self):
+        assert FilterKind("VGF").label() == "VGF"
+        assert FilterKind("VGSF", variational=VariationalSettings()).label() == "VGSF"
+        tight = VariationalSettings(grad_tol=1e-8, max_iter=50)
+        assert FilterKind("VGF", variational=tight).label() == "VGF[grad_tol=1e-08;max_iter=50]"
+        steps = VariationalSettings(fd_step=1e-6, hessian_fd_step=1e-3)
+        assert FilterKind("VGSF", variational=steps).label() == "VGSF[fd_step=1e-06;hessian_fd_step=0.001]"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -109,6 +109,21 @@ class TestExperimentConfig:
                 bistable_config(filters=[{"family": "LGF"}, {"family": "LGF"}])
             )
 
+    def test_variational_settings_distinguish_labels(self):
+        cfg = ExperimentConfig.from_dict(
+            bistable_config(
+                filters=[
+                    {"family": "VGF"},
+                    {"family": "VGF", "variational": {"grad_tol": 1e-8, "max_iter": 50}},
+                ]
+            )
+        )
+        assert [f.label() for f in cfg.filters] == ["VGF", "VGF[grad_tol=1e-08;max_iter=50]"]
+        with pytest.raises(ConfigError, match="duplicate"):
+            ExperimentConfig.from_dict(
+                bistable_config(filters=[{"family": "VGF"}, {"family": "VGF", "variational": {}}])
+            )
+
     def test_prior_dimension_checked(self):
         with pytest.raises(ConfigError, match="dim"):
             ExperimentConfig.from_dict(
@@ -185,7 +200,7 @@ class TestWriteResults:
         files = write_results(result, cfg.output_dir)
         per_step, summary, echo = files
         lines = per_step.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "replicate,filter,step,time,rmse,fallbacks,jitters"
+        assert lines[0] == "replicate,filter,step,time,rmse,fallbacks,jitters,bfgs_iterations"
         assert len(lines) == 1 + 2 * 2 * 4  # replicates x filters x steps
         sums = summary.read_text(encoding="utf-8").splitlines()
         assert sums[0] == "filter,metric,mean_rmse,var_rmse"
@@ -200,13 +215,29 @@ class TestWriteResults:
         # independent aggregation of the raw CSV
         rows = [line.split(",") for line in per_step.read_text().splitlines()[1:]]
         by_filter = {}
-        for r, lab, step, _t, err, _f, _j in rows:
+        for r, lab, step, _t, err, _f, _j, _b in rows:
             by_filter.setdefault(lab, {}).setdefault(int(r), []).append(float(err))
         for line in summary.read_text().splitlines()[1:]:
             lab, _metric, mean_rmse, var_rmse = line.split(",")
             ta = [np.sqrt(np.mean(np.square(v))) for _, v in sorted(by_filter[lab].items())]
             assert np.isclose(float(mean_rmse), np.mean(ta))
             assert np.isclose(float(var_rmse), np.var(ta, ddof=1))
+
+    def test_bfgs_iterations_column(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(
+            bistable_config(
+                filters=[{"family": "LGF"}, {"family": "VGSF"}], output_dir=str(tmp_path / "out")
+            )
+        )
+        result = run_experiment(cfg)
+        per_step, _, _ = write_results(result, cfg.output_dir)
+        rows = [line.split(",") for line in per_step.read_text().splitlines()[1:]]
+        iterations = {lab: [] for lab in result.labels}
+        for r, lab, step, *_, bfgs in rows:
+            iterations[lab].append(int(bfgs))
+            assert int(bfgs) == result.diagnostics[lab][int(r), int(step) - 1, 2]
+        assert set(iterations["LGF"]) == {0}
+        assert min(iterations["VGSF"]) >= 1
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = bistable_config(

@@ -88,3 +88,23 @@ def test_point_update_across_bearing_wrap_is_mirror_image(rule):
     assert np.allclose(post_m.cov, np.outer(MIRROR, MIRROR) * post.cov, rtol=1e-9, atol=1e-12)
     # The bearing pulls py below the axis by about 1000 * 0.004 = 4 m.
     assert -5.0 < post.mean[2] < -2.0
+
+
+@pytest.mark.parametrize("family", ["VGF", "VGSF"])
+def test_variational_fallbacks_mirror_invariant(family):
+    # Forty steps near the negative x axis: the bearing's rounding near pi
+    # (4.4e-16 absolute, against ~1e-18 near 0) must not decide whether the
+    # optimizer gives up in one frame only.
+    process, obs = turn_models(TurnModelSpec())
+    t = simulate_truth(process, obs, X0, 40, np.random.default_rng(2))
+    kind = FilterKind(family)
+    original = run_filter(kind, process, obs, Gaussian(X0, PRIOR_COV), t.observations)
+    mirrored = run_filter(
+        kind, process, obs, Gaussian(MIRROR * X0, PRIOR_COV), mirror_observations(t.observations)
+    )
+    assert original.error is None and mirrored.error is None
+    fallbacks = [[rec.diagnostics.fallbacks for rec in traj.records] for traj in (original, mirrored)]
+    assert fallbacks[0] == fallbacks[1]
+    a = position_rmse(original, t.truth)
+    b = position_rmse(mirrored, t.truth * MIRROR)
+    assert abs(a - b) <= 1e-3 * a

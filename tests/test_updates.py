@@ -1,20 +1,29 @@
 """Time/measurement update kernels and the BFGS optimizer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gaussfilt import (
+    BistableSpec,
+    FilterKind,
     Gaussian,
+    TurnModelSpec,
     VariationalSettings,
     bfgs_minimize,
+    bistable_models,
     cubature3,
     cubature5,
     empirical,
     measurement_update_linear,
     measurement_update_points,
     measurement_update_variational,
+    run_filter,
+    simulate_truth,
     time_update_linear,
     time_update_points,
+    turn_models,
 )
 from gaussfilt.errors import LineSearchFailed, OptimizerDidNotConverge
 from gaussfilt.models import (
@@ -23,9 +32,10 @@ from gaussfilt.models import (
     ObsFunction,
     ProcessModel,
     augment,
+    central_difference,
     composed_observation,
 )
-from gaussfilt.updates import numerical_gradient, numerical_hessian
+from gaussfilt.updates import WhitenedMisfit, numerical_gradient, numerical_hessian
 
 
 def linear_process(a, gamma):
@@ -71,6 +81,57 @@ class TestNumericalDerivatives:
         h = numerical_hessian(f, np.array([0.7, -0.2]))
         assert np.max(np.abs(h - a)) <= 1e-4
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 21])
+    def test_hessian_matches_loop_reference_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((k, k))
+
+        def f_batch(xs):
+            return np.sum(np.sin(xs @ a) ** 2, axis=1) + np.exp(0.1 * xs[:, 0]) * xs[:, -1] ** 3
+
+        x = 10.0 ** rng.uniform(-3.0, 3.0, k) * rng.choice([-1.0, 1.0], k)
+        for step in (None, 1e-3):
+            assert np.array_equal(
+                numerical_hessian(None, x, step, f_batch), _loop_hessian(f_batch, x, step)
+            )
+
+
+def _loop_hessian(f_batch, x, step):
+    """numerical_hessian written as per-probe loops, as the reference for the
+    indexed construction."""
+    h = np.full(x.shape, step) if step is not None else np.finfo(float).eps ** 0.25 * (1.0 + np.abs(x))
+    k = x.shape[0]
+    probes = [x]
+    for i in range(k):
+        for s in (h[i], -h[i]):
+            p = x.copy()
+            p[i] += s
+            probes.append(p)
+    pair_index = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            for si in (h[i], -h[i]):
+                for sj in (h[j], -h[j]):
+                    p = x.copy()
+                    p[i] += si
+                    p[j] += sj
+                    pair_index[(i, j, si > 0, sj > 0)] = len(probes)
+                    probes.append(p)
+    vals = f_batch(np.asarray(probes))
+    hess = np.empty((k, k))
+    f0 = vals[0]
+    for i in range(k):
+        fp, fm = vals[1 + 2 * i], vals[2 + 2 * i]
+        hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
+    for i in range(k):
+        for j in range(i + 1, k):
+            fpp = vals[pair_index[(i, j, True, True)]]
+            fpm = vals[pair_index[(i, j, True, False)]]
+            fmp = vals[pair_index[(i, j, False, True)]]
+            fmm = vals[pair_index[(i, j, False, False)]]
+            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+    return hess
+
 
 class TestBfgsMinimize:
     def test_convex_quadratic(self):
@@ -110,6 +171,29 @@ class TestBfgsMinimize:
         xa, _ = bfgs_minimize(f, np.array([2.0, -1.0]))
         xb, _ = bfgs_minimize(f, np.array([2.0, -1.0]), f_batch=f_batch)
         assert np.allclose(xa, xb)
+
+    def test_analytic_gradient_agrees(self):
+        def f(v):
+            return float(v @ v) + float(np.sin(v[0]))
+
+        def grad(v):
+            return 2.0 * v + np.array([np.cos(v[0]), 0.0])
+
+        xa, _ = bfgs_minimize(f, np.array([2.0, -1.0]))
+        xb, _ = bfgs_minimize(f, np.array([2.0, -1.0]), grad=grad)
+        assert np.allclose(xa, xb, atol=1e-6)
+
+    def test_step_lost_in_rounding_is_rejected(self):
+        # The Armijo bound fx + 1e-4 * alpha * slope rounds to fx here, so a
+        # step that leaves f unchanged would pass it; it must not count as
+        # a decrease.
+        with pytest.raises(LineSearchFailed):
+            bfgs_minimize(
+                lambda v: 1.0,
+                np.array([0.0]),
+                VariationalSettings(grad_tol=1e-12),
+                grad=lambda v: np.array([1e-10]),
+            )
 
 
 class TestTimeUpdateLinear:
@@ -280,6 +364,72 @@ class TestMeasurementUpdateVariational:
         ):
             assert np.max(np.abs(other.mean - lin.mean)) <= 1e-6
             assert np.max(np.abs(other.cov - lin.cov)) <= 1e-6
+
+
+def _bistable_case():
+    process, obs = bistable_models(BistableSpec())
+    prior = augment(Gaussian([0.8], [[0.02]]), process, 0).belief
+    return prior, composed_observation(process, obs, 0), np.array([0.95]), obs.obs_cov
+
+
+def _tracking_case():
+    process, obs = turn_models(TurnModelSpec())
+    x0 = np.array([-1000.0, -10.0, 40.0, -2.0, 0.01])
+    prior = augment(Gaussian(x0, np.diag([100.0, 10.0, 100.0, 10.0, 1e-4])), process, 0).belief
+    obs_map = composed_observation(process, obs, 0)
+    return prior, obs_map, obs_map(prior.mean) + np.array([15.0, 0.01]), obs.obs_cov
+
+
+class TestWhitenedVariational:
+    @pytest.mark.parametrize("case", [_bistable_case, _tracking_case], ids=["bistable", "tracking"])
+    def test_chain_rule_gradient_matches_finite_differences(self, case):
+        prior, obs_map, y, r = case()
+        misfit = WhitenedMisfit(prior, obs_map, y, r)
+        rng = np.random.default_rng(3)
+        for u in (np.zeros(prior.dim), 0.5 * rng.standard_normal(prior.dim)):
+            x = misfit.to_x(u)
+            expected = misfit.l_prior.T @ central_difference(misfit.at_x, x)[0]
+            got = misfit.gradient(u)
+            assert np.linalg.norm(got - expected) <= 1e-5 * np.linalg.norm(expected)
+            assert misfit.at_u(u[None])[0] == pytest.approx(misfit.at_x(x[None])[0], rel=1e-12)
+
+    def test_fd_step_replaces_the_map_jacobian(self):
+        prior, obs_map, y, r = _bistable_case()
+        u = np.full(prior.dim, 0.3)
+        exact = WhitenedMisfit(prior, obs_map, y, r).gradient(u)
+        differenced = WhitenedMisfit(prior, obs_map, y, r, fd_step=1e-6).gradient(u)
+        assert not np.array_equal(differenced, exact)
+        assert np.allclose(differenced, exact, rtol=1e-6, atol=1e-8)
+
+    def test_bistable_vgsf_needs_few_iterations(self):
+        # In whitened coordinates the prior's noise block (precision 100)
+        # no longer dominates the curvature BFGS starts from.
+        process, obs = bistable_models(BistableSpec())
+        truth = simulate_truth(process, obs, np.array([0.8]), 20, np.random.default_rng(5))
+        traj = run_filter(FilterKind("VGSF"), process, obs, Gaussian([0.8], [[0.02]]), truth.observations)
+        assert traj.error is None
+        iterations = [rec.diagnostics.bfgs_iterations for rec in traj.records[1:]]
+        assert np.mean(iterations) <= 6.0
+
+    def test_tolerance_below_noise_floor_falls_back_quickly(self):
+        # grad_tol = 1e-8 is below the gradient's rounding at positions ~1e3:
+        # BFGS must give up when no step lowers the misfit, not iterate on
+        # steps whose decrease is lost in rounding.
+        process, obs = turn_models(TurnModelSpec())
+        x0 = np.array([1e3, 3e2, 1e3, 0.0, -3.0 * np.pi / 180.0])
+        truth = simulate_truth(process, obs, x0, 20, np.random.default_rng(7))
+        calls = [0]
+
+        def counted(n, x, xi):
+            calls[0] += 1
+            return process.propagate(n, x, xi)
+
+        counting = dataclasses.replace(process, propagate=counted)
+        kind = FilterKind("VGSF", variational=VariationalSettings(grad_tol=1e-8))
+        prior = Gaussian(x0, np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]))
+        traj = run_filter(kind, counting, obs, prior, truth.observations)
+        assert traj.error is None
+        assert calls[0] < 10_000
 
 
 def _model_pair(nonlinear, vectorized):
