@@ -3,10 +3,13 @@
 Deterministic cubature rules of degree 3 (2k points) and degree 5
 (2k^2 + 1 points) for the standard Gaussian, empirical (Monte Carlo)
 measures, affine transport, and a moment-matching oracle.
+
+The degree-5 rule's points and the probes of ``updates.numerical_hessian``
+are one fully symmetric stencil (Stroud 1971), built by
+``symmetric_stencil`` with different axis and pair offsets.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -71,14 +74,33 @@ class DiscreteMeasure:
         return self.points.shape[0]
 
 
+def symmetric_stencil(h_axis: np.ndarray, h_pair: np.ndarray) -> np.ndarray:
+    """The (1 + 2k + 4 k(k-1)/2, k) offsets of the fully symmetric stencil:
+    the origin, then +h_axis_i e_i and -h_axis_i e_i for each i, then
+    +-h_pair_i e_i +-h_pair_j e_j in sign order (++, +-, -+, --) for each
+    pair i < j in row-major order."""
+    k = h_axis.shape[0]
+    iu, ju = np.triu_indices(k, 1)
+    out = np.zeros((1 + 2 * k + 4 * iu.size, k))
+    # Views of the axis and pair rows, indexed (axis or pair, sign, coordinate).
+    axes = out[1:1 + 2 * k].reshape(k, 2, k)
+    pairs = out[1 + 2 * k:].reshape(iu.size, 4, k)
+    axes[np.arange(k), :, np.arange(k)] = h_axis[:, None] * [1.0, -1.0]
+    pair = np.arange(iu.size)
+    pairs[pair, :, iu] = h_pair[iu][:, None] * [1.0, 1.0, -1.0, -1.0]
+    pairs[pair, :, ju] = h_pair[ju][:, None] * [1.0, -1.0, 1.0, -1.0]
+    return out
+
+
 def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None) -> DiscreteMeasure:
     """Discrete measure approximating the k-dimensional standard Gaussian.
 
     Degree 3: the 2k symmetric points +-sqrt(k) e_i, equal weights.
     Degree 5: a 2k^2+1 point fully-symmetric rule -- the origin, the axis
     points +-sqrt(k+2) e_i, and the diagonal points
-    sqrt((k+2)/2) (+-e_i +- e_j).  Axis weights go negative for k > 4;
-    downstream moment estimates then rely on covariance repair.
+    sqrt((k+2)/2) (+-e_i +- e_j), in ``symmetric_stencil`` order.  Axis
+    weights go negative for k > 4; downstream moment estimates then rely on
+    covariance repair.
     Empirical: sample_count i.i.d. standard-normal draws, equal weights.
     """
     if k < 1:
@@ -88,26 +110,9 @@ def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None
         wts = np.full(2 * k, 1.0 / (2 * k))
         return DiscreteMeasure(wts, pts)
     if kind.tag == CUBATURE5:
-        pts = [np.zeros(k)]
-        wts = [2.0 / (k + 2)]
-        w_axis = (4.0 - k) / (2.0 * (k + 2) ** 2)
-        r_axis = np.sqrt(k + 2.0)
-        for i in range(k):
-            for sign in (1.0, -1.0):
-                e = np.zeros(k)
-                e[i] = sign * r_axis
-                pts.append(e)
-                wts.append(w_axis)
-        w_pair = 1.0 / (k + 2) ** 2
-        r_pair = np.sqrt((k + 2.0) / 2.0)
-        for i, j in combinations(range(k), 2):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    e = np.zeros(k)
-                    e[i], e[j] = si * r_pair, sj * r_pair
-                    pts.append(e)
-                    wts.append(w_pair)
-        return DiscreteMeasure(np.array(wts), np.array(pts))
+        pts = symmetric_stencil(np.full(k, np.sqrt(k + 2.0)), np.full(k, np.sqrt((k + 2.0) / 2.0)))
+        w = [2.0 / (k + 2), (4.0 - k) / (2.0 * (k + 2) ** 2), 1.0 / (k + 2) ** 2]
+        return DiscreteMeasure(np.repeat(w, [1, 2 * k, 2 * k * (k - 1)]), pts)
     if rng is None:
         raise ValueError("empirical rule requires a random generator")
     n = kind.sample_count

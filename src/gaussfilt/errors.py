@@ -37,11 +37,19 @@ class Unsupported(GaussFiltError):
     """Request exceeds a built-in guard (e.g. moment degree/dimension)."""
 
 
-class OptimizerDidNotConverge(GaussFiltError):
+class _OptimizerStopped(GaussFiltError):
+    """An optimizer gave up; ``iterations`` counts the iterations it ran."""
+
+    def __init__(self, message: str, iterations: int = 0):
+        super().__init__(message)
+        self.iterations = iterations
+
+
+class OptimizerDidNotConverge(_OptimizerStopped):
     """Gradient norm still above tolerance after the iteration budget."""
 
 
-class LineSearchFailed(GaussFiltError):
+class LineSearchFailed(_OptimizerStopped):
     """Backtracking line search could not find an acceptable step."""
 
 

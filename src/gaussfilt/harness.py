@@ -81,10 +81,7 @@ def _parse_filter(entry: dict) -> FilterKind:
         kwargs["sample_count"] = int(entry["sample_count"])
     if "variational" in entry:
         kwargs["variational"] = VariationalSettings(**entry["variational"])
-    try:
-        return FilterKind(entry["family"], **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return FilterKind(entry["family"], **kwargs)
 
 
 @dataclass(frozen=True)
@@ -106,50 +103,54 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        required = ["name", "testbed", "filters", "replicates", "steps", "seed", "prior"]
-        for key in required:
-            if key not in raw:
-                raise ConfigError(f"missing config field {key!r}")
-        if raw["testbed"] not in TESTBEDS:
-            raise ConfigError(f"testbed must be one of {TESTBEDS}, got {raw['testbed']!r}")
-        prior = raw["prior"]
-        if "mean" not in prior or "cov" not in prior:
-            raise ConfigError("prior must carry 'mean' and 'cov'")
-        replicates = int(raw["replicates"])
-        steps = int(raw["steps"])
-        if replicates < 1 or steps < 1:
-            raise ConfigError("replicates and steps must be >= 1")
-        seed = int(raw["seed"])
-        if not 0 <= seed <= _MASK64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
-        filters = [_parse_filter(f) for f in raw["filters"]]
-        if not filters:
-            raise ConfigError("at least one filter required")
-        labels = [f.label() for f in filters]
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"duplicate filter labels: {labels}")
-        window = raw.get("window")
-        if window is not None:
-            lo, hi = int(window[0]), int(window[1])
-            if not 1 <= lo <= hi <= steps:
-                raise ConfigError(f"window {window} outside 1..{steps}")
-            window = (lo, hi)
-        cfg = cls(
-            name=str(raw["name"]),
-            testbed=raw["testbed"],
-            params=dict(raw.get("params", {})),
-            filters=filters,
-            replicates=replicates,
-            steps=steps,
-            seed=seed,
-            prior_mean=list(prior["mean"]),
-            prior_cov=[list(row) for row in prior["cov"]],
-            truth_x0=raw.get("truth_x0", "prior-sample"),
-            output_dir=str(raw.get("output_dir", "out")),
-            window=window,
-        )
-        cfg.build_models()  # validates testbed params and prior dimensions
-        return cfg
+        """Parse and validate a raw config; anything malformed raises ConfigError."""
+        try:
+            required = ["name", "testbed", "filters", "replicates", "steps", "seed", "prior"]
+            for key in required:
+                if key not in raw:
+                    raise ConfigError(f"missing config field {key!r}")
+            if raw["testbed"] not in TESTBEDS:
+                raise ConfigError(f"testbed must be one of {TESTBEDS}, got {raw['testbed']!r}")
+            prior = raw["prior"]
+            if "mean" not in prior or "cov" not in prior:
+                raise ConfigError("prior must carry 'mean' and 'cov'")
+            replicates = int(raw["replicates"])
+            steps = int(raw["steps"])
+            if replicates < 1 or steps < 1:
+                raise ConfigError("replicates and steps must be >= 1")
+            seed = int(raw["seed"])
+            if not 0 <= seed <= _MASK64:
+                raise ConfigError("seed must fit in 64 unsigned bits")
+            filters = [_parse_filter(f) for f in raw["filters"]]
+            if not filters:
+                raise ConfigError("at least one filter required")
+            labels = [f.label() for f in filters]
+            if len(set(labels)) != len(labels):
+                raise ConfigError(f"duplicate filter labels: {labels}")
+            window = raw.get("window")
+            if window is not None:
+                lo, hi = int(window[0]), int(window[1])
+                if not 1 <= lo <= hi <= steps:
+                    raise ConfigError(f"window {window} outside 1..{steps}")
+                window = (lo, hi)
+            cfg = cls(
+                name=str(raw["name"]),
+                testbed=raw["testbed"],
+                params=dict(raw.get("params", {})),
+                filters=filters,
+                replicates=replicates,
+                steps=steps,
+                seed=seed,
+                prior_mean=list(prior["mean"]),
+                prior_cov=[list(row) for row in prior["cov"]],
+                truth_x0=raw.get("truth_x0", "prior-sample"),
+                output_dir=str(raw.get("output_dir", "out")),
+                window=window,
+            )
+            cfg.build_models()  # validates testbed params and prior dimensions
+            return cfg
+        except (TypeError, ValueError, KeyError, IndexError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -235,10 +236,6 @@ class RunResult:
             est, tru = est[:, :, idx], tru[:, :, idx]
         return np.sqrt(np.sum((est - tru) ** 2, axis=2))
 
-    def per_step_rmse(self, label: str, components=None) -> np.ndarray:
-        """RMSE over replicates for each step (figure-style curves)."""
-        return np.sqrt(np.mean(self.per_step_errors(label, components) ** 2, axis=0))
-
     def time_averaged_rmse(self, label: str, components=None, window=None) -> np.ndarray:
         """Per-replicate RMSE over the step window (1-based, inclusive)."""
         err = self.per_step_errors(label, components)
@@ -270,7 +267,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         rep_seed = replicate_seed(config.seed, r)
         truth_rng = np.random.default_rng(rep_seed)
         x0 = _resolve_truth_x0(config, prior, truth_rng)
-        run = simulate_truth(process, obs, x0, steps, truth_rng, seed=rep_seed)
+        run = simulate_truth(process, obs, x0, steps, truth_rng)
         truths[r] = run.truth
         for kind, lab in zip(config.filters, labels):
             rng = np.random.default_rng(filter_stream_seed(rep_seed, lab))

@@ -205,36 +205,29 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
     """
     d, n_brown, m_steps, dt = spec.state_dim, spec.brownian_dim, spec.substeps, spec.dt
 
-    def propagate(n, x, xi):
-        # Serves one point (d,) and, for a vectorized spec, stacked rows (m, d).
+    def integrate(n, x, xi, jac=None):
+        # The substeps from one point (d,) or, for a vectorized spec, stacked
+        # rows (m, d).  Given [I, 0] as ``jac`` (one point only), also carries
+        # the chain-rule Jacobian in [x, xi]: each substep has state Jacobian
+        # A_m = I + dt * db/dx and injects s(t_m) into its own noise block.
         x = np.asarray(x, dtype=float)
         for m in range(m_steps):
             t = (n * m_steps + m) * dt
+            s = spec.volatility(t, x)
+            if jac is not None:
+                jac = (np.eye(d) + dt * np.atleast_2d(spec.drift_jacobian(t, x))) @ jac
+                jac[:, d + m * n_brown:d + (m + 1) * n_brown] = s
             w = xi[..., m * n_brown:(m + 1) * n_brown]
-            x = x + dt * spec.drift(t, x) + np.einsum("...ij,...j->...i", spec.volatility(t, x), w)
-        return x
-
-    jacobian = None
-    if spec.drift_jacobian is not None and spec.volatility_state_independent:
-        def jacobian(n, x, xi):
-            # Chain rule over substeps: each substep has state Jacobian
-            # A_m = I + dt * db/dx and injects s(t_m) into its own noise block.
-            jx = np.eye(d)
-            noise_cols = np.zeros((d, m_steps * n_brown))
-            x = np.asarray(x, dtype=float)
-            for m in range(m_steps):
-                t = (n * m_steps + m) * dt
-                a = np.eye(d) + dt * np.atleast_2d(spec.drift_jacobian(t, x))
-                s = np.atleast_2d(spec.volatility(t, x)).reshape(d, n_brown)
-                noise_cols = a @ noise_cols
-                noise_cols[:, m * n_brown:(m + 1) * n_brown] = s
-                jx = a @ jx
-                x = x + dt * spec.drift(t, x) + s @ xi[m * n_brown:(m + 1) * n_brown]
-            return np.hstack([jx, noise_cols])
+            x = x + dt * spec.drift(t, x) + np.einsum("...ij,...j->...i", s, w)
+        return x, jac
 
     noise_dim = m_steps * n_brown
+    jacobian = None
+    if spec.drift_jacobian is not None and spec.volatility_state_independent:
+        jacobian = lambda n, x, xi: integrate(n, x, xi, np.eye(d, d + noise_dim))[1]
+
     return ProcessModel(
-        propagate=propagate,
+        propagate=lambda n, x, xi: integrate(n, x, xi)[0],
         noise_cov=dt * np.eye(noise_dim),
         state_dim=d,
         noise_dim=noise_dim,

@@ -70,7 +70,6 @@ class TruthRun:
 
     truth: np.ndarray        # (steps + 1, d)
     observations: np.ndarray  # (steps, d')
-    seed: int | None = None
 
 
 def wrap_angle(theta):
@@ -248,12 +247,6 @@ def turn_models(spec: TurnModelSpec) -> tuple[ProcessModel, ObservationModel]:
             ]
         )
 
-    def innovation(y, predicted):
-        res = np.asarray(y, dtype=float) - np.asarray(predicted, dtype=float)
-        res = np.array(res, dtype=float)
-        res[..., 1] = wrap_angle(res[..., 1])
-        return res
-
     def wrap_observation(y):
         y = np.array(y, dtype=float)
         y[..., 1] = wrap_angle(y[..., 1])
@@ -271,7 +264,7 @@ def turn_models(spec: TurnModelSpec) -> tuple[ProcessModel, ObservationModel]:
         obs_cov=np.diag([spec.range_var, spec.bearing_var]),
         obs_dim=2,
         jacobian=obs_jacobian,
-        innovation=innovation,
+        innovation=lambda y, predicted: wrap_observation(np.subtract(y, predicted)),
         wrap_observation=wrap_observation,
         vectorized=True,
     )
@@ -294,7 +287,6 @@ def simulate_truth(
     x0: np.ndarray,
     steps: int,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> TruthRun:
     """Roll out the truth and synthetic observations for a twin experiment."""
     if steps < 1:
@@ -312,4 +304,4 @@ def simulate_truth(
             y = obs.wrap_observation(y)
         truth.append(x)
         ys.append(np.atleast_1d(y))
-    return TruthRun(np.array(truth), np.array(ys), seed)
+    return TruthRun(np.array(truth), np.array(ys))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
-from .cubature import RuleKind, standard_rule, transform, weighted_moments
+from .cubature import RuleKind, standard_rule, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
 from .errors import (
     DivergedEvaluation,
@@ -75,9 +75,8 @@ def numerical_gradient(f, x, step=None, f_batch=None):
 def numerical_hessian(f, x, step=None, f_batch=None):
     """Symmetric central-difference Hessian.
 
-    All 1 + 2k + 4 k(k-1)/2 probes go to one stacked evaluation: x, then
-    x + h_i e_i and x - h_i e_i for each i, then x +- h_i e_i +- h_j e_j in
-    sign order (++, +-, -+, --) for each pair i < j in row-major order.
+    All 1 + 2k + 4 k(k-1)/2 probes, x plus the offsets of
+    ``cubature.symmetric_stencil(h, h)``, go to one stacked evaluation.
     """
     x = np.asarray(x, dtype=float)
     h = np.full(x.shape, step) if step is not None else _EPS ** 0.25 * (1.0 + np.abs(x))
@@ -85,12 +84,7 @@ def numerical_hessian(f, x, step=None, f_batch=None):
     idx = np.arange(k)
     iu, ju = np.triu_indices(k, 1)
     first_pair = 1 + 2 * k
-    probes = np.repeat(x[None, :], first_pair + 4 * iu.size, axis=0)
-    probes[1 + 2 * idx, idx] += h
-    probes[2 + 2 * idx, idx] += -h
-    pair_rows = (first_pair + 4 * np.arange(iu.size)[:, None] + np.arange(4)).ravel()
-    probes[pair_rows, np.repeat(iu, 4)] += (h[iu][:, None] * [1.0, 1.0, -1.0, -1.0]).ravel()
-    probes[pair_rows, np.repeat(ju, 4)] += (h[ju][:, None] * [1.0, -1.0, 1.0, -1.0]).ravel()
+    probes = x + symmetric_stencil(h, h)
     vals = _stacked(f, f_batch)(probes)
     hess = np.empty((k, k))
     # h_i ** 2 through pow, as a scalar square is computed; h * h differs in
@@ -108,11 +102,13 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
     ``f`` maps one point to a float.  ``grad``, when given, maps one point to
     the gradient of ``f``; otherwise central differences supply it, with the
     probes going to ``f_batch`` (stacked points (m, k) to m values) when that
-    is given.  Returns (minimizer, iteration count).  The inverse-Hessian
-    approximation starts at the identity; the line search tries steps 1,
-    1/2, 1/4, ... (at most 40 halvings) and accepts the first that meets the
-    Armijo condition with c = 1e-4 and strictly lowers f.  A decrease lost in
-    f's rounding thus fails the search instead of passing it vacuously.
+    is given.  Returns (minimizer, iteration count); a LineSearchFailed or
+    OptimizerDidNotConverge carries the count in ``iterations``.  The
+    inverse-Hessian approximation starts at the identity; the line search
+    tries steps 1, 1/2, 1/4, ... (at most 40 halvings) and accepts the first
+    that meets the Armijo condition with c = 1e-4 and strictly lowers f.  A
+    decrease lost in f's rounding thus fails the search instead of passing
+    it vacuously.
     """
     settings = settings or DEFAULT_VARIATIONAL
     if grad is None:
@@ -147,7 +143,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
             if np.linalg.norm(g) <= tol:
                 return x, it
             raise LineSearchFailed(
-                f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})"
+                f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})", it
             )
         g_new = grad(x_new)
         s = x_new - x
@@ -162,7 +158,8 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
     if np.linalg.norm(g) <= tol:
         return x, settings.max_iter
     raise OptimizerDidNotConverge(
-        f"gradient norm {np.linalg.norm(g):.3e} > {tol:.3e} after {settings.max_iter} iterations"
+        f"gradient norm {np.linalg.norm(g):.3e} > {tol:.3e} after {settings.max_iter} iterations",
+        settings.max_iter,
     )
 
 
@@ -325,9 +322,14 @@ def measurement_update_variational(
     """
     settings = settings or DEFAULT_VARIATIONAL
     misfit = WhitenedMisfit(prior, obs_map, y, r, settings.fd_step, diag)
-    u_min, iters = bfgs_minimize(
-        lambda u: misfit.at_u(u[None])[0], np.zeros(prior.dim), settings, grad=misfit.gradient
-    )
+    try:
+        u_min, iters = bfgs_minimize(
+            lambda u: misfit.at_u(u[None])[0], np.zeros(prior.dim), settings, grad=misfit.gradient
+        )
+    except (LineSearchFailed, OptimizerDidNotConverge) as exc:
+        if diag is not None:
+            diag.bfgs_iterations += exc.iterations
+        raise
     if diag is not None:
         diag.bfgs_iterations += iters
     minimizer = misfit.to_x(u_min)

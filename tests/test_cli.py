@@ -71,3 +71,9 @@ def test_rules_prints_degree3_points(capsys):
 def test_rules_rejects_bad_dimension(capsys):
     assert main(["rules", "--dim", "0", "--degree", "5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_validate_malformed_field_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, window=[1])
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")

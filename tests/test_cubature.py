@@ -5,6 +5,7 @@ import pytest
 
 from gaussfilt import DiscreteMeasure, RuleKind, cubature3, cubature5, empirical
 from gaussfilt.cubature import moment_defect, moments, standard_rule, transform
+from gaussfilt.cubature import symmetric_stencil
 from gaussfilt.errors import DimensionMismatch, InvalidDimension, Unsupported
 
 
@@ -137,3 +138,49 @@ class TestMomentDefect:
         mu = standard_rule(cubature3(), 2)
         with pytest.raises(Unsupported):
             moment_defect(mu, 7)
+
+
+def _loop_degree5_rule(k):
+    """The degree-5 rule built point by point, as the reference for the
+    stencil construction."""
+    pts = [np.zeros(k)]
+    wts = [2.0 / (k + 2)]
+    w_axis = (4.0 - k) / (2.0 * (k + 2) ** 2)
+    r_axis = np.sqrt(k + 2.0)
+    for i in range(k):
+        for sign in (1.0, -1.0):
+            e = np.zeros(k)
+            e[i] = sign * r_axis
+            pts.append(e)
+            wts.append(w_axis)
+    w_pair = 1.0 / (k + 2) ** 2
+    r_pair = np.sqrt((k + 2.0) / 2.0)
+    for i in range(k):
+        for j in range(i + 1, k):
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    e = np.zeros(k)
+                    e[i], e[j] = si * r_pair, sj * r_pair
+                    pts.append(e)
+                    wts.append(w_pair)
+    return np.array(wts), np.array(pts)
+
+
+class TestSymmetricStencil:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 21])
+    def test_degree5_matches_loop_reference_bit_for_bit(self, k):
+        mu = standard_rule(cubature5(), k)
+        wts, pts = _loop_degree5_rule(k)
+        assert mu.points.shape == pts.shape == (2 * k * k + 1, k)
+        assert mu.points.tobytes() == pts.tobytes()
+        assert mu.weights.tobytes() == wts.tobytes()
+
+    def test_layout(self):
+        out = symmetric_stencil(np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0]))
+        assert out.shape == (1 + 6 + 12, 3)
+        assert np.array_equal(out[:7], [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 2, 0],
+                                        [0, -2, 0], [0, 0, 3], [0, 0, -3]])
+        # pairs (0,1), (0,2), (1,2), each in sign order ++, +-, -+, --
+        assert np.array_equal(out[7:11], [[10, 20, 0], [10, -20, 0], [-10, 20, 0], [-10, -20, 0]])
+        assert np.array_equal(out[11:15], [[10, 0, 30], [10, 0, -30], [-10, 0, 30], [-10, 0, -30]])
+        assert np.array_equal(out[15:], [[0, 20, 30], [0, 20, -30], [0, -20, 30], [0, -20, -30]])

@@ -138,6 +138,22 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="window"):
             ExperimentConfig.from_dict(bistable_config(window=[2, 9]))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"filters": [{"family": "VGF", "variational": {"grad_tol": -1}}]},
+            {"filters": [{"family": "VGF", "variational": {"bogus": 1}}]},
+            {"filters": [{"family": "CGF", "rule_degree": "x"}]},
+            {"window": [1]},
+            {"prior": {"mean": [0.8], "cov": [[-0.02]]}},
+        ],
+        ids=["negative-grad-tol", "unknown-variational-field", "non-integer-degree",
+             "short-window", "negative-prior-cov"],
+    )
+    def test_malformed_fields_raise_config_error(self, overrides):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(bistable_config(**overrides))
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(bistable_config()), encoding="utf-8")

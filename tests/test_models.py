@@ -209,3 +209,88 @@ class TestComposedObservation:
         psi = composed_observation(process, obs, 0)
         z = np.array([0.5, -0.5, 0.1, 0.2])
         assert np.allclose(psi.jac(z), np.hstack([h @ a, h]))
+
+
+def _two_loop_reference(spec):
+    """discretize_sde's forward map and chain-rule Jacobian written as two
+    separate substep loops, as the reference for the shared integrator."""
+    d, n_brown, m_steps, dt = spec.state_dim, spec.brownian_dim, spec.substeps, spec.dt
+
+    def propagate(n, x, xi):
+        x = np.asarray(x, dtype=float)
+        for m in range(m_steps):
+            t = (n * m_steps + m) * dt
+            w = xi[..., m * n_brown:(m + 1) * n_brown]
+            x = x + dt * spec.drift(t, x) + np.einsum("...ij,...j->...i", spec.volatility(t, x), w)
+        return x
+
+    def jacobian(n, x, xi):
+        jx = np.eye(d)
+        noise_cols = np.zeros((d, m_steps * n_brown))
+        x = np.asarray(x, dtype=float)
+        for m in range(m_steps):
+            t = (n * m_steps + m) * dt
+            a = np.eye(d) + dt * np.atleast_2d(spec.drift_jacobian(t, x))
+            s = np.atleast_2d(spec.volatility(t, x)).reshape(d, n_brown)
+            noise_cols = a @ noise_cols
+            noise_cols[:, m * n_brown:(m + 1) * n_brown] = s
+            jx = a @ jx
+            x = x + dt * spec.drift(t, x) + s @ xi[m * n_brown:(m + 1) * n_brown]
+        return np.hstack([jx, noise_cols])
+
+    return propagate, jacobian
+
+
+def _bistable_sde():
+    beta = 10.0
+    return SdeSpec(
+        drift=lambda t, x: beta * x * (1.0 - x * x),
+        volatility=lambda t, x: np.array([[0.5]]),
+        brownian_dim=1,
+        dt=0.01,
+        substeps=20,
+        drift_jacobian=lambda t, x: np.array([[beta * (1.0 - 3.0 * x[0] ** 2)]]),
+        volatility_state_independent=True,
+        vectorized=True,
+    )
+
+
+def _lorenz63_sde():
+    s, rho, b = 10.0, 28.0, 8.0 / 3.0
+
+    def drift(t, x):
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        return np.stack([s * (x2 - x1), rho * x1 - x2 - x1 * x3, x1 * x2 - b * x3], axis=-1)
+
+    def drift_jacobian(t, x):
+        x1, x2, x3 = x
+        return np.array([[-s, s, 0.0], [rho - x3, -1.0, -x1], [x2, x1, -b]])
+
+    return SdeSpec(
+        drift=drift,
+        volatility=lambda t, x: np.diag([0.0, 0.0, 0.5]),
+        brownian_dim=3,
+        dt=0.01,
+        state_dim=3,
+        drift_jacobian=drift_jacobian,
+        volatility_state_independent=True,
+        vectorized=True,
+    )
+
+
+class TestSharedIntegrator:
+    @pytest.mark.parametrize("make_spec,scale", [(_bistable_sde, 1.0), (_lorenz63_sde, 10.0)])
+    def test_matches_two_loop_reference_bit_for_bit(self, make_spec, scale):
+        spec = make_spec()
+        model = discretize_sde(spec)
+        ref_propagate, ref_jacobian = _two_loop_reference(spec)
+        rng = np.random.default_rng(3)
+        d, dd = model.state_dim, model.noise_dim
+        for n in (0, 1, 7):
+            x = scale * rng.standard_normal(d)
+            xi = np.sqrt(spec.dt) * rng.standard_normal(dd)
+            assert model.propagate(n, x, xi).tobytes() == ref_propagate(n, x, xi).tobytes()
+            assert model.full_jacobian(n, x, xi).tobytes() == ref_jacobian(n, x, xi).tobytes()
+            xs = scale * rng.standard_normal((5, d))
+            xis = np.sqrt(spec.dt) * rng.standard_normal((5, dd))
+            assert model.propagate(n, xs, xis).tobytes() == ref_propagate(n, xs, xis).tobytes()

@@ -240,3 +240,17 @@ class TestSimulateTruth:
         process, obs = bistable_models(BistableSpec())
         with pytest.raises(ValueError):
             simulate_truth(process, obs, np.array([0.8]), 0, np.random.default_rng(0))
+
+
+class TestTurnInnovation:
+    def test_is_wrapped_difference_on_stacked_rows(self):
+        _, obs = turn_models(TurnModelSpec())
+        rng = np.random.default_rng(4)
+        y = np.column_stack([rng.uniform(500, 2000, 64), rng.uniform(-np.pi, np.pi, 64)])
+        p = np.column_stack([rng.uniform(500, 2000, 64), rng.uniform(-np.pi, np.pi, 64)])
+        y[:4, 1] = [np.pi, -np.pi, np.pi - 1e-12, -np.pi + 1e-12]
+        p[:4, 1] = [-np.pi, np.pi, -np.pi + 1e-12, np.pi - 1e-12]
+        res = obs.innovation(y, p)
+        assert res.tobytes() == obs.wrap_observation(y - p).tobytes()
+        assert np.all(np.abs(res[:, 1]) <= np.pi)
+        assert np.array_equal(res[:, 0], y[:, 0] - p[:, 0])

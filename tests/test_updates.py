@@ -505,3 +505,15 @@ class TestVectorizedFlag:
                 measurement_update_variational(prior, map_v, self.y, r),
                 measurement_update_variational(prior, map_l, self.y, r),
             )
+
+
+def test_fallback_keeps_its_bfgs_iterations():
+    # grad_tol = 1e-300 is never met: each step's BFGS runs its 3 iterations,
+    # raises, and the step falls back to the linear update.
+    process, obs = bistable_models(BistableSpec())
+    truth = simulate_truth(process, obs, np.array([0.8]), 5, np.random.default_rng(0))
+    kind = FilterKind("VGSF", variational=VariationalSettings(grad_tol=1e-300, max_iter=3))
+    traj = run_filter(kind, process, obs, Gaussian([0.8], [[0.02]]), truth.observations)
+    assert traj.error is None
+    per_step = [(r.diagnostics.fallbacks, r.diagnostics.bfgs_iterations) for r in traj.records[1:]]
+    assert per_step == [(1, 3)] * 5
