@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .cubature import cubature3, cubature5, standard_rule
 from .errors import ConfigError, GaussFiltError, InvalidDimension
@@ -52,6 +51,14 @@ def main(argv=None) -> int:
 
     try:
         config = ExperimentConfig.from_file(args.config)
+        if args.command == "run" and (args.seed is not None or args.out is not None):
+            # Overrides go through the same checks as the file's own values.
+            raw = config.to_dict()
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            if args.out is not None:
+                raw["output_dir"] = args.out
+            config = ExperimentConfig.from_dict(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -60,10 +67,6 @@ def main(argv=None) -> int:
         print(f"config {config.name!r} is valid")
         return 0
 
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
     try:
         result = run_experiment(config)
         files = write_results(result, config.output_dir)

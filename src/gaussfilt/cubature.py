@@ -65,6 +65,15 @@ class DiscreteMeasure:
         if abs(w.sum() - 1.0) > 1e-12 * max(1.0, np.abs(w).sum()):
             raise ValueError("weights must sum to one")
 
+    @classmethod
+    def _unchecked(cls, weights: np.ndarray, points: np.ndarray) -> "DiscreteMeasure":
+        """The constructor for float arrays whose weights come from a
+        validated measure; skips ``__post_init__``."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "weights", weights)
+        object.__setattr__(mu, "points", points)
+        return mu
+
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -92,6 +101,10 @@ def symmetric_stencil(h_axis: np.ndarray, h_pair: np.ndarray) -> np.ndarray:
     return out
 
 
+# Deterministic rules by (tag, k), built on first use; their arrays are read-only.
+_RULES: dict = {}
+
+
 def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None) -> DiscreteMeasure:
     """Discrete measure approximating the k-dimensional standard Gaussian.
 
@@ -101,22 +114,31 @@ def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None
     sqrt((k+2)/2) (+-e_i +- e_j), in ``symmetric_stencil`` order.  Axis
     weights go negative for k > 4; downstream moment estimates then rely on
     covariance repair.
-    Empirical: sample_count i.i.d. standard-normal draws, equal weights.
+    Both are built once per (degree, k) and returned, read-only, on every
+    later call.
+    Empirical: sample_count fresh i.i.d. standard-normal draws, equal weights.
     """
+    rule = _RULES.get((kind.tag, k))
+    if rule is not None:
+        return rule
     if k < 1:
         raise InvalidDimension(f"dimension must be >= 1, got {k}")
+    if kind.tag == EMPIRICAL:
+        if rng is None:
+            raise ValueError("empirical rule requires a random generator")
+        n = kind.sample_count
+        return DiscreteMeasure(np.full(n, 1.0 / n), rng.standard_normal((n, k)))
     if kind.tag == CUBATURE3:
         pts = np.vstack([np.sqrt(k) * np.eye(k), -np.sqrt(k) * np.eye(k)])
-        wts = np.full(2 * k, 1.0 / (2 * k))
-        return DiscreteMeasure(wts, pts)
-    if kind.tag == CUBATURE5:
+        rule = DiscreteMeasure(np.full(2 * k, 1.0 / (2 * k)), pts)
+    else:
         pts = symmetric_stencil(np.full(k, np.sqrt(k + 2.0)), np.full(k, np.sqrt((k + 2.0) / 2.0)))
         w = [2.0 / (k + 2), (4.0 - k) / (2.0 * (k + 2) ** 2), 1.0 / (k + 2) ** 2]
-        return DiscreteMeasure(np.repeat(w, [1, 2 * k, 2 * k * (k - 1)]), pts)
-    if rng is None:
-        raise ValueError("empirical rule requires a random generator")
-    n = kind.sample_count
-    return DiscreteMeasure(np.full(n, 1.0 / n), rng.standard_normal((n, k)))
+        rule = DiscreteMeasure(np.repeat(w, [1, 2 * k, 2 * k * (k - 1)]), pts)
+    rule.weights.flags.writeable = False
+    rule.points.flags.writeable = False
+    _RULES[(kind.tag, k)] = rule
+    return rule
 
 
 def transform(mu: DiscreteMeasure, m: np.ndarray, s: np.ndarray) -> DiscreteMeasure:
@@ -128,7 +150,7 @@ def transform(mu: DiscreteMeasure, m: np.ndarray, s: np.ndarray) -> DiscreteMeas
         raise DimensionMismatch(
             f"transform of {mu.dim}-dim measure with m {m.shape}, S {s.shape}"
         )
-    return DiscreteMeasure(mu.weights, mu.points @ s.T + m)
+    return DiscreteMeasure._unchecked(mu.weights, mu.points @ s.T + m)
 
 
 def moments(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,3 @@ class Diagnostics:
     jitters: int = 0
     fallbacks: int = 0
     bfgs_iterations: int = 0
-
-    def merge(self, other: "Diagnostics") -> None:
-        self.jitters += other.jitters
-        self.fallbacks += other.fallbacks
-        self.bfgs_iterations += other.bfgs_iterations

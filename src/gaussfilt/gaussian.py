@@ -24,6 +24,22 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _psd_floor(cov: np.ndarray) -> float:
+    """The least eigenvalue a positive semi-definite ``cov`` may show in
+    floating point: -1e-10 of its trace."""
+    return -1e-10 * max(np.trace(cov), 1e-300)
+
+
+def check_covariance(cov: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the square float matrix ``cov`` is symmetric to
+    1e-12 of its scale and its least eigenvalue is at least ``_psd_floor``."""
+    scale = 1.0 + np.max(np.abs(cov)) if cov.size else 1.0
+    if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12 * scale:
+        raise ValueError(f"{what} is not symmetric")
+    if cov.size and np.linalg.eigvalsh(cov)[0] < _psd_floor(cov):
+        raise ValueError(f"{what} is not positive semi-definite")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Gaussian belief, fully determined by mean vector and covariance."""
@@ -39,11 +55,20 @@ class Gaussian:
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"covariance shape {cov.shape} incompatible with mean of dim {d}")
-        scale = 1.0 + np.max(np.abs(cov)) if cov.size else 1.0
-        if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12 * scale:
-            raise ValueError("covariance is not symmetric")
-        if d and np.linalg.eigvalsh(cov)[0] < -1e-10 * max(np.trace(cov), 1e-300):
-            raise ValueError("covariance is not positive semi-definite")
+        check_covariance(cov, "covariance")
+
+    @classmethod
+    def _unchecked(cls, mean: np.ndarray, cov: np.ndarray) -> "Gaussian":
+        """The kernels' constructor, which skips ``__post_init__``.
+
+        ``mean`` is a float vector (d,) and ``cov`` a (d, d) matrix that
+        ``repair_covariance`` returned, or a block-diagonal stack of checked
+        covariances; either passes ``check_covariance``.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "mean", mean)
+        object.__setattr__(g, "cov", cov)
+        return g
 
     @property
     def dim(self) -> int:
@@ -98,7 +123,9 @@ def repair_covariance(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndar
     """Symmetrize and, if needed, shift tiny negative eigenvalues to zero.
 
     Large negative eigenvalues (beyond 1e-6 of the trace scale) are treated
-    as corruption and raised rather than masked.
+    as corruption and raised rather than masked.  The result is exactly
+    symmetric and passes ``check_covariance``, so the kernels build their
+    Gaussians from it unchecked.
     """
     c = symmetrize(np.atleast_2d(np.asarray(c, dtype=float)))
     lo = np.linalg.eigvalsh(c)[0]
@@ -109,7 +136,13 @@ def repair_covariance(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndar
         raise NotPositiveDefinite(f"covariance has eigenvalue {lo:g}, beyond repair")
     if diag is not None:
         diag.jitters += 1
-    return c + (-lo + 1e-300) * np.eye(c.shape[0])
+    eye = np.eye(c.shape[0])
+    c = c + (-lo + 1e-300) * eye
+    # Rounding can absorb the shift: a diagonal that cancels to exactly zero
+    # beside nonzero off-diagonal entries is still indefinite.  Shift again.
+    while (lo := np.linalg.eigvalsh(c)[0]) < _psd_floor(c):
+        c = c + (-lo + 1e-300) * eye
+    return c
 
 
 def condition(joint: JointGaussian, y: np.ndarray) -> Gaussian:

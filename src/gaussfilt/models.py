@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DivergedEvaluation
-from .gaussian import Gaussian
+from .gaussian import Gaussian, check_covariance
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
@@ -45,6 +45,9 @@ def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.nda
 class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
 
+    ``noise_cov`` is checked once, here, with the tolerances of ``Gaussian``;
+    ``augment`` stacks it into the augmented belief unchecked.
+
     When ``vectorized`` is set, propagate also accepts stacked inputs of
     shape (m, d) / (m, D) and returns (m, d); otherwise ``forward`` calls it
     once per row.
@@ -56,6 +59,14 @@ class ProcessModel:
     noise_dim: int
     jacobian: Callable | None = None  # (n, x, xi) -> d x (d+D)
     vectorized: bool = False
+
+    def __post_init__(self):
+        noise_cov = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
+        object.__setattr__(self, "noise_cov", noise_cov)
+        dd = self.noise_dim
+        if noise_cov.shape != (dd, dd):
+            raise ValueError(f"noise_cov shape {noise_cov.shape} does not match noise_dim {dd}")
+        check_covariance(noise_cov, "noise_cov")
 
     def forward(self, n: int, z: np.ndarray) -> np.ndarray:
         """Push stacked augmented rows z = [x, xi] of shape (m, d+D) through
@@ -248,7 +259,7 @@ def augment(prior: Gaussian, model: ProcessModel, n: int) -> AugmentedGaussian:
     cov[:prior.dim, :prior.dim] = prior.cov
     if dd:
         cov[prior.dim:, prior.dim:] = model.noise_cov
-    return AugmentedGaussian(Gaussian(mean, cov), prior.dim)
+    return AugmentedGaussian(Gaussian._unchecked(mean, cov), prior.dim)
 
 
 def composed_observation(process: ProcessModel, obs: ObservationModel, n: int) -> ObsFunction:

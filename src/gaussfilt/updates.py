@@ -10,7 +10,8 @@ the observation composed with one forward step.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .cubature import RuleKind, standard_rule, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
@@ -163,20 +164,28 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
     )
 
 
+def _finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
 def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
     """The Gaussian measurement update from the predicted observation z, the
     cross covariance P_xz and the observation covariance P_zz, which every
     non-variational family supplies in its own way."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    try:
-        f = cho_factor(symmetrize(p_zz + r), lower=True)
-    except LinAlgError as exc:
-        raise SingularInnovationCov("innovation covariance is singular") from exc
-    gain = cho_solve(f, p_xz.T).T
+    # LAPACK's potrf/potrs, called as scipy's cho_factor/cho_solve call them,
+    # without the wrappers' per-call overhead; their finiteness checks stay.
+    s = _finite(symmetrize(p_zz + r))
+    f, info = dpotrf(s, lower=1, clean=0)
+    if info > 0:
+        raise SingularInnovationCov("innovation covariance is singular")
+    gain = dpotrs(f, _finite(p_xz).T, lower=1)[0].T
     mean = prior.mean + gain @ obs_map.residual(y, z)
     cov = repair_covariance(prior.cov - gain @ p_xz.T, diag)
-    return Gaussian(mean, cov)
+    return Gaussian._unchecked(mean, cov)
 
 
 def time_update_linear(
@@ -192,7 +201,7 @@ def time_update_linear(
     jac = process.full_jacobian(n, mean_aug[:d], mean_aug[d:])
     mean = process.forward(n, mean_aug[None])[0]
     cov = repair_covariance(jac @ aug.belief.cov @ jac.T, diag)
-    return Gaussian(mean, cov)
+    return Gaussian._unchecked(mean, cov)
 
 
 def time_update_points(
@@ -208,7 +217,7 @@ def time_update_points(
     s = cholesky_factor(aug.belief.cov, diag)
     mu = transform(standard_rule(kind, aug.belief.dim, rng), aug.belief.mean, s)
     mean, cov = weighted_moments(mu.weights, process.forward(n, mu.points))
-    return Gaussian(mean, repair_covariance(cov, diag))
+    return Gaussian._unchecked(mean, repair_covariance(cov, diag))
 
 
 def measurement_update_linear(
@@ -339,4 +348,4 @@ def measurement_update_variational(
     except Exception as exc:
         raise SingularHessian("misfit Hessian not invertible at the minimizer") from exc
     cov = repair_covariance(cho_solve((lh, True), np.eye(hess.shape[0])), diag)
-    return Gaussian(minimizer, cov)
+    return Gaussian._unchecked(minimizer, cov)

@@ -77,3 +77,19 @@ def test_validate_malformed_field_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, window=[1])
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_run_rejects_out_of_range_seed_override(tmp_path, capsys):
+    path = write_config(tmp_path)
+    for seed in ("-1", "18446744073709551616"):
+        assert main(["run", "--config", str(path), "--seed", seed]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_overrides_round_trip_through_config_echo(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["run", "--config", str(path), "--seed", "99", "--out", str(tmp_path / "b")]) == 0
+    echo = tmp_path / "b" / "config_echo"
+    assert json.loads(echo.read_text())["seed"] == 99
+    assert main(["validate", "--config", str(echo)]) == 0

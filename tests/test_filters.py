@@ -14,7 +14,6 @@ from gaussfilt import (
     run_filter,
     smoothing_step,
 )
-from gaussfilt.diagnostics import Diagnostics
 from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.models import ObsFunction, ProcessModel, augment, composed_observation
 from gaussfilt.updates import measurement_update_linear
@@ -245,11 +244,3 @@ class TestRunFilter:
         traj = run_filter(kind, process, obs, Gaussian([0.0], [[1.0]]), [0.5])
         assert traj.error is None
         assert traj.records[1].diagnostics.fallbacks == 1
-
-
-class TestDiagnostics:
-    def test_merge(self):
-        a = Diagnostics(jitters=1, fallbacks=2, bfgs_iterations=3)
-        b = Diagnostics(jitters=4, fallbacks=0, bfgs_iterations=5)
-        a.merge(b)
-        assert (a.jitters, a.fallbacks, a.bfgs_iterations) == (5, 2, 8)

@@ -85,6 +85,17 @@ class TestRepairCovariance:
         out = repair_covariance(c)
         assert np.linalg.eigvalsh(out)[0] >= 0.0
 
+    def test_shift_absorbed_by_rounding_is_repeated(self):
+        # The shift by -lo cancels the diagonal to exactly zero and leaves the
+        # off-diagonal entries, eigenvalues +-3.8e-65, which the public check
+        # rejects; a measurement update with an exact observation made this.
+        c = np.array([[-4.163336342344337e-17, -3.846918741797563e-65],
+                      [-3.846918741797563e-65, -4.163336342344337e-17]])
+        diag = Diagnostics()
+        out = repair_covariance(c, diag)
+        Gaussian(np.zeros(2), out)
+        assert diag.jitters == 1
+
     def test_large_negative_eigenvalue_raises(self):
         with pytest.raises(NotPositiveDefinite):
             repair_covariance(np.diag([1.0, -0.5]))

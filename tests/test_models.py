@@ -144,6 +144,27 @@ class TestAugment:
             augment(Gaussian([0.0, 0.0], np.eye(2)), model, 0)
 
 
+class TestProcessModelNoiseCov:
+    """noise_cov is checked when the model is built, so a bad one never
+    reaches ``augment`` inside a filter run."""
+
+    @pytest.mark.parametrize(
+        "noise_cov, match",
+        [
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive semi-definite"),
+            (np.eye(3), "shape"),
+        ],
+    )
+    def test_rejected_at_construction(self, noise_cov, match):
+        with pytest.raises(ValueError, match=match):
+            ProcessModel(propagate=lambda n, x, xi: x, noise_cov=noise_cov, state_dim=1, noise_dim=2)
+
+    def test_accepted_as_nested_lists(self):
+        model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=[[0.5]], state_dim=1, noise_dim=1)
+        assert model.noise_cov.dtype == float and model.noise_cov.shape == (1, 1)
+
+
 class TestComposedObservation:
     def _random_walk(self):
         return ProcessModel(
