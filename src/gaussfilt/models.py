@@ -59,6 +59,7 @@ class ProcessModel:
     noise_dim: int
     jacobian: Callable | None = None  # (n, x, xi) -> d x (d+D)
     vectorized: bool = False
+    linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
 
     def __post_init__(self):
         noise_cov = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
@@ -68,29 +69,31 @@ class ProcessModel:
             raise ValueError(f"noise_cov shape {noise_cov.shape} does not match noise_dim {dd}")
         check_covariance(noise_cov, "noise_cov")
 
+    def at_step(self, n: int) -> "ObsFunction":
+        """The forward map at step n as a map of augmented points z = [x, xi]."""
+        d = self.state_dim
+        split = lambda f: None if f is None else (lambda z: f(n, z[..., :d], z[..., d:]))
+        return ObsFunction(
+            fn=split(self.propagate),
+            jacobian=split(self.jacobian),
+            vectorized=self.vectorized,
+            out_dim=d,
+            linearize=split(self.linearize),
+        )
+
     def forward(self, n: int, z: np.ndarray) -> np.ndarray:
         """Push stacked augmented rows z = [x, xi] of shape (m, d+D) through
-        the forward map; returns (m, d).
+        the forward map; returns (m, d).  Raises DivergedEvaluation if any
+        output is not finite."""
+        return self.at_step(n).rows(z)
 
-        The only reader of ``vectorized``; raises DivergedEvaluation if any
-        output is not finite.
-        """
-        d = self.state_dim
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.vectorized:
-                out = self.propagate(n, z[:, :d], z[:, d:])
-            else:
-                out = [self.propagate(n, row[:d], row[d:]) for row in z]
-            out = np.asarray(out, dtype=float).reshape(z.shape[0], d)
-        if not np.isfinite(out).all():
-            raise DivergedEvaluation("propagated points are not finite")
-        return out
+    def value_and_jacobian(self, n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The forward map at one point z = [x, xi] and its d x (d+D) Jacobian."""
+        return self.at_step(n).value_and_jacobian(z)
 
     def full_jacobian(self, n: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """d x (d+D) Jacobian of the forward map in the augmented variable."""
-        if self.jacobian is not None:
-            return np.atleast_2d(self.jacobian(n, x, xi))
-        return central_difference(lambda z: self.forward(n, z), np.concatenate([x, xi]))
+        return self.at_step(n).jac(np.concatenate([x, xi]))
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,9 @@ class ObservationModel:
 
     def at_step(self, n: int) -> "ObsFunction":
         """The observation map frozen at step n, for measurement updates."""
-        jac = None
-        if self.jacobian is not None:
-            jac = lambda x: np.atleast_2d(self.jacobian(n, x))
         return ObsFunction(
             fn=lambda x: self.observe(n, x),
-            jacobian=jac,
+            jacobian=None if self.jacobian is None else (lambda x: self.jacobian(n, x)),
             innovation=self.innovation,
             vectorized=self.vectorized,
             out_dim=self.obs_dim,
@@ -138,12 +138,13 @@ class ObsFunction:
     innovation: Callable | None = None
     vectorized: bool = False
     out_dim: int | None = None
+    linearize: Callable | None = None  # x -> (value, Jacobian) from one evaluation
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
         """The map at stacked points (m, k); returns (m, out_dim).
 
-        The only reader of ``vectorized``; raises DivergedEvaluation if any
-        output is not finite.
+        The one path that acts on ``vectorized``, for observation and process
+        maps alike; raises DivergedEvaluation if any output is not finite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             if self.vectorized:
@@ -163,10 +164,24 @@ class ObsFunction:
             return self.innovation(y, predicted)
         return y - predicted
 
+    def value_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The map at one point x and its Jacobian there, from one ``linearize``
+        call when that is given, else ``self(x)`` and ``jacobian`` (central
+        differences when None).  Raises DivergedEvaluation if either is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.linearize is not None:
+                value, jac = self.linearize(x)
+            elif self.jacobian is not None:
+                value, jac = self(x), self.jacobian(x)
+            else:
+                value, jac = self(x), central_difference(self.rows, x)
+            value, jac = np.asarray(value, dtype=float), np.atleast_2d(jac)
+        if not (np.isfinite(value).all() and np.isfinite(jac).all()):
+            raise DivergedEvaluation("value or Jacobian is not finite")
+        return value, jac
+
     def jac(self, x: np.ndarray) -> np.ndarray:
-        if self.jacobian is not None:
-            return np.atleast_2d(self.jacobian(x))
-        return central_difference(self.rows, x)
+        return self.value_and_jacobian(x)[1]
 
 
 @dataclass(frozen=True)
@@ -215,6 +230,7 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
     noise covariance is constant even for multiplicative noise.
     """
     d, n_brown, m_steps, dt = spec.state_dim, spec.brownian_dim, spec.substeps, spec.dt
+    eye = np.eye(d)
 
     def integrate(n, x, xi, jac=None):
         # The substeps from one point (d,) or, for a vectorized spec, stacked
@@ -226,16 +242,17 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
             t = (n * m_steps + m) * dt
             s = spec.volatility(t, x)
             if jac is not None:
-                jac = (np.eye(d) + dt * np.atleast_2d(spec.drift_jacobian(t, x))) @ jac
+                jac = (eye + dt * np.atleast_2d(spec.drift_jacobian(t, x))) @ jac
                 jac[:, d + m * n_brown:d + (m + 1) * n_brown] = s
             w = xi[..., m * n_brown:(m + 1) * n_brown]
             x = x + dt * spec.drift(t, x) + np.einsum("...ij,...j->...i", s, w)
         return x, jac
 
     noise_dim = m_steps * n_brown
-    jacobian = None
+    linearize = jacobian = None
     if spec.drift_jacobian is not None and spec.volatility_state_independent:
-        jacobian = lambda n, x, xi: integrate(n, x, xi, np.eye(d, d + noise_dim))[1]
+        linearize = lambda n, x, xi: integrate(n, x, xi, np.eye(d, d + noise_dim))
+        jacobian = lambda n, x, xi: linearize(n, x, xi)[1]
 
     return ProcessModel(
         propagate=lambda n, x, xi: integrate(n, x, xi)[0],
@@ -244,6 +261,7 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
         noise_dim=noise_dim,
         jacobian=jacobian,
         vectorized=spec.vectorized,
+        linearize=linearize,
     )
 
 
@@ -265,21 +283,19 @@ def augment(prior: Gaussian, model: ProcessModel, n: int) -> AugmentedGaussian:
 def composed_observation(process: ProcessModel, obs: ObservationModel, n: int) -> ObsFunction:
     """The observation seen through one forward step: X = [x; xi] maps to the
     predicted observation at step n+1.  Nonlinear whenever the dynamics are,
-    even for a linear measurement function."""
-    d = process.state_dim
+    even for a linear measurement function.  At one point, one forward pass
+    to x' gives its value and chain-rule Jacobian H(x') J_p."""
     obs_next = obs.at_step(n + 1)
 
-    def fn(z):
-        return obs_next.rows(process.forward(n, z))
-
-    def jacobian(z):
-        jp = process.full_jacobian(n, z[:d], z[d:])
-        return obs_next.jac(process.forward(n, z[None])[0]) @ jp
+    def linearize(z):
+        x_next, jp = process.value_and_jacobian(n, z)
+        value, h = obs_next.value_and_jacobian(x_next)
+        return value, h @ jp
 
     return ObsFunction(
-        fn=fn,
-        jacobian=jacobian,
+        fn=lambda z: obs_next.rows(process.forward(n, z)),
         innovation=obs.innovation,
         vectorized=True,
         out_dim=obs.obs_dim,
+        linearize=linearize,
     )

@@ -196,10 +196,7 @@ def time_update_linear(
     Valid for any augmented covariance, including the full (non block
     diagonal) one left behind by conditioning on the next observation.
     """
-    d = aug.state_dim
-    mean_aug = aug.belief.mean
-    jac = process.full_jacobian(n, mean_aug[:d], mean_aug[d:])
-    mean = process.forward(n, mean_aug[None])[0]
+    mean, jac = process.value_and_jacobian(n, aug.belief.mean)
     cov = repair_covariance(jac @ aug.belief.cov @ jac.T, diag)
     return Gaussian._unchecked(mean, cov)
 
@@ -228,9 +225,9 @@ def measurement_update_linear(
     diag: Diagnostics | None = None,
 ) -> Gaussian:
     """Kalman-style update with the observation map linearized at the mean."""
-    h = obs_map.jac(prior.mean)
+    z, h = obs_map.value_and_jacobian(prior.mean)
     ch = prior.cov @ h.T
-    return _kalman_update(prior, obs_map, y, r, obs_map(prior.mean), ch, h @ ch, diag)
+    return _kalman_update(prior, obs_map, y, r, z, ch, h @ ch, diag)
 
 
 def measurement_update_points(
@@ -263,7 +260,8 @@ class WhitenedMisfit:
     with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T, in x and in the
     whitened coordinates u = L^-1 (x - m), where it reads
     1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2.  A point where the map leaves its
-    domain scores inf.
+    domain scores inf.  Called at one u (without ``fd_step``), it keeps the
+    map's value and Jacobian there, from one joint call, for ``gradient``.
     """
 
     def __init__(self, prior, obs_map, y, r, fd_step=None, diag=None):
@@ -273,17 +271,18 @@ class WhitenedMisfit:
         self.obs_map = obs_map
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         self.fd_step = fd_step
+        self._last = None
 
     def to_x(self, us):
         """x = m + L u, for one u or stacked rows."""
         return self.mean + us @ self.l_prior.T
 
-    def _data_term(self, xs):
+    def _data_term(self, xs, preds=None):
         try:
-            pred = self.obs_map.rows(xs)
+            preds = self.obs_map.rows(xs) if preds is None else preds
         except DivergedEvaluation:
             return np.full(xs.shape[0], np.inf)  # a probe left the map's domain
-        dr = solve_triangular(self.l_obs, self.obs_map.residual(self.y, pred).T, lower=True)
+        dr = solve_triangular(self.l_obs, self.obs_map.residual(self.y, preds).T, lower=True)
         with np.errstate(over="ignore"):
             # an overflowing quadratic means a hopeless probe point; the
             # resulting inf makes the line search back off, as intended
@@ -295,21 +294,33 @@ class WhitenedMisfit:
         with np.errstate(over="ignore"):
             return 0.5 * np.sum(dx * dx, axis=0) + self._data_term(xs)
 
-    def at_u(self, us):
-        """J at stacked whitened points (m, k)."""
+    def at_u(self, us, preds=None):
+        """J at stacked whitened points (m, k); ``preds``: the map's values there, if known."""
         with np.errstate(over="ignore"):
-            return 0.5 * np.sum(us * us, axis=1) + self._data_term(self.to_x(us))
+            return 0.5 * np.sum(us * us, axis=1) + self._data_term(self.to_x(us), preds)
+
+    def __call__(self, u):
+        """J at one whitened point u, as ``at_u(u[None])[0]``."""
+        if self.fd_step is None:
+            try:
+                self._last = (u.copy(), *self.obs_map.value_and_jacobian(self.to_x(u)))
+                return self.at_u(u[None], self._last[1][None])[0]
+            except DivergedEvaluation:
+                pass  # scored below: inf unless only the Jacobian is not finite
+        return self.at_u(u[None])[0]
 
     def gradient(self, u):
         """Exact whitened gradient u - (L_R^-1 H L)^T L_R^-1 r at one u, with
         H the map's Jacobian at x = m + L u (central differences of step
         ``fd_step`` when that is set)."""
         x = self.to_x(u)
-        if self.fd_step is None:
-            jac = self.obs_map.jac(x)
+        if self.fd_step is not None:
+            pred, jac = self.obs_map(x), central_difference(self.obs_map.rows, x, self.fd_step)
+        elif self._last is not None and np.array_equal(self._last[0], u):
+            _, pred, jac = self._last  # the point just scored, as every accepted one is
         else:
-            jac = central_difference(self.obs_map.rows, x, self.fd_step)
-        w = solve_triangular(self.l_obs, self.obs_map.residual(self.y, self.obs_map(x)), lower=True)
+            pred, jac = self.obs_map.value_and_jacobian(x)
+        w = solve_triangular(self.l_obs, self.obs_map.residual(self.y, pred), lower=True)
         a = solve_triangular(self.l_obs, jac @ self.l_prior, lower=True)
         return u - a.T @ w
 
@@ -332,9 +343,7 @@ def measurement_update_variational(
     settings = settings or DEFAULT_VARIATIONAL
     misfit = WhitenedMisfit(prior, obs_map, y, r, settings.fd_step, diag)
     try:
-        u_min, iters = bfgs_minimize(
-            lambda u: misfit.at_u(u[None])[0], np.zeros(prior.dim), settings, grad=misfit.gradient
-        )
+        u_min, iters = bfgs_minimize(misfit, np.zeros(prior.dim), settings, grad=misfit.gradient)
     except (LineSearchFailed, OptimizerDidNotConverge) as exc:
         if diag is not None:
             diag.bfgs_iterations += exc.iterations

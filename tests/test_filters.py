@@ -14,6 +14,7 @@ from gaussfilt import (
     run_filter,
     smoothing_step,
 )
+from gaussfilt.errors import DivergedEvaluation
 from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.models import ObsFunction, ProcessModel, augment, composed_observation
 from gaussfilt.updates import measurement_update_linear
@@ -244,3 +245,21 @@ class TestRunFilter:
         traj = run_filter(kind, process, obs, Gaussian([0.0], [[1.0]]), [0.5])
         assert traj.error is None
         assert traj.records[1].diagnostics.fallbacks == 1
+
+    @pytest.mark.parametrize("family", ["LGF", "LGSF", "VGF", "VGSF"])
+    def test_non_finite_jacobian_aborts_the_trajectory(self, family):
+        # A model Jacobian that is NaN must end the trajectory with a package
+        # error, which run_experiment records, not escape as a plain error.
+        good, obs = scalar_linear_model()
+        process = ProcessModel(
+            propagate=good.propagate,
+            noise_cov=good.noise_cov,
+            state_dim=1,
+            noise_dim=1,
+            jacobian=lambda n, x, xi: np.array([[np.nan, 1.0]]),
+            vectorized=True,
+        )
+        traj = run_filter(FilterKind(family), process, obs, Gaussian([0.0], [[1.0]]), [0.5, 0.2])
+        assert isinstance(traj.error, DivergedEvaluation)
+        assert "not finite" in str(traj.error)
+        assert len(traj.records) == 1

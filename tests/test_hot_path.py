@@ -1,5 +1,6 @@
 """Machine-independent counters on the per-step path: the kernels build no
-checked Gaussian, and each deterministic cubature rule is built once."""
+checked Gaussian, each deterministic cubature rule is built once, and the
+linearized filters run one Euler-Maruyama pass per linearization point."""
 
 import math
 
@@ -7,13 +8,17 @@ import numpy as np
 import pytest
 
 from gaussfilt import (
+    BistableSpec,
     DiscreteMeasure,
     FilterKind,
     Gaussian,
+    SdeSpec,
     TurnModelSpec,
+    bistable_models,
     cubature,
     cubature3,
     cubature5,
+    discretize_sde,
     empirical,
     run_filter,
     simulate_truth,
@@ -83,3 +88,39 @@ def test_cached_degree5_rule_equals_a_fresh_stencil(empty_rule_cache):
     fresh = symmetric_stencil(np.full(k, np.sqrt(k + 2.0)), np.full(k, np.sqrt((k + 2.0) / 2.0)))
     for _ in range(2):  # built, then taken from the cache
         assert standard_rule(cubature5(), k).points.tobytes() == fresh.tobytes()
+
+
+def test_vgsf_runs_one_substep_pass_per_linearization_point():
+    # Each step's misfit evaluation points are the BFGS start and one accepted
+    # point per iteration (this scenario never backtracks); each point costs
+    # one pass of the 20 substeps, as do the stacked Hessian and the time
+    # update.  A pass is counted as the drift calls of its substeps.
+    spec = BistableSpec()
+    _, obs = bistable_models(spec)
+    calls = []
+
+    def drift(t, x):
+        calls.append(round(t / spec.dt) // spec.substeps)  # the filter step
+        return spec.beta * x * (1.0 - x * x)
+
+    process = discretize_sde(
+        SdeSpec(
+            drift=drift,
+            volatility=lambda t, x: np.array([[spec.sigma]]),
+            brownian_dim=1,
+            dt=spec.dt,
+            substeps=spec.substeps,
+            drift_jacobian=lambda t, x: np.array([[spec.beta * (1.0 - 3.0 * x[0] ** 2)]]),
+            volatility_state_independent=True,
+            vectorized=True,
+        )
+    )
+    prior = Gaussian([0.8], [[0.02]])
+    truth = simulate_truth(process, obs, prior.mean, 20, np.random.default_rng(5))
+    calls.clear()
+    traj = run_filter(FilterKind("VGSF"), process, obs, prior, truth.observations)
+    assert traj.error is None and len(traj.records) == 21
+    for n, rec in enumerate(traj.records[1:]):
+        assert rec.diagnostics.fallbacks == 0
+        points = rec.diagnostics.bfgs_iterations + 1
+        assert calls.count(n) <= spec.substeps * (points + 2)

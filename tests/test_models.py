@@ -5,15 +5,21 @@ import pytest
 
 from gaussfilt import (
     AugmentedGaussian,
+    BistableSpec,
     Gaussian,
+    Lorenz63Spec,
     ObservationModel,
     ProcessModel,
     SdeSpec,
+    TurnModelSpec,
     augment,
+    bistable_models,
     composed_observation,
     discretize_sde,
+    lorenz63_models,
+    turn_models,
 )
-from gaussfilt.errors import DimensionMismatch
+from gaussfilt.errors import DimensionMismatch, DivergedEvaluation
 from gaussfilt.models import finite_difference_jacobian
 
 
@@ -315,3 +321,103 @@ class TestSharedIntegrator:
             xs = scale * rng.standard_normal((5, d))
             xis = np.sqrt(spec.dt) * rng.standard_normal((5, dd))
             assert model.propagate(n, xs, xis).tobytes() == ref_propagate(n, xs, xis).tobytes()
+
+
+def _pendulum_process(jacobian):
+    """A non-vectorized user model: a damped pendulum step driven in velocity."""
+    dt = 0.05
+
+    def propagate(n, x, xi):
+        return np.array([x[0] + dt * x[1], x[1] - dt * np.sin(x[0]) + xi[0]])
+
+    def jac(n, x, xi):
+        return np.array([[1.0, dt, 0.0], [-dt * np.cos(x[0]), 1.0, 1.0]])
+
+    return ProcessModel(
+        propagate=propagate,
+        noise_cov=np.eye(1),
+        state_dim=2,
+        noise_dim=1,
+        jacobian=jac if jacobian else None,
+    )
+
+
+class TestValueAndJacobian:
+    """One call gives the forward map's value and Jacobian at a point, bit for
+    bit what the separate value and Jacobian paths give."""
+
+    @pytest.mark.parametrize(
+        "make_process",
+        [
+            lambda: discretize_sde(_bistable_sde()),
+            lambda: discretize_sde(_lorenz63_sde()),
+            lambda: turn_models(TurnModelSpec())[0],
+            lambda: _pendulum_process(jacobian=True),
+            lambda: _pendulum_process(jacobian=False),
+        ],
+        ids=["bistable", "lorenz63", "turn", "user-analytic", "user-differenced"],
+    )
+    def test_matches_forward_and_full_jacobian(self, make_process):
+        process = make_process()
+        d, dd = process.state_dim, process.noise_dim
+        rng = np.random.default_rng(11)
+        for n in (0, 3):
+            for _ in range(5):
+                z = np.concatenate([rng.standard_normal(d), 0.1 * rng.standard_normal(dd)])
+                value, jac = process.value_and_jacobian(n, z)
+                assert value.tobytes() == process.forward(n, z[None])[0].tobytes()
+                assert jac.tobytes() == process.full_jacobian(n, z[:d], z[d:]).tobytes()
+
+    @pytest.mark.parametrize("make_spec", [_bistable_sde, _lorenz63_sde])
+    def test_sde_jacobian_matches_two_loop_reference(self, make_spec):
+        spec = make_spec()
+        process = discretize_sde(spec)
+        _, ref_jacobian = _two_loop_reference(spec)
+        d, dd = process.state_dim, process.noise_dim
+        rng = np.random.default_rng(12)
+        for n in (0, 5):
+            x, xi = rng.standard_normal(d), 0.1 * rng.standard_normal(dd)
+            jac = process.value_and_jacobian(n, np.concatenate([x, xi]))[1]
+            assert jac.tobytes() == ref_jacobian(n, x, xi).tobytes()
+
+    @pytest.mark.parametrize(
+        "models",
+        [
+            lambda: bistable_models(BistableSpec(obs_kind="shifted_quadratic")),
+            lambda: lorenz63_models(Lorenz63Spec()),
+            lambda: turn_models(TurnModelSpec()),
+        ],
+        ids=["bistable", "lorenz63", "turn"],
+    )
+    def test_composed_map_joint_equals_value_and_chain_rule(self, models):
+        process, obs = models()
+        d, dd = process.state_dim, process.noise_dim
+        psi = composed_observation(process, obs, 2)
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            z = np.concatenate([rng.standard_normal(d), 0.1 * rng.standard_normal(dd)])
+            if d == 5:  # the turn model: a position far from the radar
+                z[:d] = [1e3, 3e2, 1e3, 0.0, -0.05] + z[:d]
+            value, jac = psi.value_and_jacobian(z)
+            x_next = process.forward(2, z[None])[0]
+            chain = obs.at_step(3).jac(x_next) @ process.full_jacobian(2, z[:d], z[d:])
+            assert value.tobytes() == psi.rows(z[None])[0].tobytes()
+            assert jac.tobytes() == chain.tobytes()
+            assert jac.tobytes() == psi.jac(z).tobytes()
+
+    def test_non_finite_jacobian_raises_diverged(self):
+        process = ProcessModel(
+            propagate=lambda n, x, xi: x + xi,
+            noise_cov=np.eye(1),
+            state_dim=1,
+            noise_dim=1,
+            jacobian=lambda n, x, xi: np.array([[np.inf, 1.0]]),
+        )
+        obs = ObservationModel(
+            observe=lambda n, x: x, obs_cov=np.eye(1), obs_dim=1, jacobian=lambda n, x: [[np.nan]]
+        )
+        z = np.array([0.2, 0.1])
+        with pytest.raises(DivergedEvaluation, match="not finite"):
+            process.value_and_jacobian(0, z)
+        with pytest.raises(DivergedEvaluation, match="not finite"):
+            obs.at_step(1).jac(z[:1])
