@@ -17,7 +17,6 @@ from .filters import FilterKind, FilterTrajectory, conventional_step, run_filter
 from .gaussian import Gaussian, JointGaussian, cholesky_factor, condition, quadratic_form
 from .harness import ExperimentConfig, RunResult, rmse, run_experiment, write_results
 from .models import (
-    AugmentedGaussian,
     ObservationModel,
     ObsFunction,
     ProcessModel,

@@ -19,7 +19,7 @@ from .errors import (
     SingularHessian,
 )
 from .gaussian import Gaussian
-from .models import AugmentedGaussian, ObservationModel, ProcessModel, augment, composed_observation
+from .models import ObservationModel, ProcessModel, augment, composed_observation
 from .updates import (
     VariationalSettings,
     measurement_update_linear,
@@ -119,10 +119,10 @@ class FilterTrajectory:
 _VARIATIONAL_FALLBACK = (OptimizerDidNotConverge, LineSearchFailed, SingularHessian)
 
 
-def _time_update(kind, aug, process, n, rng, diag):
+def _time_update(kind, joint, process, n, rng, diag):
     if kind.uses_points:
-        return time_update_points(aug, process, n, kind.rule(), rng, diag)
-    return time_update_linear(aug, process, n, diag)
+        return time_update_points(joint, process, n, kind.rule(), rng, diag)
+    return time_update_linear(joint, process, n, diag)
 
 
 def _measurement_update(kind, prior, obs_map, y, r, rng, diag):
@@ -149,8 +149,7 @@ def conventional_step(
 ) -> Gaussian:
     """Time update to the predictive belief, then assimilate y_{n+1}."""
     diag = diag if diag is not None else Diagnostics()
-    aug = augment(posterior_n, process, n)
-    predictive = _time_update(kind, aug, process, n, rng, diag)
+    predictive = _time_update(kind, augment(posterior_n, process, n), process, n, rng, diag)
     return _measurement_update(
         kind, predictive, obs.at_step(n + 1), y_next, obs.obs_cov, rng, diag
     )
@@ -173,13 +172,11 @@ def smoothing_step(
     consumes them as-is.
     """
     diag = diag if diag is not None else Diagnostics()
-    aug = augment(posterior_n, process, n)
     psi = composed_observation(process, obs, n)
     conditioned = _measurement_update(
-        kind, aug.belief, psi, y_next, obs.obs_cov, rng, diag
+        kind, augment(posterior_n, process, n), psi, y_next, obs.obs_cov, rng, diag
     )
-    cond_aug = AugmentedGaussian(conditioned, posterior_n.dim)
-    return _time_update(kind, cond_aug, process, n, rng, diag)
+    return _time_update(kind, conditioned, process, n, rng, diag)
 
 
 def run_filter(

@@ -147,7 +147,12 @@ class ExperimentConfig:
                 output_dir=str(raw.get("output_dir", "out")),
                 window=window,
             )
-            cfg.build_models()  # validates testbed params and prior dimensions
+            d = cfg.build_models()[0].state_dim  # validates testbed params and prior dimensions
+            if isinstance(cfg.truth_x0, str):
+                if cfg.truth_x0 != "prior-sample":
+                    raise ConfigError(f"unknown truth_x0 {cfg.truth_x0!r}")
+            elif np.atleast_1d(cfg.truth_x0).shape != (d,) or not np.isfinite(cfg.truth_x0).all():
+                raise ConfigError(f"truth_x0 must be \"prior-sample\" or a finite state of dim {d}")
             return cfg
         except (TypeError, ValueError, KeyError, IndexError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
@@ -244,9 +249,8 @@ class RunResult:
 
 
 def _resolve_truth_x0(config, prior, rng):
-    if isinstance(config.truth_x0, str):
-        if config.truth_x0 != "prior-sample":
-            raise ConfigError(f"unknown truth_x0 {config.truth_x0!r}")
+    # Any other string (in a config built without from_dict) fails float conversion.
+    if isinstance(config.truth_x0, str) and config.truth_x0 == "prior-sample":
         from .testbeds import psd_sqrt
 
         return prior.mean + psd_sqrt(prior.cov) @ rng.standard_normal(prior.dim)

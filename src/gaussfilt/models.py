@@ -41,12 +41,22 @@ def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.nda
     return central_difference(ObsFunction(fn).rows, x)
 
 
+def _covariance(cov, what: str, dim: int) -> np.ndarray:
+    """``cov`` as a float (dim, dim) array; raises ValueError unless it has
+    that shape and passes ``check_covariance``."""
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if cov.shape != (dim, dim):
+        raise ValueError(f"{what} shape {cov.shape} does not match dimension {dim}")
+    check_covariance(cov, what)
+    return cov
+
+
 @dataclass(frozen=True)
 class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
 
     ``noise_cov`` is checked once, here, with the tolerances of ``Gaussian``;
-    ``augment`` stacks it into the augmented belief unchecked.
+    ``augment`` stacks it into the joint belief unchecked.
 
     When ``vectorized`` is set, propagate also accepts stacked inputs of
     shape (m, d) / (m, D) and returns (m, d); otherwise ``forward`` calls it
@@ -62,12 +72,7 @@ class ProcessModel:
     linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
 
     def __post_init__(self):
-        noise_cov = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
-        object.__setattr__(self, "noise_cov", noise_cov)
-        dd = self.noise_dim
-        if noise_cov.shape != (dd, dd):
-            raise ValueError(f"noise_cov shape {noise_cov.shape} does not match noise_dim {dd}")
-        check_covariance(noise_cov, "noise_cov")
+        object.__setattr__(self, "noise_cov", _covariance(self.noise_cov, "noise_cov", self.noise_dim))
 
     def at_step(self, n: int) -> "ObsFunction":
         """The forward map at step n as a map of augmented points z = [x, xi]."""
@@ -103,7 +108,8 @@ class ObservationModel:
     ``innovation`` computes the residual between an observed and a predicted
     observation; the default is plain subtraction, and models with angular
     components substitute a wrapping residual.  ``wrap_observation``
-    normalizes synthetic observations after noise is added.
+    normalizes synthetic observations after noise is added.  ``obs_cov`` is
+    checked once, here, as ``ProcessModel`` checks ``noise_cov``.
     """
 
     observe: Callable
@@ -113,6 +119,9 @@ class ObservationModel:
     innovation: Callable | None = None
     wrap_observation: Callable | None = None
     vectorized: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "obs_cov", _covariance(self.obs_cov, "obs_cov", self.obs_dim))
 
     def at_step(self, n: int) -> "ObsFunction":
         """The observation map frozen at step n, for measurement updates."""
@@ -185,22 +194,6 @@ class ObsFunction:
 
 
 @dataclass(frozen=True)
-class AugmentedGaussian:
-    """Joint belief over the stacked vector [x; xi]."""
-
-    belief: Gaussian
-    state_dim: int
-
-    @property
-    def noise_dim(self) -> int:
-        return self.belief.dim - self.state_dim
-
-    def state_marginal(self) -> Gaussian:
-        d = self.state_dim
-        return Gaussian(self.belief.mean[:d], self.belief.cov[:d, :d])
-
-
-@dataclass(frozen=True)
 class SdeSpec:
     """Ito SDE dx = b(t,x) dt + s(t,x) dB with simulation step dt and
     ``substeps`` integration steps per observation interval."""
@@ -249,24 +242,23 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
         return x, jac
 
     noise_dim = m_steps * n_brown
-    linearize = jacobian = None
+    linearize = None
     if spec.drift_jacobian is not None and spec.volatility_state_independent:
         linearize = lambda n, x, xi: integrate(n, x, xi, np.eye(d, d + noise_dim))
-        jacobian = lambda n, x, xi: linearize(n, x, xi)[1]
 
     return ProcessModel(
         propagate=lambda n, x, xi: integrate(n, x, xi)[0],
         noise_cov=dt * np.eye(noise_dim),
         state_dim=d,
         noise_dim=noise_dim,
-        jacobian=jacobian,
         vectorized=spec.vectorized,
         linearize=linearize,
     )
 
 
-def augment(prior: Gaussian, model: ProcessModel, n: int) -> AugmentedGaussian:
-    """Stack the state belief with the (zero-mean) driving noise for step n."""
+def augment(prior: Gaussian, model: ProcessModel, n: int) -> Gaussian:
+    """The joint belief over z = [x, xi]: the state belief stacked with the
+    (zero-mean) driving noise for step n."""
     if prior.dim != model.state_dim:
         raise DimensionMismatch(
             f"prior dim {prior.dim} does not match model state dim {model.state_dim}"
@@ -277,7 +269,7 @@ def augment(prior: Gaussian, model: ProcessModel, n: int) -> AugmentedGaussian:
     cov[:prior.dim, :prior.dim] = prior.cov
     if dd:
         cov[prior.dim:, prior.dim:] = model.noise_cov
-    return AugmentedGaussian(Gaussian._unchecked(mean, cov), prior.dim)
+    return Gaussian._unchecked(mean, cov)
 
 
 def composed_observation(process: ProcessModel, obs: ObservationModel, n: int) -> ObsFunction:

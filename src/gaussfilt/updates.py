@@ -3,11 +3,11 @@
 The same measurement-update kernels serve both filter orderings: for the
 conventional ordering the prior is the d-dimensional predictive belief and
 the map is the plain observation function; for the noise-conditioning
-ordering the prior is the (d+D)-dimensional augmented belief and the map is
-the observation composed with one forward step.
+ordering the prior is the (d+D)-dimensional joint belief over z = [x, xi]
+and the map is the observation composed with one forward step.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -23,7 +23,7 @@ from .errors import (
     SingularInnovationCov,
 )
 from .gaussian import Gaussian, cholesky_factor, repair_covariance, symmetrize
-from .models import AugmentedGaussian, ObsFunction, ProcessModel, central_difference
+from .models import ObsFunction, ProcessModel, central_difference
 
 _EPS = np.finfo(float).eps
 
@@ -60,24 +60,12 @@ class VariationalSettings:
 DEFAULT_VARIATIONAL = VariationalSettings()
 
 
-def _stacked(f, f_batch):
-    """The objective at stacked points (m, k): f_batch itself, or the
-    one-point f called once per row."""
-    if f_batch is not None:
-        return f_batch
-    return lambda xs: np.array([f(x) for x in xs], dtype=float)
-
-
-def numerical_gradient(f, x, step=None, f_batch=None):
-    """Central-difference gradient; uses a batched evaluator when provided."""
-    return central_difference(_stacked(f, f_batch), x, step)[0]
-
-
-def numerical_hessian(f, x, step=None, f_batch=None):
+def numerical_hessian(rows, x, step=None):
     """Symmetric central-difference Hessian.
 
     All 1 + 2k + 4 k(k-1)/2 probes, x plus the offsets of
-    ``cubature.symmetric_stencil(h, h)``, go to one stacked evaluation.
+    ``cubature.symmetric_stencil(h, h)``, go to one call of ``rows``, which
+    maps stacked points (m, k) to m values.
     """
     x = np.asarray(x, dtype=float)
     h = np.full(x.shape, step) if step is not None else _EPS ** 0.25 * (1.0 + np.abs(x))
@@ -86,7 +74,7 @@ def numerical_hessian(f, x, step=None, f_batch=None):
     iu, ju = np.triu_indices(k, 1)
     first_pair = 1 + 2 * k
     probes = x + symmetric_stencil(h, h)
-    vals = _stacked(f, f_batch)(probes)
+    vals = rows(probes)
     hess = np.empty((k, k))
     # h_i ** 2 through pow, as a scalar square is computed; h * h differs in
     # the last bit for a few steps in ten thousand.
@@ -97,13 +85,13 @@ def numerical_hessian(f, x, step=None, f_batch=None):
     return hess
 
 
-def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=None, grad=None):
+def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None):
     """BFGS with Armijo backtracking.
 
     ``f`` maps one point to a float.  ``grad``, when given, maps one point to
-    the gradient of ``f``; otherwise central differences supply it, with the
-    probes going to ``f_batch`` (stacked points (m, k) to m values) when that
-    is given.  Returns (minimizer, iteration count); a LineSearchFailed or
+    the gradient of ``f``; otherwise central differences of step
+    ``settings.fd_step`` supply it.  Returns (minimizer, iteration count); a
+    non-finite f at x0 raises DivergedEvaluation, and a LineSearchFailed or
     OptimizerDidNotConverge carries the count in ``iterations``.  The
     inverse-Hessian approximation starts at the identity; the line search
     tries steps 1, 1/2, 1/4, ... (at most 40 halvings) and accepts the first
@@ -113,11 +101,12 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, f_batch=No
     """
     settings = settings or DEFAULT_VARIATIONAL
     if grad is None:
-        grad = lambda v: numerical_gradient(f, v, settings.fd_step, f_batch)
+        rows = lambda vs: np.array([f(v) for v in vs], dtype=float)
+        grad = lambda v: central_difference(rows, v, settings.fd_step)[0]
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     fx = float(f(x))
     if not np.isfinite(fx):
-        raise ValueError("objective not finite at the starting point")
+        raise DivergedEvaluation("objective not finite at the starting point")
     tol = settings.grad_tol
     if tol is None:
         tol = 1e-6 * (1.0 + abs(fx))
@@ -189,30 +178,30 @@ def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
 
 
 def time_update_linear(
-    aug: AugmentedGaussian, process: ProcessModel, n: int, diag: Diagnostics | None = None
+    joint: Gaussian, process: ProcessModel, n: int, diag: Diagnostics | None = None
 ) -> Gaussian:
-    """First-order propagation of the augmented belief through the forward map.
+    """First-order propagation of the joint belief through the forward map.
 
-    Valid for any augmented covariance, including the full (non block
-    diagonal) one left behind by conditioning on the next observation.
+    Valid for any joint covariance, including the full (non block diagonal)
+    one left behind by conditioning on the next observation.
     """
-    mean, jac = process.value_and_jacobian(n, aug.belief.mean)
-    cov = repair_covariance(jac @ aug.belief.cov @ jac.T, diag)
+    mean, jac = process.value_and_jacobian(n, joint.mean)
+    cov = repair_covariance(jac @ joint.cov @ jac.T, diag)
     return Gaussian._unchecked(mean, cov)
 
 
 def time_update_points(
-    aug: AugmentedGaussian,
+    joint: Gaussian,
     process: ProcessModel,
     n: int,
     kind: RuleKind,
     rng: np.random.Generator | None = None,
     diag: Diagnostics | None = None,
 ) -> Gaussian:
-    """Push a discrete measure for the augmented belief through the forward
-    map and return the Gaussian with the push-forward's first two moments."""
-    s = cholesky_factor(aug.belief.cov, diag)
-    mu = transform(standard_rule(kind, aug.belief.dim, rng), aug.belief.mean, s)
+    """Push a discrete measure for the joint belief through the forward map
+    and return the Gaussian with the push-forward's first two moments."""
+    s = cholesky_factor(joint.cov, diag)
+    mu = transform(standard_rule(kind, joint.dim, rng), joint.mean, s)
     mean, cov = weighted_moments(mu.weights, process.forward(n, mu.points))
     return Gaussian._unchecked(mean, repair_covariance(cov, diag))
 
@@ -260,17 +249,22 @@ class WhitenedMisfit:
     with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T, in x and in the
     whitened coordinates u = L^-1 (x - m), where it reads
     1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2.  A point where the map leaves its
-    domain scores inf.  Called at one u (without ``fd_step``), it keeps the
-    map's value and Jacobian there, from one joint call, for ``gradient``.
+    domain scores inf.  Called at one u, it keeps the map's value and
+    Jacobian there, from one joint call, for ``gradient``.  With ``fd_step``
+    set, that Jacobian is the central difference of that step.
     """
 
     def __init__(self, prior, obs_map, y, r, fd_step=None, diag=None):
         self.mean = prior.mean
         self.l_prior = cholesky_factor(prior.cov, diag)
         self.l_obs = cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag)
+        if fd_step is not None:
+            base = obs_map
+            obs_map = replace(
+                base, linearize=lambda x: (base(x), central_difference(base.rows, x, fd_step))
+            )
         self.obs_map = obs_map
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
-        self.fd_step = fd_step
         self._last = None
 
     def to_x(self, us):
@@ -301,25 +295,19 @@ class WhitenedMisfit:
 
     def __call__(self, u):
         """J at one whitened point u, as ``at_u(u[None])[0]``."""
-        if self.fd_step is None:
-            try:
-                self._last = (u.copy(), *self.obs_map.value_and_jacobian(self.to_x(u)))
-                return self.at_u(u[None], self._last[1][None])[0]
-            except DivergedEvaluation:
-                pass  # scored below: inf unless only the Jacobian is not finite
-        return self.at_u(u[None])[0]
+        try:
+            self._last = (u.copy(), *self.obs_map.value_and_jacobian(self.to_x(u)))
+            return self.at_u(u[None], self._last[1][None])[0]
+        except DivergedEvaluation:
+            return self.at_u(u[None])[0]  # inf unless only the Jacobian is not finite
 
     def gradient(self, u):
         """Exact whitened gradient u - (L_R^-1 H L)^T L_R^-1 r at one u, with
-        H the map's Jacobian at x = m + L u (central differences of step
-        ``fd_step`` when that is set)."""
-        x = self.to_x(u)
-        if self.fd_step is not None:
-            pred, jac = self.obs_map(x), central_difference(self.obs_map.rows, x, self.fd_step)
-        elif self._last is not None and np.array_equal(self._last[0], u):
+        H the map's Jacobian at x = m + L u."""
+        if self._last is not None and np.array_equal(self._last[0], u):
             _, pred, jac = self._last  # the point just scored, as every accepted one is
         else:
-            pred, jac = self.obs_map.value_and_jacobian(x)
+            pred, jac = self.obs_map.value_and_jacobian(self.to_x(u))
         w = solve_triangular(self.l_obs, self.obs_map.residual(self.y, pred), lower=True)
         a = solve_triangular(self.l_obs, jac @ self.l_prior, lower=True)
         return u - a.T @ w
@@ -351,7 +339,7 @@ def measurement_update_variational(
     if diag is not None:
         diag.bfgs_iterations += iters
     minimizer = misfit.to_x(u_min)
-    hess = numerical_hessian(None, minimizer, settings.hessian_fd_step, misfit.at_x)
+    hess = numerical_hessian(misfit.at_x, minimizer, settings.hessian_fd_step)
     try:
         lh = cholesky_factor(hess, diag)
     except Exception as exc:

@@ -216,7 +216,7 @@ def test_criterion_3_smoothing_bias():
     )
     aug = augment(Gaussian([0.0], [[1.0]]), process, 0)
     psi = composed_observation(process, obs, 0)
-    conditioned = measurement_update_linear(aug.belief, psi, [3.0], obs.obs_cov)
+    conditioned = measurement_update_linear(aug, psi, [3.0], obs.obs_cov)
 
     # independent oracle: exact conditioning of the joint (x, xi, y)
     joint = JointGaussian(

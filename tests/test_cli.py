@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gaussfilt.cli import main
 
@@ -93,3 +94,23 @@ def test_run_overrides_round_trip_through_config_echo(tmp_path, capsys):
     echo = tmp_path / "b" / "config_echo"
     assert json.loads(echo.read_text())["seed"] == 99
     assert main(["validate", "--config", str(echo)]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {
+            "testbed": "lorenz63",
+            "params": {"obs_var": -0.5},
+            "prior": {"mean": [1.0, 1.0, 1.0], "cov": np.eye(3).tolist()},
+            "truth_x0": "prior-sample",
+        },
+        {"truth_x0": "prior_sample"},
+        {"truth_x0": [0.1, 0.2]},
+    ],
+    ids=["negative-obs-var", "unknown-truth-x0", "truth-x0-wrong-dim"],
+)
+def test_validate_rejects_what_run_would_fail_on(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")

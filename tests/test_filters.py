@@ -130,7 +130,7 @@ class TestSingleStep:
         prior = Gaussian([0.0], [[1.0]])
         aug = augment(prior, process, 0)
         psi = composed_observation(process, obs, 0)
-        conditioned = measurement_update_linear(aug.belief, psi, [3.0], obs.obs_cov)
+        conditioned = measurement_update_linear(aug, psi, [3.0], obs.obs_cov)
         assert abs(conditioned.mean[1]) > 0.01
 
     def test_smoothing_bias_analytic_value(self):
@@ -153,7 +153,7 @@ class TestSingleStep:
         )
         aug = augment(Gaussian([0.0], [[1.0]]), process, 0)
         psi = composed_observation(process, obs, 0)
-        conditioned = measurement_update_linear(aug.belief, psi, [3.0], obs.obs_cov)
+        conditioned = measurement_update_linear(aug, psi, [3.0], obs.obs_cov)
         assert abs(conditioned.mean[1] - 1.0) <= 1e-9
 
         # independent oracle: exact conditioning of the 3-variable joint
@@ -262,4 +262,21 @@ class TestRunFilter:
         traj = run_filter(FilterKind(family), process, obs, Gaussian([0.0], [[1.0]]), [0.5, 0.2])
         assert isinstance(traj.error, DivergedEvaluation)
         assert "not finite" in str(traj.error)
+        assert len(traj.records) == 1
+
+    @pytest.mark.parametrize("family", ["LGF", "LGSF", "VGF", "VGSF"])
+    def test_map_not_finite_at_the_prior_mean_aborts_the_trajectory(self, family):
+        # The forward map leaves its domain around the prior mean, so VGSF's
+        # misfit is not finite where BFGS starts; that too must end only the
+        # trajectory.
+        _, obs = scalar_linear_model()
+        process = ProcessModel(
+            propagate=lambda n, x, xi: np.where(np.abs(x) < 2.0, np.nan, x + xi),
+            noise_cov=np.array([[GAMMA]]),
+            state_dim=1,
+            noise_dim=1,
+            vectorized=True,
+        )
+        traj = run_filter(FilterKind(family), process, obs, Gaussian([0.0], [[1.0]]), [0.5, 0.2])
+        assert isinstance(traj.error, DivergedEvaluation)
         assert len(traj.records) == 1

@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, grid runs, CSV output, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -146,13 +147,25 @@ class TestExperimentConfig:
             {"filters": [{"family": "CGF", "rule_degree": "x"}]},
             {"window": [1]},
             {"prior": {"mean": [0.8], "cov": [[-0.02]]}},
+            {"truth_x0": "prior_sample"},
+            {"truth_x0": [0.1, 0.2]},
+            {"truth_x0": [float("nan")]},
         ],
         ids=["negative-grad-tol", "unknown-variational-field", "non-integer-degree",
-             "short-window", "negative-prior-cov"],
+             "short-window", "negative-prior-cov", "unknown-truth-x0", "truth-x0-wrong-dim",
+             "truth-x0-not-finite"],
     )
     def test_malformed_fields_raise_config_error(self, overrides):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bistable_config(**overrides))
+
+    def test_scalar_truth_x0_accepted_for_a_scalar_state(self):
+        assert ExperimentConfig.from_dict(bistable_config(truth_x0=0.8)).truth_x0 == 0.8
+
+    def test_directly_built_unknown_truth_x0_is_not_sampled(self):
+        cfg = dataclasses.replace(ExperimentConfig.from_dict(bistable_config()), truth_x0="prior_sample")
+        with pytest.raises(ValueError):
+            run_experiment(cfg)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"

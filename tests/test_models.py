@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaussfilt import (
-    AugmentedGaussian,
     BistableSpec,
     Gaussian,
     Lorenz63Spec,
@@ -97,7 +96,7 @@ class TestDiscretizeSde:
             volatility_state_independent=True,
         )
         model = discretize_sde(spec)
-        assert model.jacobian is not None
+        assert model.linearize is not None
         rng = np.random.default_rng(0)
         for _ in range(20):
             x, xi = rng.standard_normal(1), 0.1 * rng.standard_normal(3)
@@ -121,8 +120,8 @@ class TestAugment:
             noise_dim=1,
         )
         aug = augment(Gaussian([0.8], [[0.02]]), model, 0)
-        assert np.allclose(aug.belief.mean, [0.8, 0.0])
-        assert np.allclose(aug.belief.cov, np.diag([0.02, 0.0025]))
+        assert np.allclose(aug.mean, [0.8, 0.0])
+        assert np.allclose(aug.cov, np.diag([0.02, 0.0025]))
 
     def test_state_marginal_preserved(self):
         model = ProcessModel(
@@ -133,11 +132,10 @@ class TestAugment:
         )
         prior = Gaussian([1.0, -1.0], [[2.0, 0.3], [0.3, 1.0]])
         aug = augment(prior, model, 0)
-        assert aug.belief.dim == 5
-        marg = aug.state_marginal()
-        assert np.array_equal(marg.mean, prior.mean)
-        assert np.array_equal(marg.cov, prior.cov)
-        assert np.allclose(aug.belief.cov[:2, 2:], 0.0)
+        assert aug.dim == 5
+        assert np.array_equal(aug.mean[:2], prior.mean)
+        assert np.array_equal(aug.cov[:2, :2], prior.cov)
+        assert np.allclose(aug.cov[:2, 2:], 0.0)
 
     def test_dimension_mismatch(self):
         model = ProcessModel(
@@ -169,6 +167,27 @@ class TestProcessModelNoiseCov:
     def test_accepted_as_nested_lists(self):
         model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=[[0.5]], state_dim=1, noise_dim=1)
         assert model.noise_cov.dtype == float and model.noise_cov.shape == (1, 1)
+
+
+class TestObservationModelObsCov:
+    """obs_cov is checked when the model is built, so a bad one never
+    reaches a measurement update inside a filter run."""
+
+    @pytest.mark.parametrize(
+        "obs_cov, match",
+        [
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive semi-definite"),
+            (np.eye(3), "shape"),
+        ],
+    )
+    def test_rejected_at_construction(self, obs_cov, match):
+        with pytest.raises(ValueError, match=match):
+            ObservationModel(observe=lambda n, x: x, obs_cov=obs_cov, obs_dim=2)
+
+    def test_accepted_as_nested_lists(self):
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[0.5, 0.1], [0.1, 0.5]], obs_dim=2)
+        assert obs.obs_cov.dtype == float and obs.obs_cov.shape == (2, 2)
 
 
 class TestComposedObservation:

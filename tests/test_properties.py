@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaussfilt import (
-    AugmentedGaussian,
     Diagnostics,
     Gaussian,
     ProcessModel,
@@ -81,7 +80,7 @@ def linear_time_cases(draw):
         vectorized=True,
     )
     # A full joint covariance, as conditioning on the next observation leaves.
-    return AugmentedGaussian(draw(gaussians(d + dd)), d), process
+    return draw(gaussians(d + dd)), process
 
 
 @BOUNDED
@@ -150,14 +149,15 @@ def test_measurement_updates_pass_the_public_check(case):
 @BOUNDED
 @given(linear_time_cases(), st.data())
 def test_augment_and_time_updates_pass_the_public_check(case, data):
-    aug, process = case
+    joint, process = case
     # Also propagate a joint left singular by an exact observation, as the
     # noise-conditioning ordering does.
-    obs_map, y, r = data.draw(exact_or_noisy_observations(aug.belief.dim))
-    conditioned = measurement_update_linear(aug.belief, obs_map, y, r)
-    state = Gaussian(aug.belief.mean[:aug.state_dim], aug.belief.cov[:aug.state_dim, :aug.state_dim])
-    assert_passes_public_check(augment(state, process, 0).belief)
-    for belief in (aug, AugmentedGaussian(conditioned, aug.state_dim)):
+    obs_map, y, r = data.draw(exact_or_noisy_observations(joint.dim))
+    conditioned = measurement_update_linear(joint, obs_map, y, r)
+    d = process.state_dim
+    state = Gaussian(joint.mean[:d], joint.cov[:d, :d])
+    assert_passes_public_check(augment(state, process, 0))
+    for belief in (joint, conditioned):
         assert_passes_public_check(time_update_linear(belief, process, 0))
         for rule in RULES:
             assert_passes_public_check(time_update_points(belief, process, 0, rule))
