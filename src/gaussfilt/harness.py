@@ -84,6 +84,17 @@ def _parse_filter(entry: dict) -> FilterKind:
     return FilterKind(entry["family"], **kwargs)
 
 
+def _check_grid(replicates: int, steps: int, seed: int, window: tuple | None) -> None:
+    """The grid checks of ``ExperimentConfig.from_dict``, which
+    ``run_experiment`` repeats for a config built or replaced directly."""
+    if replicates < 1 or steps < 1:
+        raise ConfigError("replicates and steps must be >= 1")
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError("seed must fit in 64 unsigned bits")
+    if window is not None and not 1 <= window[0] <= window[1] <= steps:
+        raise ConfigError(f"window {list(window)} outside 1..{steps}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment description (JSON-serializable)."""
@@ -114,25 +125,17 @@ class ExperimentConfig:
             prior = raw["prior"]
             if "mean" not in prior or "cov" not in prior:
                 raise ConfigError("prior must carry 'mean' and 'cov'")
-            replicates = int(raw["replicates"])
-            steps = int(raw["steps"])
-            if replicates < 1 or steps < 1:
-                raise ConfigError("replicates and steps must be >= 1")
-            seed = int(raw["seed"])
-            if not 0 <= seed <= _MASK64:
-                raise ConfigError("seed must fit in 64 unsigned bits")
+            replicates, steps, seed = int(raw["replicates"]), int(raw["steps"]), int(raw["seed"])
+            window = raw.get("window")
+            if window is not None:
+                window = (int(window[0]), int(window[1]))
+            _check_grid(replicates, steps, seed, window)
             filters = [_parse_filter(f) for f in raw["filters"]]
             if not filters:
                 raise ConfigError("at least one filter required")
             labels = [f.label() for f in filters]
             if len(set(labels)) != len(labels):
                 raise ConfigError(f"duplicate filter labels: {labels}")
-            window = raw.get("window")
-            if window is not None:
-                lo, hi = int(window[0]), int(window[1])
-                if not 1 <= lo <= hi <= steps:
-                    raise ConfigError(f"window {window} outside 1..{steps}")
-                window = (lo, hi)
             cfg = cls(
                 name=str(raw["name"]),
                 testbed=raw["testbed"],
@@ -259,6 +262,7 @@ def _resolve_truth_x0(config, prior, rng):
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run the replicate x filter grid; deterministic given the config."""
+    _check_grid(config.replicates, config.steps, config.seed, config.window)
     process, obs, prior, dt_obs = config.build_models()
     labels = [f.label() for f in config.filters]
     d = process.state_dim

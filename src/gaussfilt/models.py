@@ -220,10 +220,14 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
 
     The noise vector stacks the per-substep Brownian increments, each with
     covariance dt * I_N; state-dependent scaling stays inside the map so the
-    noise covariance is constant even for multiplicative noise.
+    noise covariance is constant even for multiplicative noise.  ``linearize``
+    keeps its last point: called again at the same (n, x, xi) it returns the
+    same value and Jacobian, read-only, without another pass.
     """
     d, n_brown, m_steps, dt = spec.state_dim, spec.brownian_dim, spec.substeps, spec.dt
     eye = np.eye(d)
+    blocks = [slice(m * n_brown, (m + 1) * n_brown) for m in range(m_steps)]
+    jac_blocks = [slice(d + b.start, d + b.stop) for b in blocks]
 
     def integrate(n, x, xi, jac=None):
         # The substeps from one point (d,) or, for a vectorized spec, stacked
@@ -235,16 +239,33 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
             t = (n * m_steps + m) * dt
             s = spec.volatility(t, x)
             if jac is not None:
-                jac = (eye + dt * np.atleast_2d(spec.drift_jacobian(t, x))) @ jac
-                jac[:, d + m * n_brown:d + (m + 1) * n_brown] = s
-            w = xi[..., m * n_brown:(m + 1) * n_brown]
-            x = x + dt * spec.drift(t, x) + np.einsum("...ij,...j->...i", s, w)
+                # a scalar or 1-D b' (d = 1) broadcasts as its 2-D form would
+                jac = (eye + np.multiply(dt, spec.drift_jacobian(t, x))) @ jac
+                jac[:, jac_blocks[m]] = s
+            w = xi[..., blocks[m]]
+            if n_brown == 1:  # one product per component, rounded as the contraction rounds it
+                noise = np.asarray(s)[..., 0] * w
+            else:
+                noise = np.einsum("...ij,...j->...i", s, w)
+            x = x + dt * spec.drift(t, x) + noise
         return x, jac
 
     noise_dim = m_steps * n_brown
     linearize = None
     if spec.drift_jacobian is not None and spec.volatility_state_independent:
-        linearize = lambda n, x, xi: integrate(n, x, xi, np.eye(d, d + noise_dim))
+        memo = (None, None)  # (key, result) of the last point, replaced as one pair
+
+        def linearize(n, x, xi):
+            nonlocal memo
+            x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+            key = (n, x.tobytes(), xi.tobytes())
+            last_key, out = memo
+            if key != last_key:
+                out = integrate(n, x, xi, np.eye(d, d + noise_dim))
+                for a in out:
+                    a.flags.writeable = False
+                memo = key, out
+            return out
 
     return ProcessModel(
         propagate=lambda n, x, xi: integrate(n, x, xi)[0],

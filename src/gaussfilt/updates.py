@@ -10,8 +10,8 @@ and the map is the observation composed with one forward step.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .cubature import RuleKind, standard_rule, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
@@ -59,21 +59,29 @@ class VariationalSettings:
 
 DEFAULT_VARIATIONAL = VariationalSettings()
 
+# The unit stencils symmetric_stencil(1, 1) by k, built on first use, read-only.
+_STENCILS: dict = {}
+
 
 def numerical_hessian(rows, x, step=None):
     """Symmetric central-difference Hessian.
 
     All 1 + 2k + 4 k(k-1)/2 probes, x plus the offsets of
     ``cubature.symmetric_stencil(h, h)``, go to one call of ``rows``, which
-    maps stacked points (m, k) to m values.
+    maps stacked points (m, k) to m values.  The offsets are the cached unit
+    stencil scaled by h, which gives each +-h_i exactly.
     """
     x = np.asarray(x, dtype=float)
     h = np.full(x.shape, step) if step is not None else _EPS ** 0.25 * (1.0 + np.abs(x))
     k = x.shape[0]
+    unit = _STENCILS.get(k)
+    if unit is None:
+        unit = _STENCILS[k] = symmetric_stencil(np.ones(k), np.ones(k))
+        unit.flags.writeable = False
     idx = np.arange(k)
     iu, ju = np.triu_indices(k, 1)
     first_pair = 1 + 2 * k
-    probes = x + symmetric_stencil(h, h)
+    probes = x + unit * h
     vals = rows(probes)
     hess = np.empty((k, k))
     # h_i ** 2 through pow, as a scalar square is computed; h * h differs in
@@ -157,6 +165,22 @@ def _finite(a):
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     return a
+
+
+def _solve_lower(l, b, cholesky=False):
+    """x with L x = b, or L L^T x = b if ``cholesky``, for lower-triangular L:
+    LAPACK's trtrs/potrs called as scipy's solve_triangular/cho_solve call
+    them, with their finiteness checks but not their per-call overhead."""
+    if cholesky:
+        _finite(b)
+        x, info = dpotrs(_finite(l), b, lower=1)
+    elif l.flags.f_contiguous:
+        x, info = dtrtrs(_finite(l), _finite(b), lower=1)
+    else:
+        x, info = dtrtrs(_finite(l).T, _finite(b), lower=0, trans=1)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
@@ -276,7 +300,7 @@ class WhitenedMisfit:
             preds = self.obs_map.rows(xs) if preds is None else preds
         except DivergedEvaluation:
             return np.full(xs.shape[0], np.inf)  # a probe left the map's domain
-        dr = solve_triangular(self.l_obs, self.obs_map.residual(self.y, preds).T, lower=True)
+        dr = _solve_lower(self.l_obs, self.obs_map.residual(self.y, preds).T)
         with np.errstate(over="ignore"):
             # an overflowing quadratic means a hopeless probe point; the
             # resulting inf makes the line search back off, as intended
@@ -284,7 +308,7 @@ class WhitenedMisfit:
 
     def at_x(self, xs):
         """J at stacked points (m, k)."""
-        dx = solve_triangular(self.l_prior, (xs - self.mean).T, lower=True)
+        dx = _solve_lower(self.l_prior, (xs - self.mean).T)
         with np.errstate(over="ignore"):
             return 0.5 * np.sum(dx * dx, axis=0) + self._data_term(xs)
 
@@ -308,8 +332,8 @@ class WhitenedMisfit:
             _, pred, jac = self._last  # the point just scored, as every accepted one is
         else:
             pred, jac = self.obs_map.value_and_jacobian(self.to_x(u))
-        w = solve_triangular(self.l_obs, self.obs_map.residual(self.y, pred), lower=True)
-        a = solve_triangular(self.l_obs, jac @ self.l_prior, lower=True)
+        w = _solve_lower(self.l_obs, self.obs_map.residual(self.y, pred))
+        a = _solve_lower(self.l_obs, jac @ self.l_prior)
         return u - a.T @ w
 
 
@@ -344,5 +368,5 @@ def measurement_update_variational(
         lh = cholesky_factor(hess, diag)
     except Exception as exc:
         raise SingularHessian("misfit Hessian not invertible at the minimizer") from exc
-    cov = repair_covariance(cho_solve((lh, True), np.eye(hess.shape[0])), diag)
+    cov = repair_covariance(_solve_lower(lh, np.eye(hess.shape[0]), cholesky=True), diag)
     return Gaussian._unchecked(minimizer, cov)

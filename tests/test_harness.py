@@ -167,6 +167,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize(
+        "changes,match",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": 2 ** 64}, "seed"),
+            ({"replicates": 0}, "replicates"),
+            ({"steps": 0}, "steps"),
+            ({"window": (5, 9)}, "window"),
+        ],
+        ids=["negative-seed", "seed-past-64-bits", "no-replicates", "no-steps", "window-past-steps"],
+    )
+    def test_run_experiment_rejects_what_from_dict_rejects(self, changes, match):
+        cfg = ExperimentConfig.from_dict(bistable_config(replicates=1, steps=2))
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict({**bistable_config(replicates=1, steps=2), **changes})
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(dataclasses.replace(cfg, **changes))
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(bistable_config()), encoding="utf-8")

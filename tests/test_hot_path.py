@@ -124,3 +124,111 @@ def test_vgsf_runs_one_substep_pass_per_linearization_point():
         assert rec.diagnostics.fallbacks == 0
         points = rec.diagnostics.bfgs_iterations + 1
         assert calls.count(n) <= spec.substeps * (points + 2)
+
+
+def _counted_bistable_sde(calls, shared=None):
+    """The bistable SDE of ``bistable_models`` with a drift that records the
+    filter step of each call; ``shared`` supplies the one array that
+    ``drift_jacobian`` and ``volatility`` return."""
+    spec = BistableSpec()
+
+    def drift(t, x):
+        calls.append(round(t / spec.dt) // spec.substeps)
+        return spec.beta * x * (1.0 - x * x)
+
+    def drift_jacobian(t, x):
+        if shared is None:
+            return np.array([[spec.beta * (1.0 - 3.0 * x[0] ** 2)]])
+        shared["jac"][0, 0] = spec.beta * (1.0 - 3.0 * x[0] ** 2)
+        shared["returned"].append(shared["jac"].copy())
+        return shared["jac"]
+
+    vol = np.array([[spec.sigma]]) if shared is None else shared["vol"]
+    return spec, SdeSpec(
+        drift=drift,
+        volatility=lambda t, x: vol,
+        brownian_dim=1,
+        dt=spec.dt,
+        substeps=spec.substeps,
+        drift_jacobian=drift_jacobian,
+        volatility_state_independent=True,
+        vectorized=True,
+    )
+
+
+def test_vgsf_time_update_reuses_the_last_linearization():
+    # The time update linearizes at the minimizer, the point the last misfit
+    # evaluation has just linearized; only the BFGS points and the stacked
+    # Hessian cost a pass each.
+    calls = []
+    spec, sde = _counted_bistable_sde(calls)
+    process = discretize_sde(sde)
+    _, obs = bistable_models(spec)
+    prior = Gaussian([0.8], [[0.02]])
+    truth = simulate_truth(process, obs, prior.mean, 20, np.random.default_rng(5))
+    calls.clear()
+    traj = run_filter(FilterKind("VGSF"), process, obs, prior, truth.observations)
+    assert traj.error is None and len(traj.records) == 21
+    for n, rec in enumerate(traj.records[1:]):
+        assert rec.diagnostics.fallbacks == 0
+        points = rec.diagnostics.bfgs_iterations + 1
+        assert calls.count(n) <= spec.substeps * (points + 1)
+
+
+def test_linearization_memo_equals_a_fresh_pass():
+    calls = []
+    _, sde = _counted_bistable_sde(calls)
+    process = discretize_sde(sde)
+    rng = np.random.default_rng(2)
+    z0, z1 = (np.concatenate([[0.7], 0.1 * rng.standard_normal(20)]) for _ in range(2))
+    # Only a repeat of the point just before is a hit and runs no substeps.
+    sequence = [(0, z0, 20), (0, z0, 0), (3, z0, 20), (3, z1, 20), (0, z1, 20), (0, z1, 0),
+                (0, z0, 20), (0, z0 + 1e-15, 20)]
+    for n, z, substeps in sequence:
+        calls.clear()
+        value, jac = process.value_and_jacobian(n, z.copy())
+        assert len(calls) == substeps
+        ref_value, ref_jac = discretize_sde(sde).value_and_jacobian(n, z)
+        assert value.tobytes() == ref_value.tobytes() and jac.tobytes() == ref_jac.tobytes()
+
+
+def test_models_from_one_spec_keep_their_own_memo():
+    calls = []
+    _, sde = _counted_bistable_sde(calls)
+    first, second = discretize_sde(sde), discretize_sde(sde)
+    z0 = np.concatenate([[0.8], np.full(20, 0.05)])
+    z1 = np.concatenate([[-0.3], np.full(20, -0.02)])
+    a = first.value_and_jacobian(1, z0)
+    calls.clear()
+    b = second.value_and_jacobian(1, z0)
+    assert len(calls) == 20  # the second model ran its own pass
+    assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+    c = first.value_and_jacobian(1, z1)
+    calls.clear()
+    assert second.value_and_jacobian(1, z0)[0].tobytes() == b[0].tobytes()
+    assert len(calls) == 0  # still its own last point, untouched by the first model's
+    assert c[0].tobytes() != b[0].tobytes()
+
+
+def test_linearization_is_read_only():
+    _, sde = _counted_bistable_sde([])
+    value, jac = discretize_sde(sde).value_and_jacobian(0, np.full(21, 0.1))
+    with pytest.raises(ValueError, match="read-only"):
+        value[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        jac[0, 0] = 1.0
+
+
+def test_shared_model_arrays_are_not_written():
+    # The model fills one drift-Jacobian array and returns one volatility
+    # array on every call; a pass must leave both as the model left them.
+    shared = {"jac": np.array([[0.0]]), "vol": np.array([[0.5]]), "returned": []}
+    _, sde = _counted_bistable_sde([], shared)
+    process = discretize_sde(sde)
+    z = np.concatenate([[0.8], np.full(20, 0.05)])
+    process.value_and_jacobian(0, z)
+    assert len(shared["returned"]) == 20
+    assert shared["jac"].tobytes() == shared["returned"][-1].tobytes()
+    process.propagate(0, z[:1], z[1:])
+    process.forward(0, np.tile(z, (4, 1)))
+    assert shared["vol"].tobytes() == np.array([[0.5]]).tobytes()

@@ -1,5 +1,7 @@
 """Model abstractions: SDE discretization, augmentation, composed maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,41 @@ class TestSharedIntegrator:
             xs = scale * rng.standard_normal((5, d))
             xis = np.sqrt(spec.dt) * rng.standard_normal((5, dd))
             assert model.propagate(n, xs, xis).tobytes() == ref_propagate(n, xs, xis).tobytes()
+
+
+@pytest.mark.parametrize(
+    "form",
+    [lambda v: v, lambda v: [[v]], lambda v: np.array([v]), lambda v: np.float64(v)],
+    ids=["float", "nested-list", "1-D", "numpy-scalar"],
+)
+def test_scalar_drift_jacobian_forms_give_one_linearization(form):
+    spec = _bistable_sde()
+    rng = np.random.default_rng(4)
+    z = np.concatenate([[0.6], 0.1 * rng.standard_normal(spec.substeps)])
+    ref = discretize_sde(spec).value_and_jacobian(2, z)
+    other = dataclasses.replace(
+        spec, drift_jacobian=lambda t, x: form(10.0 * (1.0 - 3.0 * x[0] ** 2))
+    )
+    value, jac = discretize_sde(other).value_and_jacobian(2, z)
+    assert value.tobytes() == ref[0].tobytes() and jac.tobytes() == ref[1].tobytes()
+
+
+def test_one_point_and_stacked_rows_agree_for_a_dense_volatility():
+    # Each state component takes noise from all three Brownian dimensions, so
+    # the noise term is a sum that a different contraction would round
+    # differently.
+    rng = np.random.default_rng(8)
+    vol = rng.standard_normal((3, 3))
+    spec = dataclasses.replace(_lorenz63_sde(), volatility=lambda t, x: vol, substeps=4)
+    process = discretize_sde(spec)
+    ref_propagate, _ = _two_loop_reference(spec)
+    for n in (0, 2):
+        zs = np.hstack([rng.standard_normal((6, 3)), 0.1 * rng.standard_normal((6, 12))])
+        rows = process.forward(n, zs)
+        for z, row in zip(zs, rows):
+            assert process.value_and_jacobian(n, z)[0].tobytes() == row.tobytes()
+            assert process.propagate(n, z[:3], z[3:]).tobytes() == row.tobytes()
+            assert ref_propagate(n, z[:3], z[3:]).tobytes() == row.tobytes()
 
 
 def _pendulum_process(jacobian):

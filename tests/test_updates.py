@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_solve, solve_triangular
 
 from gaussfilt import (
     BistableSpec,
@@ -34,7 +36,8 @@ from gaussfilt.models import (
     central_difference,
     composed_observation,
 )
-from gaussfilt.updates import WhitenedMisfit, numerical_hessian
+from gaussfilt.cubature import symmetric_stencil
+from gaussfilt.updates import WhitenedMisfit, _solve_lower, numerical_hessian
 
 
 def linear_process(a, gamma):
@@ -130,6 +133,67 @@ def _loop_hessian(f_batch, x, step):
             fmm = vals[pair_index[(i, j, False, False)]]
             hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
     return hess
+
+
+    @pytest.mark.parametrize("k", [1, 3, 21])
+    def test_hessian_probes_are_the_symmetric_stencil(self, k):
+        x = np.linspace(-2.0, 3.0, k)
+        for step in (None, 1e-3, None):  # built, then taken from the cache
+            seen = []
+            numerical_hessian(lambda xs: seen.append(xs.copy()) or np.zeros(xs.shape[0]), x, step)
+            h = np.full(k, step) if step else np.finfo(float).eps ** 0.25 * (1.0 + np.abs(x))
+            assert seen[0].tobytes() == (x + symmetric_stencil(h, h)).tobytes()
+
+
+class TestSolveLower:
+    """The direct LAPACK solves equal scipy's solve_triangular and cho_solve
+    byte for byte."""
+
+    @staticmethod
+    def _factor(rng, k, order):
+        a = np.tril(rng.standard_normal((k, k)), -1) + np.diag(rng.uniform(0.5, 2.0, k))
+        return np.array(a, order=order)
+
+    @pytest.mark.parametrize("k", [1, 2, 21])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs", ["1-D", "2-D", "2-D view"])
+    def test_matches_scipy_byte_for_byte(self, k, order, rhs):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            lower = self._factor(rng, k, order)
+            b = {
+                "1-D": lambda: rng.standard_normal(k),
+                "2-D": lambda: rng.standard_normal((k, 4)),
+                "2-D view": lambda: rng.standard_normal((7, k)).T,
+            }[rhs]()
+            x = _solve_lower(lower, b)
+            ref = solve_triangular(lower, b, lower=True)
+            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+            x = _solve_lower(lower, b, cholesky=True)
+            ref = cho_solve((lower, True), b)
+            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    @pytest.mark.parametrize("where", ["factor", "rhs"])
+    def test_nan_raises_value_error(self, cholesky, where):
+        rng = np.random.default_rng(0)
+        lower, b = self._factor(rng, 3, "C"), rng.standard_normal(3)
+        if where == "factor":
+            lower[1, 0] = np.nan
+        else:
+            b[1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_lower(lower, b, cholesky)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_diagonal_raises_lin_alg_error(self, order, k):
+        lower = self._factor(np.random.default_rng(1), k, order)
+        lower[k - 1, k - 1] = 0.0
+        with pytest.raises(LinAlgError, match="singular"):
+            _solve_lower(lower, np.ones(k))
+        with pytest.raises(LinAlgError, match="singular"):
+            solve_triangular(lower, np.ones(k), lower=True)
 
 
 class TestBfgsMinimize:
