@@ -150,7 +150,9 @@ def transform(mu: DiscreteMeasure, m: np.ndarray, s: np.ndarray) -> DiscreteMeas
         raise DimensionMismatch(
             f"transform of {mu.dim}-dim measure with m {m.shape}, S {s.shape}"
         )
-    return DiscreteMeasure._unchecked(mu.weights, mu.points @ s.T + m)
+    pts = mu.points @ s.T
+    pts += m  # in place: a wide point set allocates one (m, k) array, not two
+    return DiscreteMeasure._unchecked(mu.weights, pts)
 
 
 def moments(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,14 @@
 """Dense Gaussian algebra: factorization, conditioning, quadratic forms.
 
 Every covariance handled here is symmetrized explicitly before use; the
-conditioning formula loses symmetry in floating point otherwise.  Linear
-solves go through Cholesky factors and triangular substitution, never an
-explicit inverse.
+conditioning formula loses symmetry in floating point otherwise.  Solves
+against a covariance S = L L^T go through W = L^-1, never S^-1, applied
+to every operand as a matrix product.  The algebra runs on ``numpy.linalg``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky as scipy_cholesky, solve_triangular, LinAlgError
 
 from .diagnostics import Diagnostics
 from .errors import NotPositiveDefinite, SingularInnovationCov, SingularMatrix
@@ -92,25 +91,31 @@ class JointGaussian:
             raise ValueError("split must lie strictly inside the stacked dimension")
 
 
-def cholesky_factor(
-    c: np.ndarray,
-    diag: Diagnostics | None = None,
-) -> np.ndarray:
+def _finite_factor(s: np.ndarray) -> np.ndarray:
+    """``s`` if its diagonal is finite: LAPACK may return a factor of a
+    non-finite matrix, and a NaN or inf anywhere reaches that diagonal."""
+    if not np.isfinite(s.diagonal()).all():
+        raise NotPositiveDefinite("covariance is not finite")
+    return s
+
+
+def cholesky_factor(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
     """Lower-triangular S with S S^T = C, adding escalating jitter on failure.
 
-    Raises NotPositiveDefinite if the factorization still fails after the
-    largest jitter; that signals a corrupted covariance upstream.
+    Raises NotPositiveDefinite if C is not finite, or if the factorization
+    still fails after the largest jitter; either signals a corrupted
+    covariance upstream.
     """
     c = symmetrize(np.atleast_2d(np.asarray(c, dtype=float)))
     d = c.shape[0]
     try:
-        return np.linalg.cholesky(c)
+        return _finite_factor(np.linalg.cholesky(c))
     except np.linalg.LinAlgError:
         pass
     base = max(np.trace(c), 1e-300) / d
     for eps in JITTER_LADDER:
         try:
-            s = np.linalg.cholesky(c + eps * base * np.eye(d))
+            s = _finite_factor(np.linalg.cholesky(c + eps * base * np.eye(d)))
         except np.linalg.LinAlgError:
             continue
         if diag is not None:
@@ -122,12 +127,14 @@ def cholesky_factor(
 def repair_covariance(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
     """Symmetrize and, if needed, shift tiny negative eigenvalues to zero.
 
-    Large negative eigenvalues (beyond 1e-6 of the trace scale) are treated
-    as corruption and raised rather than masked.  The result is exactly
-    symmetric and passes ``check_covariance``, so the kernels build their
-    Gaussians from it unchecked.
+    Large negative eigenvalues (beyond 1e-6 of the trace scale) and
+    non-finite entries are treated as corruption and raised rather than
+    masked.  The result is exactly symmetric and passes ``check_covariance``,
+    so the kernels build their Gaussians from it unchecked.
     """
     c = symmetrize(np.atleast_2d(np.asarray(c, dtype=float)))
+    if not np.isfinite(c).all():
+        raise NotPositiveDefinite("covariance is not finite")
     lo = np.linalg.eigvalsh(c)[0]
     if lo >= 0.0:
         return c
@@ -145,36 +152,44 @@ def repair_covariance(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndar
     return c
 
 
-def condition(joint: JointGaussian, y: np.ndarray) -> Gaussian:
-    """Condition the X block of a JointGaussian on Y = y.
+def _finite(a):
+    """``a``, if it holds no inf or NaN."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
 
-    Returns the exact conditional moments; the solve against the Y-block
-    covariance goes through its Cholesky factor.
-    """
+
+def _conditioning_terms(s, cross, innovation):
+    """The shift C S^-1 v and the shrink C S^-1 C^T of conditioning on an
+    observed block of covariance S, cross covariance C and innovation v, from
+    C W^T and W v; ValueError if S or C is not finite, SingularInnovationCov if
+    S is not positive definite."""
+    try:
+        w = np.linalg.inv(np.linalg.cholesky(_finite(s)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovationCov("innovation covariance is singular") from exc
+    a = _finite(cross) @ w.T
+    return a @ (w @ innovation), a @ a.T
+
+
+def condition(joint: JointGaussian, y: np.ndarray) -> Gaussian:
+    """Condition the X block of a JointGaussian on Y = y: the exact
+    conditional moments."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     k = joint.split
     xbar, ybar = joint.mean[:k], joint.mean[k:]
-    sxx = joint.cov[:k, :k]
-    sxy = joint.cov[:k, k:]
-    syy = joint.cov[k:, k:]
     if y.shape != ybar.shape:
         raise ValueError("observed vector has wrong dimension")
-    try:
-        f = scipy_cholesky(syy, lower=True)
-    except LinAlgError as exc:
-        raise SingularInnovationCov("Y-block covariance is numerically singular") from exc
-    gain = cho_solve((f, True), sxy.T).T
-    mean = xbar + gain @ (y - ybar)
-    cov = symmetrize(sxx - gain @ sxy.T)
-    return Gaussian(mean, cov)
+    shift, shrink = _conditioning_terms(joint.cov[k:, k:], joint.cov[:k, k:], y - ybar)
+    return Gaussian(xbar + shift, symmetrize(joint.cov[:k, :k] - shrink))
 
 
 def quadratic_form(v: np.ndarray, sigma: np.ndarray) -> float:
-    """v^T Sigma^{-1} v via triangular solves on the Cholesky factor."""
+    """v^T Sigma^{-1} v as |L^-1 v|^2 for the Cholesky factor L of Sigma."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     try:
-        f = scipy_cholesky(np.atleast_2d(np.asarray(sigma, dtype=float)), lower=True)
-    except LinAlgError as exc:
+        f = np.linalg.cholesky(_finite(np.atleast_2d(np.asarray(sigma, dtype=float))))
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrix("quadratic form matrix is numerically singular") from exc
-    w = solve_triangular(f, v, lower=True)
+    w = np.linalg.solve(f, v)
     return float(w @ w)

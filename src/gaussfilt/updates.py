@@ -11,18 +11,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .cubature import RuleKind, standard_rule, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
-from .errors import (
-    DivergedEvaluation,
-    LineSearchFailed,
-    OptimizerDidNotConverge,
-    SingularHessian,
-    SingularInnovationCov,
-)
+from .errors import DivergedEvaluation, LineSearchFailed, OptimizerDidNotConverge, SingularHessian
 from .gaussian import Gaussian, cholesky_factor, repair_covariance, symmetrize
+from .gaussian import _conditioning_terms, _finite
 from .models import ObsFunction, ProcessModel, central_difference
 
 _EPS = np.finfo(float).eps
@@ -41,8 +35,8 @@ class VariationalSettings:
     that step; ``None`` uses the map's own Jacobian.  Called without a
     gradient, ``bfgs_minimize`` takes ``fd_step`` (default
     sqrt(eps)*(1+|x_i|)) as its central-difference step.
-    ``hessian_fd_step`` is the step of the x-space Hessian whose inverse is
-    the posterior covariance; ``None`` means eps^(1/4)*(1+|x_i|).
+    ``hessian_fd_step`` is the step of the data term's x-space Hessian (the
+    prior term's is exact); ``None`` means eps^(1/4)*(1+|x_i|).
     """
 
     grad_tol: float | None = None
@@ -161,26 +155,13 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
     )
 
 
-def _finite(a):
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return a
-
-
 def _solve_lower(l, b, cholesky=False):
-    """x with L x = b, or L L^T x = b if ``cholesky``, for lower-triangular L:
-    LAPACK's trtrs/potrs called as scipy's solve_triangular/cho_solve call
-    them, with their finiteness checks but not their per-call overhead."""
-    if cholesky:
-        _finite(b)
-        x, info = dpotrs(_finite(l), b, lower=1)
-    elif l.flags.f_contiguous:
-        x, info = dtrtrs(_finite(l), _finite(b), lower=1)
-    else:
-        x, info = dtrtrs(_finite(l).T, _finite(b), lower=0, trans=1)
-    if info > 0:
-        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x
+    """x with L x = b, or L L^T x = b if ``cholesky``, for lower-triangular L;
+    a non-finite L or b raises ValueError, a zero on L's diagonal LinAlgError."""
+    if not np.diagonal(_finite(l)).all():
+        raise LinAlgError("singular matrix: a zero on the diagonal")
+    x = np.linalg.solve(l, _finite(b))
+    return np.linalg.solve(l.T, x) if cholesky else x
 
 
 def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
@@ -189,16 +170,9 @@ def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
     non-variational family supplies in its own way."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    # LAPACK's potrf/potrs, called as scipy's cho_factor/cho_solve call them,
-    # without the wrappers' per-call overhead; their finiteness checks stay.
-    s = _finite(symmetrize(p_zz + r))
-    f, info = dpotrf(s, lower=1, clean=0)
-    if info > 0:
-        raise SingularInnovationCov("innovation covariance is singular")
-    gain = dpotrs(f, _finite(p_xz).T, lower=1)[0].T
-    mean = prior.mean + gain @ obs_map.residual(y, z)
-    cov = repair_covariance(prior.cov - gain @ p_xz.T, diag)
-    return Gaussian._unchecked(mean, cov)
+    shift, shrink = _conditioning_terms(symmetrize(p_zz + r), p_xz, obs_map.residual(y, z))
+    cov = repair_covariance(prior.cov - shrink, diag)
+    return Gaussian._unchecked(prior.mean + shift, cov)
 
 
 def time_update_linear(
@@ -275,13 +249,16 @@ class WhitenedMisfit:
     1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2.  A point where the map leaves its
     domain scores inf.  Called at one u, it keeps the map's value and
     Jacobian there, from one joint call, for ``gradient``.  With ``fd_step``
-    set, that Jacobian is the central difference of that step.
+    set, that Jacobian is the central difference of that step.  L^-1 and
+    L_R^-1 are formed once, so every evaluation is a matrix product.
     """
 
     def __init__(self, prior, obs_map, y, r, fd_step=None, diag=None):
         self.mean = prior.mean
         self.l_prior = cholesky_factor(prior.cov, diag)
-        self.l_obs = cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag)
+        self.w_prior = _solve_lower(self.l_prior, np.eye(prior.dim))
+        l_obs = cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag)
+        self.w_obs = _solve_lower(l_obs, np.eye(l_obs.shape[0]))
         if fd_step is not None:
             base = obs_map
             obs_map = replace(
@@ -300,7 +277,7 @@ class WhitenedMisfit:
             preds = self.obs_map.rows(xs) if preds is None else preds
         except DivergedEvaluation:
             return np.full(xs.shape[0], np.inf)  # a probe left the map's domain
-        dr = _solve_lower(self.l_obs, self.obs_map.residual(self.y, preds).T)
+        dr = self.w_obs @ self.obs_map.residual(self.y, preds).T
         with np.errstate(over="ignore"):
             # an overflowing quadratic means a hopeless probe point; the
             # resulting inf makes the line search back off, as intended
@@ -308,7 +285,7 @@ class WhitenedMisfit:
 
     def at_x(self, xs):
         """J at stacked points (m, k)."""
-        dx = _solve_lower(self.l_prior, (xs - self.mean).T)
+        dx = self.w_prior @ (xs - self.mean).T
         with np.errstate(over="ignore"):
             return 0.5 * np.sum(dx * dx, axis=0) + self._data_term(xs)
 
@@ -332,9 +309,14 @@ class WhitenedMisfit:
             _, pred, jac = self._last  # the point just scored, as every accepted one is
         else:
             pred, jac = self.obs_map.value_and_jacobian(self.to_x(u))
-        w = _solve_lower(self.l_obs, self.obs_map.residual(self.y, pred))
-        a = _solve_lower(self.l_obs, jac @ self.l_prior)
+        w = self.w_obs @ self.obs_map.residual(self.y, pred)
+        a = self.w_obs @ jac @ self.l_prior
         return u - a.T @ w
+
+    def hessian(self, x, step=None):
+        """The x-space Hessian of J at one x: the prior term's L^-T L^-1
+        exactly, the data term's by ``numerical_hessian`` of that step."""
+        return self.w_prior.T @ self.w_prior + numerical_hessian(self._data_term, x, step)
 
 
 def measurement_update_variational(
@@ -346,7 +328,7 @@ def measurement_update_variational(
     diag: Diagnostics | None = None,
 ) -> Gaussian:
     """Posterior mean as the misfit minimizer, covariance as the inverse of
-    the numerically differenced x-space Hessian there.
+    the x-space Hessian there, whose data term is numerically differenced.
 
     BFGS runs in whitened coordinates from u = 0 (the prior mean), where the
     prior term's Hessian is the identity BFGS starts from, and takes the
@@ -363,7 +345,7 @@ def measurement_update_variational(
     if diag is not None:
         diag.bfgs_iterations += iters
     minimizer = misfit.to_x(u_min)
-    hess = numerical_hessian(misfit.at_x, minimizer, settings.hessian_fd_step)
+    hess = misfit.hessian(minimizer, settings.hessian_fd_step)
     try:
         lh = cholesky_factor(hess, diag)
     except Exception as exc:

@@ -1,8 +1,15 @@
 """Gaussian algebra: factorization, conditioning, quadratic forms."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gaussfilt
 from gaussfilt import Gaussian, JointGaussian, cholesky_factor, condition, quadratic_form
 from gaussfilt.diagnostics import Diagnostics
 from gaussfilt.errors import NotPositiveDefinite, SingularInnovationCov, SingularMatrix
@@ -74,6 +81,22 @@ class TestCholeskyFactor:
         with pytest.raises(NotPositiveDefinite):
             cholesky_factor(np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize(
+        "c",
+        [
+            [[np.nan]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[-1.0, 0.0], [0.0, np.nan]],
+        ],
+        ids=["nan", "nan-off-diagonal", "inf", "nan-after-failure"],
+    )
+    def test_non_finite_raises_without_jitter(self, c):
+        diag = Diagnostics()
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_factor(np.array(c), diag)
+        assert diag.jitters == 0
+
 
 class TestRepairCovariance:
     def test_psd_untouched(self):
@@ -99,6 +122,17 @@ class TestRepairCovariance:
     def test_large_negative_eigenvalue_raises(self):
         with pytest.raises(NotPositiveDefinite):
             repair_covariance(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize(
+        "c",
+        [[[np.nan]], [[np.inf]], [[1.0, 0.0], [0.0, np.nan]]],
+        ids=["nan", "inf", "nan-diagonal"],
+    )
+    def test_non_finite_raises_without_jitter(self, c):
+        diag = Diagnostics()
+        with pytest.raises(NotPositiveDefinite):
+            repair_covariance(np.array(c), diag)
+        assert diag.jitters == 0
 
 
 class TestCondition:
@@ -180,3 +214,34 @@ class TestQuadraticForm:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             quadratic_form([1.0, 1.0], np.zeros((2, 2)))
+
+
+def test_filter_steps_load_no_scipy():
+    # The Gaussian algebra runs on numpy.linalg alone: a fresh interpreter
+    # that runs one linearized and one cubature step has imported no SciPy.
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from gaussfilt import BistableSpec, FilterKind, Gaussian, bistable_models, run_filter
+        from gaussfilt import simulate_truth
+
+        process, obs = bistable_models(BistableSpec())
+        prior = Gaussian([0.8], [[0.02]])
+        truth = simulate_truth(process, obs, prior.mean, 1, np.random.default_rng(0))
+        for kind in (FilterKind("LGF"), FilterKind("CGSF", rule_degree=3)):
+            traj = run_filter(kind, process, obs, prior, truth.observations)
+            assert traj.error is None and len(traj.records) == 2, traj.error
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = str(Path(gaussfilt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

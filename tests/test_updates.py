@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from gaussfilt import (
     BistableSpec,
@@ -146,8 +146,8 @@ def _loop_hessian(f_batch, x, step):
 
 
 class TestSolveLower:
-    """The direct LAPACK solves equal scipy's solve_triangular and cho_solve
-    byte for byte."""
+    """The triangular and Cholesky solves are backward stable, and reject a
+    non-finite operand or a singular factor."""
 
     @staticmethod
     def _factor(rng, k, order):
@@ -157,7 +157,10 @@ class TestSolveLower:
     @pytest.mark.parametrize("k", [1, 2, 21])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("rhs", ["1-D", "2-D", "2-D view"])
-    def test_matches_scipy_byte_for_byte(self, k, order, rhs):
+    def test_small_backward_error(self, k, order, rhs):
+        # The normwise backward error of each solved column, |b - A x| over
+        # |A| |x| + |b| in the max norm, stays below k * eps.
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(k)
         for _ in range(5):
             lower = self._factor(rng, k, order)
@@ -166,12 +169,13 @@ class TestSolveLower:
                 "2-D": lambda: rng.standard_normal((k, 4)),
                 "2-D view": lambda: rng.standard_normal((7, k)).T,
             }[rhs]()
-            x = _solve_lower(lower, b)
-            ref = solve_triangular(lower, b, lower=True)
-            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
-            x = _solve_lower(lower, b, cholesky=True)
-            ref = cho_solve((lower, True), b)
-            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+            for cholesky, a in ((False, lower), (True, lower @ lower.T)):
+                x = _solve_lower(lower, b, cholesky)
+                assert x.shape == b.shape
+                xs, bs = x.reshape(k, -1), b.reshape(k, -1)
+                residual = np.max(np.abs(bs - a @ xs), axis=0)
+                scale = np.max(np.sum(np.abs(a), axis=1)) * np.max(np.abs(xs), axis=0)
+                assert np.all(residual <= k * eps * (scale + np.max(np.abs(bs), axis=0)))
 
     @pytest.mark.parametrize("cholesky", [False, True])
     @pytest.mark.parametrize("where", ["factor", "rhs"])
