@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from gaussfilt import (
     BistableSpec,
@@ -146,13 +146,43 @@ def _loop_hessian(f_batch, x, step):
 
 
 class TestSolveLower:
-    """The triangular and Cholesky solves are backward stable, and reject a
-    non-finite operand or a singular factor."""
+    """The triangular and Cholesky solves agree with scipy's solve_triangular
+    and cho_solve where no rounding occurs, are backward stable where it
+    does, and reject a non-finite operand or a singular factor."""
 
     @staticmethod
     def _factor(rng, k, order):
         a = np.tril(rng.standard_normal((k, k)), -1) + np.diag(rng.uniform(0.5, 2.0, k))
         return np.array(a, order=order)
+
+    @pytest.mark.parametrize("k", [1, 2, 21])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs", ["1-D", "2-D", "2-D view"])
+    def test_matches_scipy_byte_for_byte(self, k, order, rhs):
+        # A power-of-two diagonal that strictly dominates its column (so an LU
+        # solve takes no pivot), dyadic off-diagonals and a nonzero integer
+        # solution: every operation of any substitution or LU solve is exact,
+        # so both solvers must return that solution to the byte.
+        rng = np.random.default_rng(k)
+        layout = {
+            "1-D": lambda v: v,
+            "2-D": np.ascontiguousarray,
+            "2-D view": lambda v: np.ascontiguousarray(v.T).T,
+        }[rhs]
+        shape = {"1-D": (k,), "2-D": (k, 4), "2-D view": (k, 7)}[rhs]
+        for _ in range(5):
+            d = 2.0 ** rng.integers(0, 3, k)
+            a = np.tril(rng.integers(-1, 2, (k, k)) * d / 2, -1) + np.diag(d)
+            lower = np.array(a, order=order)
+            exact = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], shape)
+            b = layout(lower @ exact)
+            x, ref = _solve_lower(lower, b), solve_triangular(lower, b, lower=True)
+            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+            assert np.array_equal(ref, exact)
+            b = layout(lower @ (lower.T @ exact))
+            x, ref = _solve_lower(lower, b, cholesky=True), cho_solve((lower, True), b)
+            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+            assert np.array_equal(ref, exact)
 
     @pytest.mark.parametrize("k", [1, 2, 21])
     @pytest.mark.parametrize("order", ["C", "F"])
