@@ -190,8 +190,8 @@ def run_filter(
     """Fold the per-step update over the observation sequence.
 
     Deterministic families never touch the generator.  An unrecoverable
-    kernel error terminates the trajectory; the partial result is returned
-    together with the error.
+    kernel error, a ``GaussFiltError``, terminates the trajectory; the
+    partial result is returned together with the error.
     """
     observations = list(observations)
     if not observations:
@@ -199,11 +199,15 @@ def run_filter(
     step = smoothing_step if kind.is_smoothing else conventional_step
     records = [StepRecord(0, prior, Diagnostics())]
     posterior = prior
-    for n, y in enumerate(observations):
-        diag = Diagnostics()
-        try:
-            posterior = step(kind, posterior, process, obs, np.asarray(y, dtype=float), n, rng, diag)
-        except GaussFiltError as exc:
-            return FilterTrajectory(records, exc)
-        records.append(StepRecord(n + 1, posterior, diag))
+    # An overflow leaves a non-finite value, which a step raises as a
+    # GaussFiltError when a factorization or model output meets it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, y in enumerate(observations):
+            diag = Diagnostics()
+            y = np.asarray(y, dtype=float)
+            try:
+                posterior = step(kind, posterior, process, obs, y, n, rng, diag)
+            except GaussFiltError as exc:
+                return FilterTrajectory(records, exc)
+            records.append(StepRecord(n + 1, posterior, diag))
     return FilterTrajectory(records)

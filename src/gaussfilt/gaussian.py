@@ -29,14 +29,21 @@ def _psd_floor(cov: np.ndarray) -> float:
     return -1e-10 * max(np.trace(cov), 1e-300)
 
 
-def check_covariance(cov: np.ndarray, what: str) -> None:
-    """Raise ValueError unless the square float matrix ``cov`` is symmetric to
-    1e-12 of its scale and its least eigenvalue is at least ``_psd_floor``."""
+def as_covariance(cov, dim: int, what: str = "covariance") -> np.ndarray:
+    """``cov`` as a float (dim, dim) array; raises ValueError unless it has
+    that shape, is finite, is symmetric to 1e-12 of its scale and its least
+    eigenvalue is at least ``_psd_floor``."""
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if cov.shape != (dim, dim):
+        raise ValueError(f"{what} shape {cov.shape} incompatible with dimension {dim}")
+    if not np.isfinite(cov).all():
+        raise ValueError(f"{what} is not finite")
     scale = 1.0 + np.max(np.abs(cov)) if cov.size else 1.0
     if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12 * scale:
         raise ValueError(f"{what} is not symmetric")
     if cov.size and np.linalg.eigvalsh(cov)[0] < _psd_floor(cov):
         raise ValueError(f"{what} is not positive semi-definite")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -48,13 +55,10 @@ class Gaussian:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        if not np.isfinite(mean).all():
+            raise ValueError("mean is not finite")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise ValueError(f"covariance shape {cov.shape} incompatible with mean of dim {d}")
-        check_covariance(cov, "covariance")
+        object.__setattr__(self, "cov", as_covariance(self.cov, mean.shape[0]))
 
     @classmethod
     def _unchecked(cls, mean: np.ndarray, cov: np.ndarray) -> "Gaussian":
@@ -62,7 +66,7 @@ class Gaussian:
 
         ``mean`` is a float vector (d,) and ``cov`` a (d, d) matrix that
         ``repair_covariance`` returned, or a block-diagonal stack of checked
-        covariances; either passes ``check_covariance``.
+        covariances; either passes ``as_covariance``.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "mean", mean)
@@ -91,14 +95,6 @@ class JointGaussian:
             raise ValueError("split must lie strictly inside the stacked dimension")
 
 
-def _finite_factor(s: np.ndarray) -> np.ndarray:
-    """``s`` if its diagonal is finite: LAPACK may return a factor of a
-    non-finite matrix, and a NaN or inf anywhere reaches that diagonal."""
-    if not np.isfinite(s.diagonal()).all():
-        raise NotPositiveDefinite("covariance is not finite")
-    return s
-
-
 def cholesky_factor(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
     """Lower-triangular S with S S^T = C, adding escalating jitter on failure.
 
@@ -107,15 +103,17 @@ def cholesky_factor(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndarra
     covariance upstream.
     """
     c = symmetrize(np.atleast_2d(np.asarray(c, dtype=float)))
+    if not np.isfinite(c).all():
+        raise NotPositiveDefinite("covariance is not finite")
     d = c.shape[0]
     try:
-        return _finite_factor(np.linalg.cholesky(c))
+        return np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
         pass
     base = max(np.trace(c), 1e-300) / d
     for eps in JITTER_LADDER:
         try:
-            s = _finite_factor(np.linalg.cholesky(c + eps * base * np.eye(d)))
+            s = np.linalg.cholesky(c + eps * base * np.eye(d))
         except np.linalg.LinAlgError:
             continue
         if diag is not None:
@@ -129,7 +127,7 @@ def repair_covariance(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndar
 
     Large negative eigenvalues (beyond 1e-6 of the trace scale) and
     non-finite entries are treated as corruption and raised rather than
-    masked.  The result is exactly symmetric and passes ``check_covariance``,
+    masked.  The result is exactly symmetric and passes ``as_covariance``,
     so the kernels build their Gaussians from it unchecked.
     """
     c = symmetrize(np.atleast_2d(np.asarray(c, dtype=float)))
@@ -152,23 +150,24 @@ def repair_covariance(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndar
     return c
 
 
-def _finite(a):
-    """``a``, if it holds no inf or NaN."""
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return a
+def _inverse_factor(s, error, what):
+    """W = L^-1 for the Cholesky factor L of ``s``, with no jitter; raises
+    ``error`` if s is not finite or not positive definite."""
+    if not np.isfinite(s).all():
+        raise error(f"{what} is not finite")
+    try:
+        return np.linalg.inv(np.linalg.cholesky(s))
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what} is singular") from exc
 
 
 def _conditioning_terms(s, cross, innovation):
     """The shift C S^-1 v and the shrink C S^-1 C^T of conditioning on an
     observed block of covariance S, cross covariance C and innovation v, from
-    C W^T and W v; ValueError if S or C is not finite, SingularInnovationCov if
-    S is not positive definite."""
-    try:
-        w = np.linalg.inv(np.linalg.cholesky(_finite(s)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCov("innovation covariance is singular") from exc
-    a = _finite(cross) @ w.T
+    C W^T and W v; SingularInnovationCov unless S is finite and positive
+    definite."""
+    w = _inverse_factor(s, SingularInnovationCov, "innovation covariance")
+    a = cross @ w.T
     return a @ (w @ innovation), a @ a.T
 
 
@@ -185,11 +184,9 @@ def condition(joint: JointGaussian, y: np.ndarray) -> Gaussian:
 
 
 def quadratic_form(v: np.ndarray, sigma: np.ndarray) -> float:
-    """v^T Sigma^{-1} v as |L^-1 v|^2 for the Cholesky factor L of Sigma."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    try:
-        f = np.linalg.cholesky(_finite(np.atleast_2d(np.asarray(sigma, dtype=float))))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("quadratic form matrix is numerically singular") from exc
-    w = np.linalg.solve(f, v)
+    """v^T Sigma^{-1} v as |L^-1 v|^2 for the Cholesky factor L of Sigma;
+    SingularMatrix unless Sigma is finite and positive definite."""
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    w = _inverse_factor(sigma, SingularMatrix, "quadratic form matrix")
+    w = w @ np.atleast_1d(np.asarray(v, dtype=float))
     return float(w @ w)

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DivergedEvaluation
-from .gaussian import Gaussian, check_covariance
+from .gaussian import Gaussian, as_covariance
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
@@ -41,16 +41,6 @@ def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.nda
     return central_difference(ObsFunction(fn).rows, x)
 
 
-def _covariance(cov, what: str, dim: int) -> np.ndarray:
-    """``cov`` as a float (dim, dim) array; raises ValueError unless it has
-    that shape and passes ``check_covariance``."""
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if cov.shape != (dim, dim):
-        raise ValueError(f"{what} shape {cov.shape} does not match dimension {dim}")
-    check_covariance(cov, what)
-    return cov
-
-
 @dataclass(frozen=True)
 class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
@@ -72,7 +62,7 @@ class ProcessModel:
     linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_cov", _covariance(self.noise_cov, "noise_cov", self.noise_dim))
+        object.__setattr__(self, "noise_cov", as_covariance(self.noise_cov, self.noise_dim, "noise_cov"))
 
     def at_step(self, n: int) -> "ObsFunction":
         """The forward map at step n as a map of augmented points z = [x, xi]."""
@@ -121,7 +111,7 @@ class ObservationModel:
     vectorized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "obs_cov", _covariance(self.obs_cov, "obs_cov", self.obs_dim))
+        object.__setattr__(self, "obs_cov", as_covariance(self.obs_cov, self.obs_dim, "obs_cov"))
 
     def at_step(self, n: int) -> "ObsFunction":
         """The observation map frozen at step n, for measurement updates."""

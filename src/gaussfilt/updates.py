@@ -10,13 +10,17 @@ and the map is the observation composed with one forward step.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .cubature import RuleKind, standard_rule, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
-from .errors import DivergedEvaluation, LineSearchFailed, OptimizerDidNotConverge, SingularHessian
-from .gaussian import Gaussian, cholesky_factor, repair_covariance, symmetrize
-from .gaussian import _conditioning_terms, _finite
+from .errors import (
+    DivergedEvaluation,
+    LineSearchFailed,
+    NotPositiveDefinite,
+    OptimizerDidNotConverge,
+    SingularHessian,
+)
+from .gaussian import Gaussian, _conditioning_terms, cholesky_factor, repair_covariance, symmetrize
 from .models import ObsFunction, ProcessModel, central_difference
 
 _EPS = np.finfo(float).eps
@@ -155,15 +159,6 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
     )
 
 
-def _solve_lower(l, b, cholesky=False):
-    """x with L x = b, or L L^T x = b if ``cholesky``, for lower-triangular L;
-    a non-finite L or b raises ValueError, a zero on L's diagonal LinAlgError."""
-    if not np.diagonal(_finite(l)).all():
-        raise LinAlgError("singular matrix: a zero on the diagonal")
-    x = np.linalg.solve(l, _finite(b))
-    return np.linalg.solve(l.T, x) if cholesky else x
-
-
 def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
     """The Gaussian measurement update from the predicted observation z, the
     cross covariance P_xz and the observation covariance P_zz, which every
@@ -256,9 +251,8 @@ class WhitenedMisfit:
     def __init__(self, prior, obs_map, y, r, fd_step=None, diag=None):
         self.mean = prior.mean
         self.l_prior = cholesky_factor(prior.cov, diag)
-        self.w_prior = _solve_lower(self.l_prior, np.eye(prior.dim))
-        l_obs = cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag)
-        self.w_obs = _solve_lower(l_obs, np.eye(l_obs.shape[0]))
+        self.w_prior = np.linalg.inv(self.l_prior)
+        self.w_obs = np.linalg.inv(cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag))
         if fd_step is not None:
             base = obs_map
             obs_map = replace(
@@ -348,7 +342,7 @@ def measurement_update_variational(
     hess = misfit.hessian(minimizer, settings.hessian_fd_step)
     try:
         lh = cholesky_factor(hess, diag)
-    except Exception as exc:
+    except NotPositiveDefinite as exc:
         raise SingularHessian("misfit Hessian not invertible at the minimizer") from exc
-    cov = repair_covariance(_solve_lower(lh, np.eye(hess.shape[0]), cholesky=True), diag)
+    cov = repair_covariance(np.linalg.solve(lh.T, np.linalg.inv(lh)), diag)
     return Gaussian._unchecked(minimizer, cov)

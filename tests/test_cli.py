@@ -107,8 +107,10 @@ def test_run_overrides_round_trip_through_config_echo(tmp_path, capsys):
         },
         {"truth_x0": "prior_sample"},
         {"truth_x0": [0.1, 0.2]},
+        {"params": {"substeps": 5, "obs_var": float("nan")}},
+        {"prior": {"mean": [0.8], "cov": [[float("nan")]]}},
     ],
-    ids=["negative-obs-var", "unknown-truth-x0", "truth-x0-wrong-dim"],
+    ids=["negative-obs-var", "unknown-truth-x0", "truth-x0-wrong-dim", "nan-obs-var", "nan-prior-cov"],
 )
 def test_validate_rejects_what_run_would_fail_on(tmp_path, capsys, overrides):
     path = write_config(tmp_path, **overrides)

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from gaussfilt import (
+    BistableSpec,
     FilterKind,
     Gaussian,
     JointGaussian,
     ObservationModel,
     VariationalSettings,
+    bistable_models,
     condition,
     conventional_step,
     run_filter,
+    simulate_truth,
     smoothing_step,
 )
-from gaussfilt.errors import DivergedEvaluation
+from gaussfilt.errors import DivergedEvaluation, SingularInnovationCov
 from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.models import ObsFunction, ProcessModel, augment, composed_observation
 from gaussfilt.updates import measurement_update_linear
@@ -280,3 +283,29 @@ class TestRunFilter:
         traj = run_filter(FilterKind(family), process, obs, Gaussian([0.0], [[1.0]]), [0.5, 0.2])
         assert isinstance(traj.error, DivergedEvaluation)
         assert len(traj.records) == 1
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_overflowing_innovation_covariance_aborts_the_trajectory(self, family):
+        # A random walk observed through 1e200 x overflows the innovation
+        # covariance; every family must end the trajectory with a package
+        # error and let no exception or warning escape (VGF and VGSF reach it
+        # through the linearized fallback).
+        walk = ProcessModel(
+            propagate=lambda n, x, xi: x + xi, noise_cov=[[1.0]], state_dim=1, noise_dim=1
+        )
+        obs = ObservationModel(observe=lambda n, x: 1e200 * x, obs_cov=[[1.0]], obs_dim=1)
+        rng = np.random.default_rng(0)
+        traj = run_filter(FilterKind(family), walk, obs, Gaussian([0.0], [[1.0]]), [1.0, 2.0], rng)
+        assert isinstance(traj.error, SingularInnovationCov)
+        assert len(traj.records) == 1
+
+    def test_non_finite_hessian_falls_back_without_warning(self):
+        # A Hessian step of 1e3 sends the bistable misfit's probes out of the
+        # map's domain, so the data-term Hessian is not finite and every step
+        # falls back to the linearized update, silently.
+        process, obs = bistable_models(BistableSpec())
+        run = simulate_truth(process, obs, np.array([0.8]), 3, np.random.default_rng(0))
+        kind = FilterKind("VGSF", variational=VariationalSettings(hessian_fd_step=1e3))
+        traj = run_filter(kind, process, obs, Gaussian([0.8], [[0.02]]), run.observations)
+        assert traj.error is None
+        assert [r.diagnostics.fallbacks for r in traj.records[1:]] == [1, 1, 1]

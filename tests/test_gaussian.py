@@ -33,6 +33,21 @@ class TestGaussianInvariants:
         with pytest.raises(ValueError, match="incompatible"):
             Gaussian([0.0, 0.0], [[1.0]])
 
+    @pytest.mark.parametrize(
+        "mean, cov, match",
+        [
+            ([0.0], [[np.nan]], "covariance is not finite"),
+            ([0.0], [[np.inf]], "covariance is not finite"),
+            ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]], "covariance is not finite"),
+            ([np.nan], [[1.0]], "mean is not finite"),
+            ([0.0, np.inf], np.eye(2), "mean is not finite"),
+        ],
+        ids=["nan-cov", "inf-cov", "nan-off-diagonal", "nan-mean", "inf-mean"],
+    )
+    def test_rejects_non_finite(self, mean, cov, match):
+        with pytest.raises(ValueError, match=match):
+            Gaussian(mean, cov)
+
     def test_scalar_inputs_promoted(self):
         g = Gaussian(0.8, 0.02)
         assert g.mean.shape == (1,)

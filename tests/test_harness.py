@@ -239,6 +239,51 @@ class TestRunExperiment:
         expected = np.sqrt(np.mean(err[:, 1:4] ** 2, axis=1))
         assert np.allclose(result.time_averaged_rmse("LGF", window=cfg.window), expected)
 
+    def test_aborted_trajectory_is_recorded_and_back_filled(self):
+        # A prior straddling both wells: the degree-5 rule's negative weights
+        # (augmented dim 21 > 4) make CGSF5 abort at its first step, so every
+        # step keeps the last mean, the prior's.
+        raw = bistable_config(
+            params={},
+            filters=[{"family": "CGSF", "rule_degree": 5}, {"family": "LGF"}],
+            replicates=1,
+            steps=3,
+            prior={"mean": [0.1], "cov": [[0.5]]},
+            truth_x0="prior-sample",
+        )
+        result = run_experiment(ExperimentConfig.from_dict(raw))
+        assert [(r, lab) for r, lab, _ in result.failures] == [(0, "CGSF5")]
+        assert "beyond repair" in result.failures[0][2]
+        assert np.array_equal(result.estimates["CGSF5"], np.full((1, 3, 1), 0.1))
+        assert np.array_equal(result.diagnostics["CGSF5"], np.zeros((1, 3, 3)))
+        assert np.all(result.estimates["LGF"] != 0.1)
+
+    @pytest.mark.parametrize(
+        "testbed, mean, var, dt_obs",
+        [
+            ("lorenz63", [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 0.01),
+            ("tracking", [1e3, 3e2, 1e3, 0.0, -0.05], [100.0, 10.0, 100.0, 10.0, 1e-4], 1.0),
+        ],
+    )
+    def test_prior_sample_truth_on_each_testbed(self, testbed, mean, var, dt_obs):
+        raw = bistable_config(
+            testbed=testbed,
+            params={},
+            filters=[{"family": "CGF", "rule_degree": 3}],
+            replicates=2,
+            steps=2,
+            prior={"mean": mean, "cov": np.diag(var).tolist()},
+            truth_x0="prior-sample",
+        )
+        result = run_experiment(ExperimentConfig.from_dict(raw))
+        assert result.dt_obs == dt_obs and not result.failures
+        assert result.truths.shape == (2, 3, len(mean))
+        assert np.isfinite(result.estimates["CGF3"]).all()
+        for r in range(2):
+            # the truth starts from a draw of N(mean, diag(var)) on the replicate's stream
+            z = np.random.default_rng(replicate_seed(7, r)).standard_normal(len(mean))
+            assert np.allclose(result.truths[r, 0], np.array(mean) + np.sqrt(var) * z)
+
 
 class TestWriteResults:
     def test_files_and_row_counts(self, tmp_path):

@@ -160,6 +160,8 @@ class TestProcessModelNoiseCov:
             (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
             (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive semi-definite"),
             (np.eye(3), "shape"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "not finite"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "not finite"),
         ],
     )
     def test_rejected_at_construction(self, noise_cov, match):
@@ -181,6 +183,8 @@ class TestObservationModelObsCov:
             (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
             (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive semi-definite"),
             (np.eye(3), "shape"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "not finite"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "not finite"),
         ],
     )
     def test_rejected_at_construction(self, obs_cov, match):

@@ -4,8 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.linalg import LinAlgError
-from scipy.linalg import cho_solve, solve_triangular
 
 from gaussfilt import (
     BistableSpec,
@@ -37,7 +35,7 @@ from gaussfilt.models import (
     composed_observation,
 )
 from gaussfilt.cubature import symmetric_stencil
-from gaussfilt.updates import WhitenedMisfit, _solve_lower, numerical_hessian
+from gaussfilt.updates import WhitenedMisfit, numerical_hessian
 
 
 def linear_process(a, gamma):
@@ -143,91 +141,6 @@ def _loop_hessian(f_batch, x, step):
             numerical_hessian(lambda xs: seen.append(xs.copy()) or np.zeros(xs.shape[0]), x, step)
             h = np.full(k, step) if step else np.finfo(float).eps ** 0.25 * (1.0 + np.abs(x))
             assert seen[0].tobytes() == (x + symmetric_stencil(h, h)).tobytes()
-
-
-class TestSolveLower:
-    """The triangular and Cholesky solves agree with scipy's solve_triangular
-    and cho_solve where no rounding occurs, are backward stable where it
-    does, and reject a non-finite operand or a singular factor."""
-
-    @staticmethod
-    def _factor(rng, k, order):
-        a = np.tril(rng.standard_normal((k, k)), -1) + np.diag(rng.uniform(0.5, 2.0, k))
-        return np.array(a, order=order)
-
-    @pytest.mark.parametrize("k", [1, 2, 21])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("rhs", ["1-D", "2-D", "2-D view"])
-    def test_matches_scipy_byte_for_byte(self, k, order, rhs):
-        # A power-of-two diagonal that strictly dominates its column (so an LU
-        # solve takes no pivot), dyadic off-diagonals and a nonzero integer
-        # solution: every operation of any substitution or LU solve is exact,
-        # so both solvers must return that solution to the byte.
-        rng = np.random.default_rng(k)
-        layout = {
-            "1-D": lambda v: v,
-            "2-D": np.ascontiguousarray,
-            "2-D view": lambda v: np.ascontiguousarray(v.T).T,
-        }[rhs]
-        shape = {"1-D": (k,), "2-D": (k, 4), "2-D view": (k, 7)}[rhs]
-        for _ in range(5):
-            d = 2.0 ** rng.integers(0, 3, k)
-            a = np.tril(rng.integers(-1, 2, (k, k)) * d / 2, -1) + np.diag(d)
-            lower = np.array(a, order=order)
-            exact = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], shape)
-            b = layout(lower @ exact)
-            x, ref = _solve_lower(lower, b), solve_triangular(lower, b, lower=True)
-            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
-            assert np.array_equal(ref, exact)
-            b = layout(lower @ (lower.T @ exact))
-            x, ref = _solve_lower(lower, b, cholesky=True), cho_solve((lower, True), b)
-            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
-            assert np.array_equal(ref, exact)
-
-    @pytest.mark.parametrize("k", [1, 2, 21])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("rhs", ["1-D", "2-D", "2-D view"])
-    def test_small_backward_error(self, k, order, rhs):
-        # The normwise backward error of each solved column, |b - A x| over
-        # |A| |x| + |b| in the max norm, stays below k * eps.
-        eps = np.finfo(float).eps
-        rng = np.random.default_rng(k)
-        for _ in range(5):
-            lower = self._factor(rng, k, order)
-            b = {
-                "1-D": lambda: rng.standard_normal(k),
-                "2-D": lambda: rng.standard_normal((k, 4)),
-                "2-D view": lambda: rng.standard_normal((7, k)).T,
-            }[rhs]()
-            for cholesky, a in ((False, lower), (True, lower @ lower.T)):
-                x = _solve_lower(lower, b, cholesky)
-                assert x.shape == b.shape
-                xs, bs = x.reshape(k, -1), b.reshape(k, -1)
-                residual = np.max(np.abs(bs - a @ xs), axis=0)
-                scale = np.max(np.sum(np.abs(a), axis=1)) * np.max(np.abs(xs), axis=0)
-                assert np.all(residual <= k * eps * (scale + np.max(np.abs(bs), axis=0)))
-
-    @pytest.mark.parametrize("cholesky", [False, True])
-    @pytest.mark.parametrize("where", ["factor", "rhs"])
-    def test_nan_raises_value_error(self, cholesky, where):
-        rng = np.random.default_rng(0)
-        lower, b = self._factor(rng, 3, "C"), rng.standard_normal(3)
-        if where == "factor":
-            lower[1, 0] = np.nan
-        else:
-            b[1] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            _solve_lower(lower, b, cholesky)
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_zero_diagonal_raises_lin_alg_error(self, order, k):
-        lower = self._factor(np.random.default_rng(1), k, order)
-        lower[k - 1, k - 1] = 0.0
-        with pytest.raises(LinAlgError, match="singular"):
-            _solve_lower(lower, np.ones(k))
-        with pytest.raises(LinAlgError, match="singular"):
-            solve_triangular(lower, np.ones(k), lower=True)
 
 
 class TestBfgsMinimize:
