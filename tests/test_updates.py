@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
 
 from gaussfilt import (
     BistableSpec,
@@ -25,7 +26,13 @@ from gaussfilt import (
     time_update_points,
     turn_models,
 )
-from gaussfilt.errors import DivergedEvaluation, LineSearchFailed, OptimizerDidNotConverge
+from gaussfilt.errors import (
+    DivergedEvaluation,
+    LineSearchFailed,
+    OptimizerDidNotConverge,
+    SingularMatrix,
+)
+from gaussfilt.gaussian import _conditioning_terms, _inverse_factor
 from gaussfilt.models import (
     ObservationModel,
     ObsFunction,
@@ -141,6 +148,51 @@ def _loop_hessian(f_batch, x, step):
             numerical_hessian(lambda xs: seen.append(xs.copy()) or np.zeros(xs.shape[0]), x, step)
             h = np.full(k, step) if step else np.finfo(float).eps ** 0.25 * (1.0 + np.abs(x))
             assert seen[0].tobytes() == (x + symmetric_stencil(h, h)).tobytes()
+
+
+class TestSolveLower:
+    """The two lower-triangular solves the kernels whiten with agree with
+    SciPy's solve_triangular and cho_solve where no rounding occurs:
+    L x = b as W b, for the W = L^-1 that ``_inverse_factor`` forms from
+    L L^T, and L L^T x = b as the shift that ``_conditioning_terms`` returns
+    for a unit cross covariance."""
+
+    @staticmethod
+    def _solve_lower(lower, b, cholesky=False):
+        s = lower @ lower.T
+        if cholesky:
+            return _conditioning_terms(s, np.eye(s.shape[0]), b)[0]
+        return _inverse_factor(s, SingularMatrix, "L L^T") @ b
+
+    @pytest.mark.parametrize("k", [1, 2, 21])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs", ["1-D", "2-D", "2-D view"])
+    def test_matches_scipy_byte_for_byte(self, k, order, rhs):
+        # A power-of-two diagonal that strictly dominates its column (so an LU
+        # solve takes no pivot), dyadic off-diagonals and a nonzero integer
+        # solution: every operation of the Cholesky factorization, of any
+        # substitution or LU solve and of the products is exact, so both
+        # sides must return that solution to the byte.
+        rng = np.random.default_rng(k)
+        layout = {
+            "1-D": lambda v: v,
+            "2-D": np.ascontiguousarray,
+            "2-D view": lambda v: np.ascontiguousarray(v.T).T,
+        }[rhs]
+        shape = {"1-D": (k,), "2-D": (k, 4), "2-D view": (k, 7)}[rhs]
+        for _ in range(5):
+            d = 2.0 ** rng.integers(0, 3, k)
+            a = np.tril(rng.integers(-1, 2, (k, k)) * d / 2, -1) + np.diag(d)
+            lower = np.array(a, order=order)
+            exact = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], shape)
+            b = layout(lower @ exact)
+            x, ref = self._solve_lower(lower, b), solve_triangular(lower, b, lower=True)
+            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+            assert np.array_equal(ref, exact)
+            b = layout(lower @ (lower.T @ exact))
+            x, ref = self._solve_lower(lower, b, cholesky=True), cho_solve((lower, True), b)
+            assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+            assert np.array_equal(ref, exact)
 
 
 class TestBfgsMinimize:
