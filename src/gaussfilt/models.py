@@ -36,11 +36,6 @@ def central_difference(rows: Callable, x: np.ndarray, step: float | None = None)
     return ((vals[:k] - vals[k:]) / (2.0 * h)[:, None]).T
 
 
-def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a one-point function, step sqrt(eps)*(1+|x_i|)."""
-    return central_difference(ObsFunction(fn).rows, x)
-
-
 @dataclass(frozen=True)
 class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
@@ -70,9 +65,9 @@ class ProcessModel:
         split = lambda f: None if f is None else (lambda z: f(n, z[..., :d], z[..., d:]))
         return ObsFunction(
             fn=split(self.propagate),
+            out_dim=d,
             jacobian=split(self.jacobian),
             vectorized=self.vectorized,
-            out_dim=d,
             linearize=split(self.linearize),
         )
 
@@ -87,26 +82,25 @@ class ProcessModel:
         return self.at_step(n).value_and_jacobian(z)
 
     def full_jacobian(self, n: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """d x (d+D) Jacobian of the forward map in the augmented variable."""
-        return self.at_step(n).jac(np.concatenate([x, xi]))
+        """The Jacobian from ``value_and_jacobian``; kept only because the
+        benchmark's tracer binds a span to this name."""
+        return self.value_and_jacobian(n, np.concatenate([x, xi]))[1]
 
 
 @dataclass(frozen=True)
 class ObservationModel:
     """Observation map y_n = observe(n, x) + eta_n with eta ~ N(0, obs_cov).
 
-    ``innovation`` computes the residual between an observed and a predicted
-    observation; the default is plain subtraction, and models with angular
-    components substitute a wrapping residual.  ``wrap_observation``
-    normalizes synthetic observations after noise is added.  ``obs_cov`` is
-    checked once, here, as ``ProcessModel`` checks ``noise_cov``.
+    ``wrap_observation`` normalizes an observation, e.g. wraps an angular
+    component into (-pi, pi]; it is applied to synthetic observations after
+    noise is added and to every residual y - y_hat.  ``obs_cov`` is checked
+    once, here, as ``ProcessModel`` checks ``noise_cov``.
     """
 
     observe: Callable
     obs_cov: np.ndarray
     obs_dim: int
     jacobian: Callable | None = None  # (n, x) -> d' x d
-    innovation: Callable | None = None
     wrap_observation: Callable | None = None
     vectorized: bool = False
 
@@ -117,40 +111,44 @@ class ObservationModel:
         """The observation map frozen at step n, for measurement updates."""
         return ObsFunction(
             fn=lambda x: self.observe(n, x),
-            jacobian=None if self.jacobian is None else (lambda x: self.jacobian(n, x)),
-            innovation=self.innovation,
-            vectorized=self.vectorized,
             out_dim=self.obs_dim,
+            jacobian=None if self.jacobian is None else (lambda x: self.jacobian(n, x)),
+            wrap_observation=self.wrap_observation,
+            vectorized=self.vectorized,
         )
 
 
 @dataclass(frozen=True)
 class ObsFunction:
-    """A concrete observation map handed to the measurement-update kernels.
-
-    When ``vectorized`` is set, fn maps stacked points (m, k) to (m, out_dim);
-    otherwise ``rows`` calls it once per row.
+    """The one path by which a map's values, Jacobians and residuals reach the
+    kernels, and the one place their shapes are checked.  When ``vectorized``
+    is set, fn maps stacked points (m, k) to (m, out_dim); otherwise ``rows``
+    calls it once per row.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
+    out_dim: int
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    innovation: Callable | None = None
+    wrap_observation: Callable | None = None
     vectorized: bool = False
-    out_dim: int | None = None
     linearize: Callable | None = None  # x -> (value, Jacobian) from one evaluation
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
         """The map at stacked points (m, k); returns (m, out_dim).
 
         The one path that acts on ``vectorized``, for observation and process
-        maps alike; raises DivergedEvaluation if any output is not finite.
+        maps alike; raises DimensionMismatch or, if not finite, DivergedEvaluation.
         """
+        m = xs.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.vectorized:
                 out = self.fn(xs)
             else:
-                out = [np.atleast_1d(self.fn(x)) for x in xs]
-            out = np.asarray(out, dtype=float).reshape(xs.shape[0], self.out_dim or -1)
+                out = np.concatenate([np.ravel(self.fn(x)) for x in xs])
+            out = np.asarray(out, dtype=float)
+        if out.size != m * self.out_dim:
+            raise DimensionMismatch(f"map returned shape {out.shape}, not ({m}, {self.out_dim})")
+        out = out.reshape(m, self.out_dim)
         if not np.isfinite(out).all():
             raise DivergedEvaluation("pushed points are not finite")
         return out
@@ -159,14 +157,15 @@ class ObsFunction:
         return self.rows(np.asarray(x, dtype=float)[None])[0]
 
     def residual(self, y: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-        if self.innovation is not None:
-            return self.innovation(y, predicted)
-        return y - predicted
+        """y - predicted, passed through ``wrap_observation`` when set."""
+        r = np.subtract(y, predicted)
+        return r if self.wrap_observation is None else self.wrap_observation(r)
 
     def value_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The map at one point x and its Jacobian there, from one ``linearize``
         call when that is given, else ``self(x)`` and ``jacobian`` (central
-        differences when None).  Raises DivergedEvaluation if either is not finite."""
+        differences when None).  Raises DimensionMismatch unless they are
+        (out_dim,) and (out_dim, len(x)), DivergedEvaluation if not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
             if self.linearize is not None:
                 value, jac = self.linearize(x)
@@ -175,12 +174,12 @@ class ObsFunction:
             else:
                 value, jac = self(x), central_difference(self.rows, x)
             value, jac = np.asarray(value, dtype=float), np.atleast_2d(jac)
+        expected = (self.out_dim,), (self.out_dim, len(x))
+        if (value.shape, jac.shape) != expected:
+            raise DimensionMismatch(f"value and Jacobian {value.shape}, {jac.shape}, not {expected}")
         if not (np.isfinite(value).all() and np.isfinite(jac).all()):
             raise DivergedEvaluation("value or Jacobian is not finite")
         return value, jac
-
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_jacobian(x)[1]
 
 
 @dataclass(frozen=True)
@@ -297,8 +296,8 @@ def composed_observation(process: ProcessModel, obs: ObservationModel, n: int) -
 
     return ObsFunction(
         fn=lambda z: obs_next.rows(process.forward(n, z)),
-        innovation=obs.innovation,
-        vectorized=True,
         out_dim=obs.obs_dim,
+        wrap_observation=obs.wrap_observation,
+        vectorized=True,
         linearize=linearize,
     )

@@ -264,7 +264,6 @@ def turn_models(spec: TurnModelSpec) -> tuple[ProcessModel, ObservationModel]:
         obs_cov=np.diag([spec.range_var, spec.bearing_var]),
         obs_dim=2,
         jacobian=obs_jacobian,
-        innovation=lambda y, predicted: wrap_observation(np.subtract(y, predicted)),
         wrap_observation=wrap_observation,
         vectorized=True,
     )
@@ -288,7 +287,8 @@ def simulate_truth(
     steps: int,
     rng: np.random.Generator,
 ) -> TruthRun:
-    """Roll out the truth and synthetic observations for a twin experiment."""
+    """Roll out the truth and synthetic observations for a twin experiment,
+    evaluating the models as the filters do (DivergedEvaluation if not finite)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     s_gamma = psd_sqrt(process.noise_cov)
@@ -298,10 +298,10 @@ def simulate_truth(
     ys = []
     for n in range(steps):
         xi = s_gamma @ rng.standard_normal(process.noise_dim)
-        x = np.atleast_1d(process.propagate(n, x, xi))
-        y = np.atleast_1d(obs.observe(n + 1, x)) + s_r @ rng.standard_normal(obs.obs_dim)
+        x = process.forward(n, np.concatenate([x, xi])[None])[0]
+        y = obs.at_step(n + 1)(x) + s_r @ rng.standard_normal(obs.obs_dim)
         if obs.wrap_observation is not None:
             y = obs.wrap_observation(y)
         truth.append(x)
-        ys.append(np.atleast_1d(y))
+        ys.append(y)
     return TruthRun(np.array(truth), np.array(ys))

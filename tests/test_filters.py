@@ -17,7 +17,7 @@ from gaussfilt import (
     simulate_truth,
     smoothing_step,
 )
-from gaussfilt.errors import DivergedEvaluation, SingularInnovationCov
+from gaussfilt.errors import DimensionMismatch, DivergedEvaluation, SingularInnovationCov
 from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.models import ObsFunction, ProcessModel, augment, composed_observation
 from gaussfilt.updates import measurement_update_linear
@@ -298,6 +298,42 @@ class TestRunFilter:
         traj = run_filter(FilterKind(family), walk, obs, Gaussian([0.0], [[1.0]]), [1.0, 2.0], rng)
         assert isinstance(traj.error, SingularInnovationCov)
         assert len(traj.records) == 1
+
+    @pytest.mark.parametrize(
+        "output,family",
+        [("observation", f) for f in ALL_FAMILIES]
+        + [(out, f) for out in ("obs-jacobian", "process-jacobian") for f in ("LGF", "LGSF", "VGF", "VGSF")]
+        + [("ragged-observation", f) for f in ("CGF", "PGF", "CGSF", "PGSF")],
+    )
+    def test_wrong_shaped_model_output_aborts_the_trajectory(self, output, family):
+        # A scalar model that returns one output of the wrong shape: two
+        # observation components (everywhere, or only at negative points), or
+        # a Jacobian with one column too many.  The model boundary must reject
+        # it with the shapes, ending only the trajectory.
+        def observe(n, x):
+            wrong = output == "observation" or (output == "ragged-observation" and x[0] < 0)
+            return np.concatenate([x, x]) if wrong else x
+
+        process = ProcessModel(
+            propagate=lambda n, x, xi: A * x + xi,
+            noise_cov=[[GAMMA]],
+            state_dim=1,
+            noise_dim=1,
+            jacobian=lambda n, x, xi: [[A, 1.0, 0.0]] if output == "process-jacobian" else [[A, 1.0]],
+        )
+        obs = ObservationModel(
+            observe=observe,
+            obs_cov=[[R]],
+            obs_dim=1,
+            jacobian=lambda n, x: [[1.0, 0.0]] if output == "obs-jacobian" else [[1.0]],
+        )
+        rng = np.random.default_rng(0)
+        kind = FilterKind(family, sample_count=50)
+        traj = run_filter(kind, process, obs, Gaussian([0.0], [[1.0]]), [0.5, 0.2], rng)
+        assert isinstance(traj.error, DimensionMismatch)
+        assert len(traj.records) == 1
+        named = {"obs-jacobian": "(1, 2), not", "process-jacobian": "(1, 3), not"}
+        assert named.get(output, "map returned shape (") in str(traj.error)
 
     def test_non_finite_hessian_falls_back_without_warning(self):
         # A Hessian step of 1e3 sends the bistable misfit's probes out of the

@@ -21,17 +21,17 @@ from gaussfilt import (
     turn_models,
 )
 from gaussfilt.errors import DimensionMismatch, DivergedEvaluation
-from gaussfilt.models import finite_difference_jacobian
+from gaussfilt.models import ObsFunction, central_difference
 
 
 class TestFiniteDifferenceJacobian:
     def test_linear_map_exact(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        j = finite_difference_jacobian(lambda x: a @ x, np.array([0.3, -0.7]))
+        j = central_difference(ObsFunction(lambda x: a @ x, out_dim=3).rows, np.array([0.3, -0.7]))
         assert np.max(np.abs(j - a)) <= 1e-7
 
     def test_quadratic(self):
-        j = finite_difference_jacobian(lambda x: np.array([x[0] ** 2]), np.array([3.0]))
+        j = central_difference(ObsFunction(lambda x: np.array([x[0] ** 2]), out_dim=1).rows, np.array([3.0]))
         assert np.isclose(j[0, 0], 6.0, atol=1e-5)
 
 
@@ -103,9 +103,7 @@ class TestDiscretizeSde:
         for _ in range(20):
             x, xi = rng.standard_normal(1), 0.1 * rng.standard_normal(3)
             analytic = model.full_jacobian(0, x, xi)
-            numeric = finite_difference_jacobian(
-                lambda z: model.propagate(0, z[:1], z[1:]), np.concatenate([x, xi])
-            )
+            numeric = central_difference(model.at_step(0).rows, np.concatenate([x, xi]))
             assert np.max(np.abs(analytic - numeric)) <= 1e-5 * (1 + np.max(np.abs(analytic)))
 
     def test_invalid_spec(self):
@@ -260,7 +258,7 @@ class TestComposedObservation:
         )
         psi = composed_observation(process, obs, 0)
         z = np.array([0.5, -0.5, 0.1, 0.2])
-        assert np.allclose(psi.jac(z), np.hstack([h @ a, h]))
+        assert np.allclose(psi.value_and_jacobian(z)[1], np.hstack([h @ a, h]))
 
 
 def _two_loop_reference(spec):
@@ -460,10 +458,10 @@ class TestValueAndJacobian:
                 z[:d] = [1e3, 3e2, 1e3, 0.0, -0.05] + z[:d]
             value, jac = psi.value_and_jacobian(z)
             x_next = process.forward(2, z[None])[0]
-            chain = obs.at_step(3).jac(x_next) @ process.full_jacobian(2, z[:d], z[d:])
+            chain = obs.at_step(3).value_and_jacobian(x_next)[1] @ process.full_jacobian(2, z[:d], z[d:])
             assert value.tobytes() == psi.rows(z[None])[0].tobytes()
             assert jac.tobytes() == chain.tobytes()
-            assert jac.tobytes() == psi.jac(z).tobytes()
+            assert jac.tobytes() == psi.value_and_jacobian(z)[1].tobytes()
 
     def test_non_finite_jacobian_raises_diverged(self):
         process = ProcessModel(
@@ -480,4 +478,4 @@ class TestValueAndJacobian:
         with pytest.raises(DivergedEvaluation, match="not finite"):
             process.value_and_jacobian(0, z)
         with pytest.raises(DivergedEvaluation, match="not finite"):
-            obs.at_step(1).jac(z[:1])
+            obs.at_step(1).value_and_jacobian(z[:1])[1]

@@ -5,14 +5,20 @@ import pytest
 
 from gaussfilt import (
     BistableSpec,
+    FilterKind,
+    Gaussian,
     Lorenz63Spec,
+    ObservationModel,
+    ProcessModel,
     TurnModelSpec,
     bistable_models,
     lorenz63_models,
+    run_filter,
     simulate_truth,
     turn_models,
 )
-from gaussfilt.models import finite_difference_jacobian
+from gaussfilt.errors import DivergedEvaluation
+from gaussfilt.models import central_difference
 from gaussfilt.testbeds import turn_transition_matrix, wrap_angle
 
 
@@ -66,9 +72,7 @@ class TestBistable:
             x = rng.uniform(-1.5, 1.5, 1)
             xi = 0.05 * rng.standard_normal(3)
             analytic = process.full_jacobian(0, x, xi)
-            numeric = finite_difference_jacobian(
-                lambda z: process.propagate(0, z[:1], z[1:]), np.concatenate([x, xi])
-            )
+            numeric = central_difference(process.at_step(0).rows, np.concatenate([x, xi]))
             assert np.max(np.abs(analytic - numeric)) <= 1e-5 * (1 + np.max(np.abs(analytic)))
 
 
@@ -111,12 +115,10 @@ class TestLorenz63:
             x = rng.uniform(-20, 20, 3)
             xi = 0.01 * rng.standard_normal(3)
             analytic = process.full_jacobian(0, x, xi)
-            numeric = finite_difference_jacobian(
-                lambda z: process.propagate(0, z[:3], z[3:]), np.concatenate([x, xi])
-            )
+            numeric = central_difference(process.at_step(0).rows, np.concatenate([x, xi]))
             assert np.max(np.abs(analytic - numeric)) <= 1e-5 * (1 + np.max(np.abs(analytic)))
             jo = obs.jacobian(0, x)
-            jo_num = finite_difference_jacobian(lambda v: obs.observe(0, v), x)
+            jo_num = central_difference(obs.at_step(0).rows, x)
             assert np.max(np.abs(jo - jo_num)) <= 1e-5 * (1 + np.max(np.abs(jo)))
 
 
@@ -173,12 +175,12 @@ class TestTurnModel:
         assert np.isclose(y[0], 5.0)
         assert np.isclose(y[1], np.arctan2(4.0, 3.0))
         jo = obs.jacobian(0, x)
-        jo_num = finite_difference_jacobian(lambda v: obs.observe(0, v), x)
+        jo_num = central_difference(obs.at_step(0).rows, x)
         assert np.max(np.abs(jo - jo_num)) <= 1e-5
 
     def test_bearing_innovation_wraps(self):
         _, obs = turn_models(TurnModelSpec())
-        res = obs.innovation(np.array([10.0, np.pi - 0.1]), np.array([10.0, -np.pi + 0.1]))
+        res = obs.at_step(0).residual(np.array([10.0, np.pi - 0.1]), np.array([10.0, -np.pi + 0.1]))
         assert abs(res[1] + 0.2) <= 1e-12
 
     def test_simulated_bearings_in_range(self):
@@ -241,6 +243,38 @@ class TestSimulateTruth:
         with pytest.raises(ValueError):
             simulate_truth(process, obs, np.array([0.8]), 0, np.random.default_rng(0))
 
+    def test_vectorized_model_sees_stacked_rows(self):
+        # Vectorized callables may index stacked rows; the truth must reach
+        # them the way the filters do, as (1, d) and (1, D) rows.
+        process = ProcessModel(
+            propagate=lambda n, x, xi: np.column_stack([x[:, 0] + 0.1 * x[:, 1], 0.9 * x[:, 1]]) + xi,
+            noise_cov=0.01 * np.eye(2),
+            state_dim=2,
+            noise_dim=2,
+            vectorized=True,
+        )
+        obs = ObservationModel(
+            observe=lambda n, x: np.hypot(x[:, 0], x[:, 1])[:, None],
+            obs_cov=[[0.01]],
+            obs_dim=1,
+            vectorized=True,
+        )
+        run = simulate_truth(process, obs, np.array([3.0, 1.0]), 10, np.random.default_rng(2))
+        assert run.truth.shape == (11, 2) and run.observations.shape == (10, 1)
+        prior = Gaussian(np.array([3.0, 1.0]), 0.1 * np.eye(2))
+        for family in ("CGF", "CGSF"):
+            traj = run_filter(FilterKind(family), process, obs, prior, run.observations)
+            assert traj.error is None
+            assert np.isfinite(traj.means()).all() and len(traj.records) == 11
+
+    def test_overflowing_truth_raises_diverged(self):
+        process = ProcessModel(
+            propagate=lambda n, x, xi: 1e100 * x + xi, noise_cov=[[1.0]], state_dim=1, noise_dim=1
+        )
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]], obs_dim=1)
+        with pytest.raises(DivergedEvaluation, match="not finite"):
+            simulate_truth(process, obs, np.array([1.0]), 5, np.random.default_rng(0))
+
 
 class TestTurnInnovation:
     def test_is_wrapped_difference_on_stacked_rows(self):
@@ -250,7 +284,7 @@ class TestTurnInnovation:
         p = np.column_stack([rng.uniform(500, 2000, 64), rng.uniform(-np.pi, np.pi, 64)])
         y[:4, 1] = [np.pi, -np.pi, np.pi - 1e-12, -np.pi + 1e-12]
         p[:4, 1] = [-np.pi, np.pi, -np.pi + 1e-12, np.pi - 1e-12]
-        res = obs.innovation(y, p)
+        res = obs.at_step(0).residual(y, p)
         assert res.tobytes() == obs.wrap_observation(y - p).tobytes()
         assert np.all(np.abs(res[:, 1]) <= np.pi)
         assert np.array_equal(res[:, 0], y[:, 0] - p[:, 0])

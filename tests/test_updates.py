@@ -550,7 +550,8 @@ class TestVectorizedFlag:
         (pv, ov), (pl, ol) = self.both(nonlinear)
         x, xi = self.prior.mean, np.array([0.05, -0.02])
         assert np.allclose(pv.full_jacobian(0, x, xi), pl.full_jacobian(0, x, xi), rtol=1e-12, atol=1e-14)
-        assert np.allclose(ov.at_step(1).jac(x), ol.at_step(1).jac(x), rtol=1e-12, atol=1e-14)
+        jv, jl = ov.at_step(1).value_and_jacobian(x)[1], ol.at_step(1).value_and_jacobian(x)[1]
+        assert np.allclose(jv, jl, rtol=1e-12, atol=1e-14)
 
     def test_measurement_updates(self, nonlinear):
         (pv, ov), (pl, ol) = self.both(nonlinear)
