@@ -71,16 +71,22 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
 
 
+def _integer(value, name: str) -> int:
+    """int(value); a bool or a fraction, which int would truncate, raises ConfigError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_filter(entry: dict) -> FilterKind:
     if not isinstance(entry, dict) or "family" not in entry:
         raise ConfigError(f"filter entry must be an object with 'family': {entry!r}")
-    kwargs = {}
-    if "rule_degree" in entry:
-        kwargs["rule_degree"] = int(entry["rule_degree"])
-    if "sample_count" in entry:
-        kwargs["sample_count"] = int(entry["sample_count"])
+    kwargs = {key: _integer(entry[key], key) for key in ("rule_degree", "sample_count") if key in entry}
     if "variational" in entry:
-        kwargs["variational"] = VariationalSettings(**entry["variational"])
+        settings = dict(entry["variational"])
+        if "max_iter" in settings:
+            settings["max_iter"] = _integer(settings["max_iter"], "max_iter")
+        kwargs["variational"] = VariationalSettings(**settings)
     return FilterKind(entry["family"], **kwargs)
 
 
@@ -125,10 +131,10 @@ class ExperimentConfig:
             prior = raw["prior"]
             if "mean" not in prior or "cov" not in prior:
                 raise ConfigError("prior must carry 'mean' and 'cov'")
-            replicates, steps, seed = int(raw["replicates"]), int(raw["steps"]), int(raw["seed"])
+            replicates, steps, seed = (_integer(raw[key], key) for key in ("replicates", "steps", "seed"))
             window = raw.get("window")
             if window is not None:
-                window = (int(window[0]), int(window[1]))
+                window = (_integer(window[0], "window"), _integer(window[1], "window"))
             _check_grid(replicates, steps, seed, window)
             filters = [_parse_filter(f) for f in raw["filters"]]
             if not filters:
@@ -267,19 +273,17 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     labels = [f.label() for f in config.filters]
     d = process.state_dim
     reps, steps = config.replicates, config.steps
-    truths = np.zeros((reps, steps + 1, d))
     estimates = {lab: np.zeros((reps, steps, d)) for lab in labels}
     diagnostics = {lab: np.zeros((reps, steps, 3), dtype=int) for lab in labels}
     failures = []
-    for r in range(reps):
-        rep_seed = replicate_seed(config.seed, r)
-        truth_rng = np.random.default_rng(rep_seed)
-        x0 = _resolve_truth_x0(config, prior, truth_rng)
-        run = simulate_truth(process, obs, x0, steps, truth_rng)
-        truths[r] = run.truth
+    rep_seeds = [replicate_seed(config.seed, r) for r in range(reps)]
+    truth_rngs = [np.random.default_rng(rep_seed) for rep_seed in rep_seeds]
+    x0 = np.array([_resolve_truth_x0(config, prior, rng) for rng in truth_rngs])
+    run = simulate_truth(process, obs, x0, steps, truth_rngs)
+    for r, rep_seed in enumerate(rep_seeds):
         for kind, lab in zip(config.filters, labels):
             rng = np.random.default_rng(filter_stream_seed(rep_seed, lab))
-            traj = run_filter(kind, process, obs, prior, run.observations, rng)
+            traj = run_filter(kind, process, obs, prior, run.observations[r], rng)
             for rec in traj.records[1:]:
                 estimates[lab][r, rec.step - 1] = rec.posterior.mean
                 diagnostics[lab][r, rec.step - 1] = (
@@ -293,7 +297,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 last = traj.records[-1].posterior.mean
                 for k in range(len(traj.records) - 1, steps):
                     estimates[lab][r, k] = last
-    return RunResult(config, labels, dt_obs, truths, estimates, diagnostics, failures)
+    return RunResult(config, labels, dt_obs, run.truth, estimates, diagnostics, failures)
 
 
 def _fmt(x) -> str:

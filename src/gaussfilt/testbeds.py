@@ -68,8 +68,8 @@ class TurnModelSpec:
 class TruthRun:
     """A simulated truth trajectory with one observation per transition."""
 
-    truth: np.ndarray        # (steps + 1, d)
-    observations: np.ndarray  # (steps, d')
+    truth: np.ndarray        # (steps + 1, d), or (R, steps + 1, d) stacked
+    observations: np.ndarray  # (steps, d'), or (R, steps, d') stacked
 
 
 def wrap_angle(theta):
@@ -285,23 +285,28 @@ def simulate_truth(
     obs: ObservationModel,
     x0: np.ndarray,
     steps: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | list[np.random.Generator],
 ) -> TruthRun:
     """Roll out the truth and synthetic observations for a twin experiment,
-    evaluating the models as the filters do (DivergedEvaluation if not finite)."""
+    evaluating the models as the filters do (DivergedEvaluation if not finite).
+    Stacked x0 (R, d) with R generators, one per row, gives (R, ...) arrays
+    from one model call per step; row r draws xi_n, then eta_n, from rng[r]."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     s_gamma = psd_sqrt(process.noise_cov)
     s_r = psd_sqrt(obs.obs_cov)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = np.atleast_2d(np.asarray(x0, dtype=float))
+    rngs = list(rng) if np.ndim(x0) == 2 else [rng]
+    # one product per row: a stacked Z @ S.T rounds differently
+    draw = lambda sqrt_cov: np.array([sqrt_cov @ g.standard_normal(len(sqrt_cov)) for g in rngs])
     truth = [x]
     ys = []
     for n in range(steps):
-        xi = s_gamma @ rng.standard_normal(process.noise_dim)
-        x = process.forward(n, np.concatenate([x, xi])[None])[0]
-        y = obs.at_step(n + 1)(x) + s_r @ rng.standard_normal(obs.obs_dim)
+        x = process.forward(n, np.concatenate([x, draw(s_gamma)], axis=1))
+        y = obs.at_step(n + 1).rows(x) + draw(s_r)
         if obs.wrap_observation is not None:
             y = obs.wrap_observation(y)
         truth.append(x)
         ys.append(y)
-    return TruthRun(np.array(truth), np.array(ys))
+    truth, ys = np.stack(truth, axis=1), np.stack(ys, axis=1)
+    return TruthRun(truth, ys) if np.ndim(x0) == 2 else TruthRun(truth[0], ys[0])

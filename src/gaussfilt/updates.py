@@ -229,9 +229,11 @@ def measurement_update_points(
     # Express every pushed observation relative to one of them through the
     # map's residual, so an angle averages across its wrap at +-pi.
     zpts = zpts[0] + obs_map.residual(zpts, zpts[0])
-    mean, cov = weighted_moments(mu.weights, np.hstack([mu.points, zpts]))
-    k = prior.dim
-    return _kalman_update(prior, obs_map, y, r, mean[k:], cov[:k, k:], cov[k:, k:], diag)
+    z_mean, p_zz = weighted_moments(mu.weights, zpts)
+    xs = mu.points  # transform's own array, centred in place; a cached rule's is read-only
+    xs -= mu.weights @ xs
+    p_xz = xs.T @ (mu.weights[:, None] * (zpts - z_mean))
+    return _kalman_update(prior, obs_map, y, r, z_mean, p_xz, p_zz, diag)
 
 
 class WhitenedMisfit:

@@ -80,6 +80,17 @@ def test_validate_malformed_field_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"steps": 3.9}, {"replicates": True}, {"filters": [{"family": "VGF", "variational": {"max_iter": 2.5}}]}],
+    ids=["fractional-steps", "boolean-replicates", "fractional-max-iter"],
+)
+def test_validate_rejects_a_non_integer_count(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_run_rejects_out_of_range_seed_override(tmp_path, capsys):
     path = write_config(tmp_path)
     for seed in ("-1", "18446744073709551616"):

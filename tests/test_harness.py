@@ -159,6 +159,39 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bistable_config(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"replicates": 2.7},
+            {"steps": 3.9},
+            {"seed": 1.5},
+            {"replicates": True},
+            {"steps": float("inf")},
+            {"window": [1.5, 2.9]},
+            {"filters": [{"family": "CGF", "rule_degree": 3.5}]},
+            {"filters": [{"family": "PGF", "sample_count": 10.9}]},
+            {"filters": [{"family": "PGF", "sample_count": True}]},
+            {"filters": [{"family": "VGF", "variational": {"max_iter": 2.5}}]},
+        ],
+        ids=["fractional-replicates", "fractional-steps", "fractional-seed", "boolean-replicates",
+             "infinite-steps", "fractional-window", "fractional-degree", "fractional-sample-count",
+             "boolean-sample-count", "fractional-max-iter"],
+    )
+    def test_integer_fields_reject_booleans_and_fractions(self, overrides):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentConfig.from_dict(bistable_config(**overrides))
+
+    def test_integer_fields_accept_integral_values(self):
+        cfg = ExperimentConfig.from_dict(bistable_config(
+            replicates=2.0, steps=4.0, seed=7.0, window=[1.0, 4],
+            filters=[{"family": "CGF", "rule_degree": 5.0}, {"family": "PGF", "sample_count": 10.0},
+                     {"family": "VGF", "variational": {"max_iter": 3.0}}],
+        ))
+        assert (cfg.replicates, cfg.steps, cfg.seed, cfg.window) == (2, 4, 7, (1, 4))
+        assert [f.label() for f in cfg.filters] == ["CGF5", "PGF10", "VGF[max_iter=3]"]
+        assert all(type(v) is int for v in (cfg.replicates, cfg.steps, cfg.seed, *cfg.window,
+                                            cfg.filters[2].variational.max_iter))
+
     def test_scalar_truth_x0_accepted_for_a_scalar_state(self):
         assert ExperimentConfig.from_dict(bistable_config(truth_x0=0.8)).truth_x0 == 0.8
 

@@ -5,6 +5,7 @@ import pytest
 
 from gaussfilt import (
     BistableSpec,
+    ExperimentConfig,
     FilterKind,
     Gaussian,
     Lorenz63Spec,
@@ -13,11 +14,13 @@ from gaussfilt import (
     TurnModelSpec,
     bistable_models,
     lorenz63_models,
+    run_experiment,
     run_filter,
     simulate_truth,
     turn_models,
 )
 from gaussfilt.errors import DivergedEvaluation
+from gaussfilt.harness import _resolve_truth_x0, replicate_seed
 from gaussfilt.models import central_difference
 from gaussfilt.testbeds import turn_transition_matrix, wrap_angle
 
@@ -274,6 +277,100 @@ class TestSimulateTruth:
         obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]], obs_dim=1)
         with pytest.raises(DivergedEvaluation, match="not finite"):
             simulate_truth(process, obs, np.array([1.0]), 5, np.random.default_rng(0))
+
+
+def _one_row_runs(process, obs, x0s, steps, seeds):
+    return [simulate_truth(process, obs, x0, steps, np.random.default_rng(s)) for x0, s in zip(x0s, seeds)]
+
+
+def _stacked_run(process, obs, x0s, steps, seeds):
+    return simulate_truth(process, obs, np.array(x0s), steps, [np.random.default_rng(s) for s in seeds])
+
+
+class TestStackedTruth:
+    SEEDS = (3, 1, 4, 1, 5)  # rows 1 and 3 share a noise stream from different states
+
+    @pytest.mark.parametrize(
+        "models,x0s,wraps",
+        [
+            (bistable_models(BistableSpec()), [[0.8], [-0.8], [0.0], [1.2], [-0.3]], False),
+            (lorenz63_models(Lorenz63Spec()), [[1.0, 1.0, 1.0], [-5.0, 2.0, 20.0], [0.5, 0.0, 0.0],
+                                               [8.0, 8.0, 27.0], [-1.0, -3.0, 10.0]], False),
+            # the second row crosses the negative x axis, so its bearing wraps at +-pi
+            (turn_models(TurnModelSpec()), [[1e3, 3e2, 1e3, 0.0, -0.05], [-1e3, 0.0, 5.0, -3.0, 0.0],
+                                            [500.0, -20.0, -800.0, 10.0, 0.01], [1e3, 0.0, 1.0, 0.0, 0.0],
+                                            [-200.0, 5.0, -50.0, 5.0, -0.02]], True),
+        ],
+        ids=["bistable", "lorenz63", "tracking"],
+    )
+    def test_stacked_rows_equal_one_row_runs_byte_for_byte(self, models, x0s, wraps):
+        process, obs = models
+        stacked = _stacked_run(process, obs, x0s, 40, self.SEEDS)
+        assert stacked.truth.shape == (5, 41, len(x0s[0]))
+        assert stacked.observations.shape == (5, 40, obs.obs_dim)
+        for r, alone in enumerate(_one_row_runs(process, obs, x0s, 40, self.SEEDS)):
+            assert stacked.truth[r].tobytes() == alone.truth.tobytes()
+            assert stacked.observations[r].tobytes() == alone.observations.tobytes()
+        if wraps:
+            bearings = stacked.observations[1, :, 1]
+            assert bearings.max() > 3.0 and bearings.min() < -3.0
+
+    def test_non_vectorized_model_stacks_byte_for_byte(self):
+        a = np.array([[0.9, 0.2], [-0.1, 0.95]])
+        process = ProcessModel(
+            propagate=lambda n, x, xi: a @ np.sin(x) + xi, noise_cov=0.01 * np.eye(2), state_dim=2, noise_dim=2
+        )
+        obs = ObservationModel(observe=lambda n, x: np.hypot(*x), obs_cov=[[0.01]], obs_dim=1)
+        x0s = [[1.0, 0.0], [0.3, -2.0], [2.0, 2.0], [-1.0, 0.5], [0.0, 0.0]]
+        stacked = _stacked_run(process, obs, x0s, 15, self.SEEDS)
+        for r, alone in enumerate(_one_row_runs(process, obs, x0s, 15, self.SEEDS)):
+            assert stacked.truth[r].tobytes() == alone.truth.tobytes()
+            assert stacked.observations[r].tobytes() == alone.observations.tobytes()
+
+    def test_one_dimensional_x0_keeps_its_shapes(self):
+        process, obs = lorenz63_models(Lorenz63Spec())
+        alone = simulate_truth(process, obs, np.array([1.0, 1.0, 1.0]), 6, np.random.default_rng(9))
+        assert alone.truth.shape == (7, 3) and alone.observations.shape == (6, 1)
+        one_row = simulate_truth(process, obs, np.array([[1.0, 1.0, 1.0]]), 6, [np.random.default_rng(9)])
+        assert one_row.truth.shape == (1, 7, 3) and one_row.observations.shape == (1, 6, 1)
+        assert one_row.truth[0].tobytes() == alone.truth.tobytes()
+
+    def test_one_generator_per_row(self):
+        process, obs = bistable_models(BistableSpec())
+        with pytest.raises(ValueError):
+            simulate_truth(process, obs, np.zeros((3, 1)), 2, [np.random.default_rng(0)] * 2)
+
+    def test_one_diverging_row_raises_diverged(self):
+        process = ProcessModel(
+            propagate=lambda n, x, xi: np.where(np.abs(x) > 5.0, 1e300 * x, x) + xi,
+            noise_cov=[[1e-4]],
+            state_dim=1,
+            noise_dim=1,
+            vectorized=True,
+        )
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]], obs_dim=1, vectorized=True)
+        with pytest.raises(DivergedEvaluation, match="not finite"):
+            _stacked_run(process, obs, [[1.0], [10.0], [-1.0]], 5, (0, 1, 2))
+
+    def test_run_experiment_truths_equal_a_per_replicate_loop(self):
+        raw = {
+            "name": "stacked-truth",
+            "testbed": "tracking",
+            "params": {},
+            "filters": [{"family": "CGF", "rule_degree": 3}],
+            "replicates": 6,
+            "steps": 5,
+            "seed": 1,
+            "prior": {"mean": [1e3, 3e2, 1e3, 0.0, -0.05], "cov": np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]).tolist()},
+            "truth_x0": "prior-sample",
+        }
+        config = ExperimentConfig.from_dict(raw)
+        process, obs, prior, _ = config.build_models()
+        result = run_experiment(config)
+        for r in range(config.replicates):
+            rng = np.random.default_rng(replicate_seed(config.seed, r))
+            alone = simulate_truth(process, obs, _resolve_truth_x0(config, prior, rng), config.steps, rng)
+            assert result.truths[r].tobytes() == alone.truth.tobytes()
 
 
 class TestTurnInnovation:

@@ -41,8 +41,9 @@ from gaussfilt.models import (
     central_difference,
     composed_observation,
 )
-from gaussfilt.cubature import symmetric_stencil
-from gaussfilt.updates import WhitenedMisfit, numerical_hessian
+from gaussfilt.cubature import standard_rule, symmetric_stencil, transform, weighted_moments
+from gaussfilt.gaussian import cholesky_factor
+from gaussfilt.updates import WhitenedMisfit, _kalman_update, numerical_hessian
 
 
 def linear_process(a, gamma):
@@ -434,15 +435,56 @@ class TestMeasurementUpdateVariational:
             assert np.max(np.abs(other.cov - lin.cov)) <= 1e-6
 
 
+def _stacked_points_update(prior, obs_map, y, r, mu):
+    # The stacked formula the kernel replaced: the full (k + p)^2 covariance
+    # of [x, z], of which only the cross and observation blocks are used.
+    zpts = obs_map.rows(mu.points)
+    zpts = zpts[0] + obs_map.residual(zpts, zpts[0])
+    mean, cov = weighted_moments(mu.weights, np.hstack([mu.points, zpts]))
+    k = prior.dim
+    return _kalman_update(prior, obs_map, y, r, mean[k:], cov[:k, k:], cov[k:, k:], None)
+
+
+class TestPointMoments:
+    @pytest.mark.parametrize(
+        "case,kind",
+        [("bistable", cubature5()), ("bistable", empirical(1000)), ("tracking", cubature3()),
+         ("tracking", cubature5())],
+        ids=["degree5-k21", "empirical-1000-k21", "tracking-bearing-near-pi-degree3",
+             "tracking-bearing-near-pi-degree5"],
+    )
+    def test_matches_the_stacked_formula(self, case, kind):
+        if case == "bistable":
+            prior, obs_map, y, r = _bistable_case()
+        else:
+            prior, obs_map, y, r = _tracking_case(py=3.0)
+        rule = standard_rule(kind, prior.dim, np.random.default_rng(8))
+        if kind.tag == "cubature5":
+            assert rule.size == 2 * prior.dim ** 2 + 1 and rule.weights.min() < 0.0
+        mu = transform(rule, prior.mean, cholesky_factor(prior.cov))
+        if case == "tracking":
+            bearings = obs_map.rows(mu.points)[:, 1]
+            assert bearings.max() > 3.0 and bearings.min() < -3.0  # the points straddle +-pi
+        expected = _stacked_points_update(prior, obs_map, y, r, mu)
+        saved = [a.copy() for a in (rule.weights, rule.points, prior.mean, prior.cov)]
+        for _ in range(2):
+            post = measurement_update_points(prior, obs_map, y, r, kind, np.random.default_rng(8))
+            # relative to the update itself, the shift of the mean and the shrink of the covariance
+            for got, want, base in ((post.mean, expected.mean, prior.mean), (post.cov, expected.cov, prior.cov)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want - base))
+        for before, after in zip(saved, (rule.weights, rule.points, prior.mean, prior.cov)):
+            assert before.tobytes() == after.tobytes()
+
+
 def _bistable_case():
     process, obs = bistable_models(BistableSpec())
     prior = augment(Gaussian([0.8], [[0.02]]), process, 0)
     return prior, composed_observation(process, obs, 0), np.array([0.95]), obs.obs_cov
 
 
-def _tracking_case():
+def _tracking_case(py=40.0):
     process, obs = turn_models(TurnModelSpec())
-    x0 = np.array([-1000.0, -10.0, 40.0, -2.0, 0.01])
+    x0 = np.array([-1000.0, -10.0, py, -2.0, 0.01])
     prior = augment(Gaussian(x0, np.diag([100.0, 10.0, 100.0, 10.0, 1e-4])), process, 0)
     obs_map = composed_observation(process, obs, 0)
     return prior, obs_map, obs_map(prior.mean) + np.array([15.0, 0.01]), obs.obs_cov
