@@ -52,6 +52,7 @@ class Gaussian:
 
     mean: np.ndarray
     cov: np.ndarray
+    _factor = None  # cov's Cholesky factor, when a kernel carried it; not a field
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -61,16 +62,21 @@ class Gaussian:
         object.__setattr__(self, "cov", as_covariance(self.cov, mean.shape[0]))
 
     @classmethod
-    def _unchecked(cls, mean: np.ndarray, cov: np.ndarray) -> "Gaussian":
+    def _unchecked(cls, mean: np.ndarray, cov: np.ndarray, factor=None) -> "Gaussian":
         """The kernels' constructor, which skips ``__post_init__``.
 
         ``mean`` is a float vector (d,) and ``cov`` a (d, d) matrix that
-        ``repair_covariance`` returned, or a block-diagonal stack of checked
-        covariances; either passes ``as_covariance``.
+        ``_settled`` accepted, or a block-diagonal stack of checked
+        covariances.  ``factor``, when given, is ``cholesky_factor(cov)`` to
+        the byte; it is made read-only and handed to the next kernel that
+        factors ``cov`` (``_factor_of``).
         """
         g = object.__new__(cls)
         object.__setattr__(g, "mean", mean)
         object.__setattr__(g, "cov", cov)
+        if factor is not None:
+            factor.flags.writeable = False
+            object.__setattr__(g, "_factor", factor)
         return g
 
     @property
@@ -148,6 +154,30 @@ def repair_covariance(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndar
     while (lo := np.linalg.eigvalsh(c)[0]) < _psd_floor(c):
         c = c + (-lo + 1e-300) * eye
     return c
+
+
+def _settled(mean: np.ndarray, c: np.ndarray, diag: Diagnostics | None = None) -> Gaussian:
+    """The Gaussian a kernel returns, with covariance ``c`` symmetrized.
+
+    A finite ``c`` whose Cholesky factorization succeeds is accepted as it is,
+    and the factor travels with it, even where ``eigvalsh`` would read a
+    rounding-level negative eigenvalue: a backward-stable factorization puts
+    such a matrix far above ``as_covariance``'s floor.  Only when the
+    factorization fails does ``repair_covariance`` run (shift, jitter count,
+    or NotPositiveDefinite), and the result carries no factor.
+    """
+    s = symmetrize(c)
+    if np.isfinite(s).all():
+        try:
+            return Gaussian._unchecked(mean, s, np.linalg.cholesky(s))
+        except np.linalg.LinAlgError:
+            pass
+    return Gaussian._unchecked(mean, repair_covariance(c, diag))
+
+
+def _factor_of(g: Gaussian, diag: Diagnostics | None = None) -> np.ndarray:
+    """``cholesky_factor(g.cov, diag)``, or the factor ``g`` carries."""
+    return g._factor if g._factor is not None else cholesky_factor(g.cov, diag)
 
 
 def _inverse_factor(s, error, what):

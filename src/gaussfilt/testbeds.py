@@ -211,31 +211,32 @@ def turn_models(spec: TurnModelSpec) -> tuple[ProcessModel, ObservationModel]:
     def propagate(n, x, xi):
         x = np.asarray(x, dtype=float)
         om = x[..., 4]
-        small = np.abs(om) < _OMEGA_SMALL
-        om_safe = np.where(small, 1.0, om)
         wd = om * dt
         c, s = np.cos(wd), np.sin(wd)
-        swo = np.where(small, dt, s / om_safe)
-        cwo_m1 = np.where(small, 0.0, (c - 1.0) / om_safe)
-        one_m_cwo = np.where(small, 0.0, (1.0 - c) / om_safe)
+        small = np.abs(om) < _OMEGA_SMALL
+        if small.any():  # the limits at omega = 0; elsewhere the same quotients
+            om_safe = np.where(small, 1.0, om)
+            swo = np.where(small, dt, s / om_safe)
+            cwo_m1 = np.where(small, 0.0, (c - 1.0) / om_safe)
+            one_m_cwo = np.where(small, 0.0, (1.0 - c) / om_safe)
+        else:
+            swo, cwo_m1, one_m_cwo = s / om, (c - 1.0) / om, (1.0 - c) / om
         px, vx, py, vy = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-        out = np.stack(
-            [
-                px + swo * vx + cwo_m1 * vy,
-                c * vx - s * vy,
-                py + one_m_cwo * vx + swo * vy,
-                s * vx + c * vy,
-                om,
-            ],
-            axis=-1,
-        )
-        return out + xi
+        out = np.empty(x.shape)
+        out[..., 0] = px + swo * vx + cwo_m1 * vy
+        out[..., 1] = c * vx - s * vy
+        out[..., 2] = py + one_m_cwo * vx + swo * vy
+        out[..., 3] = s * vx + c * vy
+        out[..., 4] = om
+        out += xi
+        return out
 
     def observe(n, x):
         x = np.asarray(x, dtype=float)
-        rng_ = np.sqrt(x[..., 0] ** 2 + x[..., 2] ** 2)
-        brg = np.arctan2(x[..., 2], x[..., 0])
-        return np.stack([rng_, brg], axis=-1)
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = np.sqrt(x[..., 0] ** 2 + x[..., 2] ** 2)
+        out[..., 1] = np.arctan2(x[..., 2], x[..., 0])
+        return out
 
     def obs_jacobian(n, x):
         px, py = x[0], x[2]

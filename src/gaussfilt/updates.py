@@ -20,7 +20,7 @@ from .errors import (
     OptimizerDidNotConverge,
     SingularHessian,
 )
-from .gaussian import Gaussian, _conditioning_terms, cholesky_factor, repair_covariance, symmetrize
+from .gaussian import Gaussian, _conditioning_terms, _factor_of, _settled, cholesky_factor, symmetrize
 from .models import ObsFunction, ProcessModel, central_difference
 
 _EPS = np.finfo(float).eps
@@ -166,8 +166,7 @@ def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     shift, shrink = _conditioning_terms(symmetrize(p_zz + r), p_xz, obs_map.residual(y, z))
-    cov = repair_covariance(prior.cov - shrink, diag)
-    return Gaussian._unchecked(prior.mean + shift, cov)
+    return _settled(prior.mean + shift, prior.cov - shrink, diag)
 
 
 def time_update_linear(
@@ -179,8 +178,7 @@ def time_update_linear(
     one left behind by conditioning on the next observation.
     """
     mean, jac = process.value_and_jacobian(n, joint.mean)
-    cov = repair_covariance(jac @ joint.cov @ jac.T, diag)
-    return Gaussian._unchecked(mean, cov)
+    return _settled(mean, jac @ joint.cov @ jac.T, diag)
 
 
 def time_update_points(
@@ -193,10 +191,10 @@ def time_update_points(
 ) -> Gaussian:
     """Push a discrete measure for the joint belief through the forward map
     and return the Gaussian with the push-forward's first two moments."""
-    s = cholesky_factor(joint.cov, diag)
+    s = _factor_of(joint, diag)
     mu = transform(standard_rule(kind, joint.dim, rng), joint.mean, s)
     mean, cov = weighted_moments(mu.weights, process.forward(n, mu.points))
-    return Gaussian._unchecked(mean, repair_covariance(cov, diag))
+    return _settled(mean, cov, diag)
 
 
 def measurement_update_linear(
@@ -223,7 +221,7 @@ def measurement_update_points(
 ) -> Gaussian:
     """Update using cross/auto covariances of a discrete measure pushed
     through the observation map."""
-    s = cholesky_factor(prior.cov, diag)
+    s = _factor_of(prior, diag)
     mu = transform(standard_rule(kind, prior.dim, rng), prior.mean, s)
     zpts = obs_map.rows(mu.points)
     # Express every pushed observation relative to one of them through the
@@ -252,7 +250,7 @@ class WhitenedMisfit:
 
     def __init__(self, prior, obs_map, y, r, fd_step=None, diag=None):
         self.mean = prior.mean
-        self.l_prior = cholesky_factor(prior.cov, diag)
+        self.l_prior = _factor_of(prior, diag)
         self.w_prior = np.linalg.inv(self.l_prior)
         self.w_obs = np.linalg.inv(cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag))
         if fd_step is not None:
@@ -346,5 +344,4 @@ def measurement_update_variational(
         lh = cholesky_factor(hess, diag)
     except NotPositiveDefinite as exc:
         raise SingularHessian("misfit Hessian not invertible at the minimizer") from exc
-    cov = repair_covariance(np.linalg.solve(lh.T, np.linalg.inv(lh)), diag)
-    return Gaussian._unchecked(minimizer, cov)
+    return _settled(minimizer, np.linalg.solve(lh.T, np.linalg.inv(lh)), diag)

@@ -13,7 +13,7 @@ import gaussfilt
 from gaussfilt import Gaussian, JointGaussian, cholesky_factor, condition, quadratic_form
 from gaussfilt.diagnostics import Diagnostics
 from gaussfilt.errors import NotPositiveDefinite, SingularInnovationCov, SingularMatrix
-from gaussfilt.gaussian import repair_covariance, symmetrize
+from gaussfilt.gaussian import _factor_of, _settled, repair_covariance, symmetrize
 
 
 class TestGaussianInvariants:
@@ -147,6 +147,61 @@ class TestRepairCovariance:
         diag = Diagnostics()
         with pytest.raises(NotPositiveDefinite):
             repair_covariance(np.array(c), diag)
+        assert diag.jitters == 0
+
+
+class TestSettled:
+    """The one factorization that settles every covariance a kernel returns."""
+
+    def test_factorable_matrix_is_returned_with_its_factor(self):
+        c = np.array([[2.0, 0.5], [0.5, 1.0]])
+        diag = Diagnostics()
+        g = _settled(np.zeros(2), c, diag)
+        assert g.cov.tobytes() == c.tobytes() and diag.jitters == 0
+        assert g._factor.tobytes() == np.linalg.cholesky(c).tobytes()
+        assert _factor_of(g, diag) is g._factor and diag.jitters == 0
+        with pytest.raises(ValueError, match="read-only"):
+            g._factor[0, 0] = 1.0
+
+    def test_unfactorable_matrix_takes_the_repair_path(self):
+        # Singular and PSD: the factorization fails, repair_covariance leaves
+        # it as it is, and the next kernel's factorization jitters.
+        c = np.array([[1.0, 1.0], [1.0, 1.0]])
+        diag = Diagnostics()
+        g = _settled(np.zeros(2), c, diag)
+        assert g._factor is None and g.cov.tobytes() == repair_covariance(c).tobytes()
+        assert diag.jitters == 0
+        assert _factor_of(g, diag).tobytes() == cholesky_factor(c).tobytes()
+        assert diag.jitters == 1
+
+    def test_factorable_matrix_with_a_negative_eigenvalue_is_accepted_as_is(self):
+        # Products B B^T of rank k - 1 whose rounding leaves eigvalsh a
+        # negative least eigenvalue and the factorization a positive pivot:
+        # the contract accepts them unshifted, and they pass the public check.
+        rng = np.random.default_rng(0)
+        accepted = 0
+        for _ in range(200):
+            k = int(rng.integers(2, 9))
+            b = rng.uniform(-2.0, 2.0, (k, k - 1))
+            c = symmetrize(b @ b.T)
+            try:
+                factor = np.linalg.cholesky(c)
+            except np.linalg.LinAlgError:
+                continue
+            if np.linalg.eigvalsh(c)[0] >= 0.0:
+                continue
+            diag = Diagnostics()
+            g = _settled(np.zeros(k), c, diag)
+            assert g.cov.tobytes() == c.tobytes() and g._factor.tobytes() == factor.tobytes()
+            assert diag.jitters == 0
+            Gaussian(g.mean, g.cov)
+            accepted += 1
+        assert accepted > 0
+
+    def test_non_finite_matrix_raises_as_repair_does(self):
+        diag = Diagnostics()
+        with pytest.raises(NotPositiveDefinite, match="not finite"):
+            _settled(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), diag)
         assert diag.jitters == 0
 
 

@@ -1,6 +1,7 @@
 """Machine-independent counters on the per-step path: the kernels build no
-checked Gaussian, each deterministic cubature rule is built once, and the
-linearized filters run one Euler-Maruyama pass per linearization point."""
+checked Gaussian, a cubature step factors each covariance once, each
+deterministic cubature rule is built once, and the linearized filters run one
+Euler-Maruyama pass per linearization point."""
 
 import math
 
@@ -26,6 +27,7 @@ from gaussfilt import (
     turn_models,
 )
 from gaussfilt.cubature import symmetric_stencil
+from gaussfilt.filters import conventional_step, smoothing_step
 
 
 def _counting(monkeypatch, cls):
@@ -57,6 +59,45 @@ def test_tracking_run_checks_no_gaussian(family, monkeypatch):
     traj = run_filter(FilterKind(family, rule_degree=3), process, obs, prior, truth.observations)
     assert traj.error is None and len(traj.records) == 21
     assert len(checked) == 0
+
+
+def _counting_linalg(monkeypatch, name):
+    """Count the calls of ``np.linalg.<name>`` for the rest of the test; the
+    package calls both counted routines only in ``gaussfilt.gaussian``."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["CGF", "CGSF"])
+def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
+    # Per step: the augmented joint's factor, the innovation covariance's, and
+    # one for each of the two covariances the kernels return; the second
+    # kernel takes the first kernel's factor instead of factoring it again.
+    # No eigvalsh: repair_covariance runs only when a factorization fails.
+    process, obs = turn_models(TurnModelSpec())
+    prior = Gaussian(
+        [1e3, 3e2, 1e3, 0.0, -3.0 * math.pi / 180.0], np.diag([100.0, 10.0, 100.0, 10.0, 1e-4])
+    )
+    truth = simulate_truth(process, obs, prior.mean, 20, np.random.default_rng(3))
+    kind = FilterKind(family, rule_degree=3)
+    traj = run_filter(kind, process, obs, prior, truth.observations)
+    assert traj.error is None and len(traj.records) == 21
+    step = smoothing_step if kind.is_smoothing else conventional_step
+    cholesky = _counting_linalg(monkeypatch, "cholesky")
+    eigvalsh = _counting_linalg(monkeypatch, "eigvalsh")
+    for n, y in enumerate(truth.observations):
+        cholesky.clear()
+        eigvalsh.clear()
+        posterior = step(kind, traj.records[n].posterior, process, obs, y, n)
+        assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
+        assert (len(cholesky), len(eigvalsh)) == (4, 0)
 
 
 def test_each_deterministic_rule_is_built_once(empty_rule_cache, monkeypatch):

@@ -17,6 +17,7 @@ from gaussfilt import (
     Gaussian,
     ProcessModel,
     augment,
+    cholesky_factor,
     cubature3,
     cubature5,
     measurement_update_linear,
@@ -110,6 +111,10 @@ def test_point_time_update_is_exact_on_linear_maps(case):
 def assert_passes_public_check(g: Gaussian):
     checked = Gaussian(g.mean, g.cov)
     assert checked.mean.tobytes() == g.mean.tobytes() and checked.cov.tobytes() == g.cov.tobytes()
+    # A factor carried to the next kernel is the one that kernel would form.
+    if g._factor is not None:
+        assert g._factor.tobytes() == cholesky_factor(g.cov).tobytes()
+        assert not g._factor.flags.writeable
 
 
 def _full_rank_map(h, out):

@@ -161,6 +161,56 @@ class TestTurnModel:
             f = turn_transition_matrix(x[4], 1.0)
             assert np.allclose(process.propagate(0, x, np.zeros(5)), f @ x)
 
+    @staticmethod
+    def _mixed_rows(rng, m):
+        """m random states and noises; every third turn rate is 0 or +-1e-9."""
+        x = rng.standard_normal((m, 5)) * [1e3, 10.0, 1e3, 10.0, 0.05]
+        x[::3, 4] = rng.choice([0.0, 1e-9, -1e-9], size=x[::3].shape[0])
+        return x, rng.standard_normal((m, 5))
+
+    def test_stacked_rows_get_the_bytes_they_get_alone(self):
+        process, obs = turn_models(TurnModelSpec())
+        x, xi = self._mixed_rows(np.random.default_rng(4), 9)
+        stacked_x, stacked_y = process.propagate(0, x, xi), obs.observe(0, x)
+        for i in range(len(x)):
+            for row in (x[i], x[i : i + 1]):
+                alone = process.propagate(0, row, xi[i].reshape(row.shape))
+                assert alone.tobytes() == stacked_x[i].tobytes()
+                assert obs.observe(0, row).tobytes() == stacked_y[i].tobytes()
+
+    @pytest.mark.parametrize("with_small_rates", [False, True])
+    def test_propagate_equals_the_where_formula(self, with_small_rates):
+        # The formula propagate had when every call took the limits through
+        # np.where; the shortcut for calls with no small rate keeps its bytes.
+        def where_formula(x, xi, dt):
+            om = x[..., 4]
+            small = np.abs(om) < 1e-8
+            om_safe = np.where(small, 1.0, om)
+            wd = om * dt
+            c, s = np.cos(wd), np.sin(wd)
+            swo = np.where(small, dt, s / om_safe)
+            cwo_m1 = np.where(small, 0.0, (c - 1.0) / om_safe)
+            one_m_cwo = np.where(small, 0.0, (1.0 - c) / om_safe)
+            px, vx, py, vy = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+            out = np.stack(
+                [
+                    px + swo * vx + cwo_m1 * vy,
+                    c * vx - s * vy,
+                    py + one_m_cwo * vx + swo * vy,
+                    s * vx + c * vy,
+                    om,
+                ],
+                axis=-1,
+            )
+            return out + xi
+
+        spec = TurnModelSpec(dt=0.7)
+        process, _ = turn_models(spec)
+        x, xi = self._mixed_rows(np.random.default_rng(5), 1000)
+        if not with_small_rates:
+            x[::3, 4] = 0.05
+        assert process.propagate(0, x, xi).tobytes() == where_formula(x, xi, spec.dt).tobytes()
+
     def test_noise_cov_blocks(self):
         spec = TurnModelSpec()
         process, _ = turn_models(spec)
