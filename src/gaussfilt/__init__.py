@@ -14,7 +14,7 @@ from .cubature import (
 )
 from .diagnostics import Diagnostics
 from .filters import FilterKind, FilterTrajectory, conventional_step, run_filter, smoothing_step
-from .gaussian import Gaussian, JointGaussian, cholesky_factor, condition, quadratic_form
+from .gaussian import Gaussian, cholesky_factor, condition, quadratic_form
 from .harness import ExperimentConfig, RunResult, rmse, run_experiment, write_results
 from .models import (
     ObservationModel,

@@ -68,7 +68,7 @@ class DiscreteMeasure:
     @classmethod
     def _unchecked(cls, weights: np.ndarray, points: np.ndarray) -> "DiscreteMeasure":
         """The constructor for float arrays whose weights come from a
-        validated measure; skips ``__post_init__``."""
+        validated measure or sum to one by construction; skips ``__post_init__``."""
         mu = object.__new__(cls)
         object.__setattr__(mu, "weights", weights)
         object.__setattr__(mu, "points", points)
@@ -127,7 +127,7 @@ def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None
         if rng is None:
             raise ValueError("empirical rule requires a random generator")
         n = kind.sample_count
-        return DiscreteMeasure(np.full(n, 1.0 / n), rng.standard_normal((n, k)))
+        return DiscreteMeasure._unchecked(np.full(n, 1.0 / n), rng.standard_normal((n, k)))
     if kind.tag == CUBATURE3:
         pts = np.vstack([np.sqrt(k) * np.eye(k), -np.sqrt(k) * np.eye(k)])
         rule = DiscreteMeasure(np.full(2 * k, 1.0 / (2 * k)), pts)

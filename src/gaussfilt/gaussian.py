@@ -29,11 +29,12 @@ def _psd_floor(cov: np.ndarray) -> float:
     return -1e-10 * max(np.trace(cov), 1e-300)
 
 
-def as_covariance(cov, dim: int, what: str = "covariance") -> np.ndarray:
-    """``cov`` as a float (dim, dim) array; raises ValueError unless it has
-    that shape, is finite, is symmetric to 1e-12 of its scale and its least
-    eigenvalue is at least ``_psd_floor``."""
+def as_covariance(cov, dim: int | None = None, what: str = "covariance") -> np.ndarray:
+    """``cov`` as a float (dim, dim) array, square of any size when ``dim`` is
+    None; raises ValueError unless it has that shape, is finite, is symmetric
+    to 1e-12 of its scale and its least eigenvalue is at least ``_psd_floor``."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    dim = cov.shape[0] if dim is None else dim
     if cov.shape != (dim, dim):
         raise ValueError(f"{what} shape {cov.shape} incompatible with dimension {dim}")
     if not np.isfinite(cov).all():
@@ -82,23 +83,6 @@ class Gaussian:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
-class JointGaussian:
-    """Jointly Gaussian (X, Y) with an explicit partition boundary."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    split: int
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = symmetrize(np.atleast_2d(np.asarray(self.cov, dtype=float)))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        if not 0 < self.split < mean.shape[0]:
-            raise ValueError("split must lie strictly inside the stacked dimension")
 
 
 def cholesky_factor(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
@@ -201,14 +185,15 @@ def _conditioning_terms(s, cross, innovation):
     return a @ (w @ innovation), a @ a.T
 
 
-def condition(joint: JointGaussian, y: np.ndarray) -> Gaussian:
-    """Condition the X block of a JointGaussian on Y = y: the exact
-    conditional moments."""
+def condition(joint: Gaussian, y: np.ndarray) -> Gaussian:
+    """The exact conditional of the leading ``joint.dim - len(y)`` components
+    of ``joint`` given that the trailing ``len(y)`` equal y; ValueError unless
+    y is a vector with 0 < len(y) < joint.dim."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    k = joint.split
+    k = joint.dim - y.shape[0]
+    if y.ndim != 1 or not 0 < k < joint.dim:
+        raise ValueError(f"observed vector of shape {y.shape} does not fit inside dimension {joint.dim}")
     xbar, ybar = joint.mean[:k], joint.mean[k:]
-    if y.shape != ybar.shape:
-        raise ValueError("observed vector has wrong dimension")
     shift, shrink = _conditioning_terms(joint.cov[k:, k:], joint.cov[:k, k:], y - ybar)
     return Gaussian(xbar + shift, symmetrize(joint.cov[:k, :k] - shrink))
 

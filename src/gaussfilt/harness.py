@@ -182,10 +182,7 @@ class ExperimentConfig:
                 process, obs = bistable_models(spec)
                 dt_obs = spec.dt * spec.substeps
             elif self.testbed == "lorenz63":
-                params = dict(self.params)
-                if "g" in params:
-                    params["g"] = tuple(params["g"])
-                spec = Lorenz63Spec(**params)
+                spec = Lorenz63Spec(**self.params)
                 process, obs = lorenz63_models(spec)
                 dt_obs = spec.dt
             else:
@@ -284,19 +281,16 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         for kind, lab in zip(config.filters, labels):
             rng = np.random.default_rng(filter_stream_seed(rep_seed, lab))
             traj = run_filter(kind, process, obs, prior, run.observations[r], rng)
-            for rec in traj.records[1:]:
-                estimates[lab][r, rec.step - 1] = rec.posterior.mean
-                diagnostics[lab][r, rec.step - 1] = (
-                    rec.diagnostics.fallbacks,
-                    rec.diagnostics.jitters,
-                    rec.diagnostics.bfgs_iterations,
-                )
+            done, means = len(traj.records) - 1, traj.means()
+            estimates[lab][r, :done] = means[1:]
+            estimates[lab][r, done:] = means[-1]  # steps past a failure keep the last mean
+            diagnostics[lab][r, :done] = np.reshape(
+                [(rec.diagnostics.fallbacks, rec.diagnostics.jitters, rec.diagnostics.bfgs_iterations)
+                 for rec in traj.records[1:]],
+                (done, 3),
+            )
             if traj.error is not None:
                 failures.append((r, lab, str(traj.error)))
-                # steps past the failure keep the last posterior mean
-                last = traj.records[-1].posterior.mean
-                for k in range(len(traj.records) - 1, steps):
-                    estimates[lab][r, k] = last
     return RunResult(config, labels, dt_obs, run.truth, estimates, diagnostics, failures)
 
 

@@ -41,7 +41,8 @@ class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
 
     ``noise_cov`` is checked once, here, with the tolerances of ``Gaussian``;
-    ``augment`` stacks it into the joint belief unchecked.
+    ``augment`` stacks it into the joint belief unchecked.  Its shape gives
+    ``noise_dim``.
 
     When ``vectorized`` is set, propagate also accepts stacked inputs of
     shape (m, d) / (m, D) and returns (m, d); otherwise ``forward`` calls it
@@ -51,13 +52,16 @@ class ProcessModel:
     propagate: Callable
     noise_cov: np.ndarray
     state_dim: int
-    noise_dim: int
     jacobian: Callable | None = None  # (n, x, xi) -> d x (d+D)
     vectorized: bool = False
     linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_cov", as_covariance(self.noise_cov, self.noise_dim, "noise_cov"))
+        object.__setattr__(self, "noise_cov", as_covariance(self.noise_cov, what="noise_cov"))
+
+    @property
+    def noise_dim(self) -> int:
+        return self.noise_cov.shape[0]
 
     def at_step(self, n: int) -> "ObsFunction":
         """The forward map at step n as a map of augmented points z = [x, xi]."""
@@ -94,18 +98,22 @@ class ObservationModel:
     ``wrap_observation`` normalizes an observation, e.g. wraps an angular
     component into (-pi, pi]; it is applied to synthetic observations after
     noise is added and to every residual y - y_hat.  ``obs_cov`` is checked
-    once, here, as ``ProcessModel`` checks ``noise_cov``.
+    once, here, as ``ProcessModel`` checks ``noise_cov``; its shape gives
+    ``obs_dim``.
     """
 
     observe: Callable
     obs_cov: np.ndarray
-    obs_dim: int
     jacobian: Callable | None = None  # (n, x) -> d' x d
     wrap_observation: Callable | None = None
     vectorized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "obs_cov", as_covariance(self.obs_cov, self.obs_dim, "obs_cov"))
+        object.__setattr__(self, "obs_cov", as_covariance(self.obs_cov, what="obs_cov"))
+
+    @property
+    def obs_dim(self) -> int:
+        return self.obs_cov.shape[0]
 
     def at_step(self, n: int) -> "ObsFunction":
         """The observation map frozen at step n, for measurement updates."""
@@ -260,7 +268,6 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
         propagate=lambda n, x, xi: integrate(n, x, xi)[0],
         noise_cov=dt * np.eye(noise_dim),
         state_dim=d,
-        noise_dim=noise_dim,
         vectorized=spec.vectorized,
         linearize=linearize,
     )

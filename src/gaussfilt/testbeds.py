@@ -4,7 +4,7 @@ Each builder returns a (ProcessModel, ObservationModel) pair; simulate_truth
 rolls out a synthetic truth with observations for twin experiments.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,6 +13,15 @@ from .models import ObservationModel, ProcessModel, SdeSpec, discretize_sde
 IDENTITY_OBS = "identity"
 SHIFTED_QUADRATIC_OBS = "shifted_quadratic"
 QUADRATIC_SHIFT = 0.05
+
+
+def _check_finite(spec) -> None:
+    """ValueError unless every number in ``spec`` is finite; a value that is
+    not numeric at all raises TypeError."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not isinstance(value, str) and not np.isfinite(value).all():
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -27,6 +36,7 @@ class BistableSpec:
     obs_var: float = 0.03
 
     def __post_init__(self):
+        _check_finite(self)
         if self.beta <= 0 or self.obs_var <= 0:
             raise ValueError("beta and obs_var must be positive")
         if self.obs_kind not in (IDENTITY_OBS, SHIFTED_QUADRATIC_OBS):
@@ -40,12 +50,16 @@ class Lorenz63Spec:
     sigma: float = 10.0
     rho: float = 28.0
     beta: float = 8.0 / 3.0
-    g: tuple = (0.0, 0.0, 0.5)
+    g: tuple = (0.0, 0.0, 0.5)  # noise scale per component, stored as 3 floats
     dt: float = 0.01
     obs_shift: float = 0.5
     obs_var: float = 0.5
 
     def __post_init__(self):
+        _check_finite(self)
+        if np.shape(self.g) != (3,):
+            raise ValueError(f"g must hold 3 numbers, got {self.g!r}")
+        object.__setattr__(self, "g", tuple(float(v) for v in self.g))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -60,6 +74,7 @@ class TurnModelSpec:
     bearing_var: float = 1e-5
 
     def __post_init__(self):
+        _check_finite(self)
         if self.q < 0 or self.range_var <= 0 or self.bearing_var <= 0:
             raise ValueError("q must be >= 0 and observation variances positive")
 
@@ -101,7 +116,6 @@ def bistable_models(spec: BistableSpec) -> tuple[ProcessModel, ObservationModel]
         obs = ObservationModel(
             observe=lambda n, x: np.asarray(x, dtype=float),
             obs_cov=r,
-            obs_dim=1,
             jacobian=lambda n, x: np.array([[1.0]]),
             vectorized=True,
         )
@@ -110,7 +124,6 @@ def bistable_models(spec: BistableSpec) -> tuple[ProcessModel, ObservationModel]
         obs = ObservationModel(
             observe=lambda n, x: (np.asarray(x, dtype=float) - c) ** 2,
             obs_cov=r,
-            obs_dim=1,
             jacobian=lambda n, x: np.array([[2.0 * (x[0] - c)]]),
             vectorized=True,
         )
@@ -119,7 +132,7 @@ def bistable_models(spec: BistableSpec) -> tuple[ProcessModel, ObservationModel]
 
 def lorenz63_models(spec: Lorenz63Spec) -> tuple[ProcessModel, ObservationModel]:
     s, rho, b = spec.sigma, spec.rho, spec.beta
-    vol = np.diag(spec.g).astype(float)
+    vol = np.diag(spec.g)
 
     def drift(t, x):
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
@@ -163,7 +176,6 @@ def lorenz63_models(spec: Lorenz63Spec) -> tuple[ProcessModel, ObservationModel]
     obs = ObservationModel(
         observe=observe,
         obs_cov=np.array([[spec.obs_var]]),
-        obs_dim=1,
         jacobian=obs_jacobian,
         vectorized=True,
     )
@@ -257,13 +269,11 @@ def turn_models(spec: TurnModelSpec) -> tuple[ProcessModel, ObservationModel]:
         propagate=propagate,
         noise_cov=gamma,
         state_dim=5,
-        noise_dim=5,
         vectorized=True,
     )
     obs = ObservationModel(
         observe=observe,
         obs_cov=np.diag([spec.range_var, spec.bearing_var]),
-        obs_dim=2,
         jacobian=obs_jacobian,
         wrap_observation=wrap_observation,
         vectorized=True,

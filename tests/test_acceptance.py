@@ -15,7 +15,6 @@ from gaussfilt import (
     ExperimentConfig,
     FilterKind,
     Gaussian,
-    JointGaussian,
     TurnModelSpec,
     VariationalSettings,
     bfgs_minimize,
@@ -68,14 +67,12 @@ def _random_linear_model(rng):
         propagate=lambda n, x, xi: x @ a.T + xi if x.ndim > 1 else a @ x + xi,
         noise_cov=gamma,
         state_dim=2,
-        noise_dim=2,
         jacobian=lambda n, x, xi: np.hstack([a, np.eye(2)]),
         vectorized=True,
     )
     obs = ObservationModel(
         observe=lambda n, x: x @ h.T if x.ndim > 1 else h @ x,
         obs_cov=r,
-        obs_dim=1,
         jacobian=lambda n, x: h,
         vectorized=True,
     )
@@ -205,13 +202,11 @@ def test_criterion_3_smoothing_bias():
         propagate=lambda n, x, xi: x + xi,
         noise_cov=np.array([[1.0]]),
         state_dim=1,
-        noise_dim=1,
         jacobian=lambda n, x, xi: np.array([[1.0, 1.0]]),
     )
     obs = ObservationModel(
         observe=lambda n, x: np.asarray(x, dtype=float),
         obs_cov=np.array([[1.0]]),
-        obs_dim=1,
         jacobian=lambda n, x: np.array([[1.0]]),
     )
     aug = augment(Gaussian([0.0], [[1.0]]), process, 0)
@@ -219,11 +214,7 @@ def test_criterion_3_smoothing_bias():
     conditioned = measurement_update_linear(aug, psi, [3.0], obs.obs_cov)
 
     # independent oracle: exact conditioning of the joint (x, xi, y)
-    joint = JointGaussian(
-        np.zeros(3),
-        np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]]),
-        split=2,
-    )
+    joint = Gaussian(np.zeros(3), [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
     oracle = condition(joint, [3.0])
     gap = abs(conditioned.mean[1] - 1.0)
     report(

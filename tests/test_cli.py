@@ -120,8 +120,23 @@ def test_run_overrides_round_trip_through_config_echo(tmp_path, capsys):
         {"truth_x0": [0.1, 0.2]},
         {"params": {"substeps": 5, "obs_var": float("nan")}},
         {"prior": {"mean": [0.8], "cov": [[float("nan")]]}},
+        {
+            "testbed": "lorenz63",
+            "params": {"g": [0.0, 0.5]},
+            "prior": {"mean": [1.0, 1.0, 1.0], "cov": np.eye(3).tolist()},
+            "truth_x0": "prior-sample",
+        },
+        {"params": {"beta": float("nan")}},
     ],
-    ids=["negative-obs-var", "unknown-truth-x0", "truth-x0-wrong-dim", "nan-obs-var", "nan-prior-cov"],
+    ids=[
+        "negative-obs-var",
+        "unknown-truth-x0",
+        "truth-x0-wrong-dim",
+        "nan-obs-var",
+        "nan-prior-cov",
+        "lorenz-g-of-two",
+        "nan-beta",
+    ],
 )
 def test_validate_rejects_what_run_would_fail_on(tmp_path, capsys, overrides):
     path = write_config(tmp_path, **overrides)

@@ -7,7 +7,6 @@ from gaussfilt import (
     BistableSpec,
     FilterKind,
     Gaussian,
-    JointGaussian,
     ObservationModel,
     VariationalSettings,
     bistable_models,
@@ -30,14 +29,12 @@ def scalar_linear_model():
         propagate=lambda n, x, xi: A * x + xi,
         noise_cov=np.array([[GAMMA]]),
         state_dim=1,
-        noise_dim=1,
         jacobian=lambda n, x, xi: np.array([[A, 1.0]]),
         vectorized=True,
     )
     obs = ObservationModel(
         observe=lambda n, x: np.asarray(x, dtype=float),
         obs_cov=np.array([[R]]),
-        obs_dim=1,
         jacobian=lambda n, x: np.array([[1.0]]),
         vectorized=True,
     )
@@ -110,7 +107,6 @@ class TestSingleStep:
         obs = ObservationModel(
             observe=lambda n, x: np.asarray(x, dtype=float),
             obs_cov=np.array([[1e15]]),
-            obs_dim=1,
             jacobian=lambda n, x: np.array([[1.0]]),
         )
         prior = Gaussian([0.0], [[1.0]])
@@ -145,13 +141,11 @@ class TestSingleStep:
             propagate=lambda n, x, xi: x + xi,
             noise_cov=np.array([[1.0]]),
             state_dim=1,
-            noise_dim=1,
             jacobian=lambda n, x, xi: np.array([[1.0, 1.0]]),
         )
         obs = ObservationModel(
             observe=lambda n, x: np.asarray(x, dtype=float),
             obs_cov=np.array([[1.0]]),
-            obs_dim=1,
             jacobian=lambda n, x: np.array([[1.0]]),
         )
         aug = augment(Gaussian([0.0], [[1.0]]), process, 0)
@@ -160,11 +154,7 @@ class TestSingleStep:
         assert abs(conditioned.mean[1] - 1.0) <= 1e-9
 
         # independent oracle: exact conditioning of the 3-variable joint
-        joint = JointGaussian(
-            np.zeros(3),
-            np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]]),
-            split=2,
-        )
+        joint = Gaussian(np.zeros(3), [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
         oracle = condition(joint, [3.0])
         assert abs(oracle.mean[1] - 1.0) <= 1e-12
         assert np.max(np.abs(conditioned.mean[:2] - oracle.mean)) <= 1e-9
@@ -240,7 +230,6 @@ class TestRunFilter:
         obs = ObservationModel(
             observe=lambda n, x: np.atleast_1d(1e8 * np.sin(1e8 * x[0])),
             obs_cov=np.array([[1.0]]),
-            obs_dim=1,
         )
         from gaussfilt.updates import VariationalSettings
 
@@ -258,7 +247,6 @@ class TestRunFilter:
             propagate=good.propagate,
             noise_cov=good.noise_cov,
             state_dim=1,
-            noise_dim=1,
             jacobian=lambda n, x, xi: np.array([[np.nan, 1.0]]),
             vectorized=True,
         )
@@ -277,7 +265,6 @@ class TestRunFilter:
             propagate=lambda n, x, xi: np.where(np.abs(x) < 2.0, np.nan, x + xi),
             noise_cov=np.array([[GAMMA]]),
             state_dim=1,
-            noise_dim=1,
             vectorized=True,
         )
         traj = run_filter(FilterKind(family), process, obs, Gaussian([0.0], [[1.0]]), [0.5, 0.2])
@@ -291,9 +278,9 @@ class TestRunFilter:
         # error and let no exception or warning escape (VGF and VGSF reach it
         # through the linearized fallback).
         walk = ProcessModel(
-            propagate=lambda n, x, xi: x + xi, noise_cov=[[1.0]], state_dim=1, noise_dim=1
+            propagate=lambda n, x, xi: x + xi, noise_cov=[[1.0]], state_dim=1
         )
-        obs = ObservationModel(observe=lambda n, x: 1e200 * x, obs_cov=[[1.0]], obs_dim=1)
+        obs = ObservationModel(observe=lambda n, x: 1e200 * x, obs_cov=[[1.0]])
         rng = np.random.default_rng(0)
         traj = run_filter(FilterKind(family), walk, obs, Gaussian([0.0], [[1.0]]), [1.0, 2.0], rng)
         assert isinstance(traj.error, SingularInnovationCov)
@@ -318,13 +305,11 @@ class TestRunFilter:
             propagate=lambda n, x, xi: A * x + xi,
             noise_cov=[[GAMMA]],
             state_dim=1,
-            noise_dim=1,
             jacobian=lambda n, x, xi: [[A, 1.0, 0.0]] if output == "process-jacobian" else [[A, 1.0]],
         )
         obs = ObservationModel(
             observe=observe,
             obs_cov=[[R]],
-            obs_dim=1,
             jacobian=lambda n, x: [[1.0, 0.0]] if output == "obs-jacobian" else [[1.0]],
         )
         rng = np.random.default_rng(0)

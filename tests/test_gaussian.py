@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gaussfilt
-from gaussfilt import Gaussian, JointGaussian, cholesky_factor, condition, quadratic_form
+from gaussfilt import Gaussian, cholesky_factor, condition, quadratic_form
 from gaussfilt.diagnostics import Diagnostics
 from gaussfilt.errors import NotPositiveDefinite, SingularInnovationCov, SingularMatrix
 from gaussfilt.gaussian import _factor_of, _settled, repair_covariance, symmetrize
@@ -52,18 +52,6 @@ class TestGaussianInvariants:
         g = Gaussian(0.8, 0.02)
         assert g.mean.shape == (1,)
         assert g.cov.shape == (1, 1)
-
-
-class TestJointGaussian:
-    def test_split_bounds(self):
-        with pytest.raises(ValueError):
-            JointGaussian([0.0, 0.0], np.eye(2), split=0)
-        with pytest.raises(ValueError):
-            JointGaussian([0.0, 0.0], np.eye(2), split=2)
-
-    def test_cov_symmetrized_on_construction(self):
-        j = JointGaussian([0.0, 0.0], [[1.0, 0.3], [0.3 + 1e-14, 1.0]], split=1)
-        assert np.array_equal(j.cov, j.cov.T)
 
 
 class TestCholeskyFactor:
@@ -207,26 +195,40 @@ class TestSettled:
 
 class TestCondition:
     def test_independent_blocks_unchanged(self):
-        j = JointGaussian([1.0, 2.0], np.diag([3.0, 4.0]), split=1)
+        j = Gaussian([1.0, 2.0], np.diag([3.0, 4.0]))
         out = condition(j, [7.0])
         assert np.allclose(out.mean, [1.0])
         assert np.allclose(out.cov, [[3.0]])
 
     def test_zero_innovation_moves_no_mean(self):
-        j = JointGaussian([1.0, 2.0], [[1.0, 0.5], [0.5, 2.0]], split=1)
+        j = Gaussian([1.0, 2.0], [[1.0, 0.5], [0.5, 2.0]])
         out = condition(j, [2.0])
         assert np.allclose(out.mean, [1.0])
         assert np.allclose(out.cov, [[1.0 - 0.25 / 2.0]])
 
     def test_scalar_example(self):
         # x|y for unit variances, cross-cov 0.5, y = 2: mean 1.0, cov 0.75
-        j = JointGaussian([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], split=1)
+        j = Gaussian([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
         out = condition(j, [2.0])
         assert np.allclose(out.mean, [1.0])
         assert np.allclose(out.cov, [[0.75]])
 
+    @pytest.mark.parametrize("y", [[], [1.0, 2.0], [1.0, 2.0, 3.0], [[1.0]]], ids=["empty", "all", "longer", "matrix"])
+    def test_observed_block_must_fit_inside(self, y):
+        # y conditions the trailing len(y) components, so 0 < len(y) < dim.
+        with pytest.raises(ValueError, match="does not fit"):
+            condition(Gaussian([0.0, 0.0], np.eye(2)), y)
+
+    def test_matches_closed_form_on_a_three_block_joint(self):
+        # The noise-conditioning joint [x, xi, y] of a random walk with unit
+        # prior, noise and observation variances, as criterion 3 builds it.
+        c = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
+        out = condition(Gaussian(np.zeros(3), c), [3.0])
+        assert np.allclose(out.mean, [1.0, 1.0], rtol=0.0, atol=1e-12)
+        assert np.allclose(out.cov, c[:2, :2] - np.outer(c[:2, 2], c[2, :2]) / 3.0, rtol=0.0, atol=1e-12)
+
     def test_singular_y_block_raises(self):
-        j = JointGaussian([0.0, 0.0], np.diag([1.0, 0.0]), split=1)
+        j = Gaussian([0.0, 0.0], np.diag([1.0, 0.0]))
         with pytest.raises(SingularInnovationCov):
             condition(j, [1.0])
 
@@ -237,7 +239,7 @@ class TestCondition:
             split = rng.integers(1, total)
             a = rng.standard_normal((total, total))
             c = a @ a.T + 0.1 * np.eye(total)
-            j = JointGaussian(rng.standard_normal(total), c, split=int(split))
+            j = Gaussian(rng.standard_normal(total), c)
             out = condition(j, rng.standard_normal(total - split))
             shrink = c[:split, :split] - out.cov
             assert np.linalg.eigvalsh(symmetrize(shrink))[0] >= -1e-9
@@ -251,7 +253,7 @@ class TestCondition:
         c = a @ a.T + 0.5 * np.eye(total)
         mean = rng.standard_normal(total)
         y = rng.standard_normal(total - split)
-        j = JointGaussian(mean, c, split=split)
+        j = Gaussian(mean, c)
         out = condition(j, y)
         n = 10 ** 5
         draws = rng.multivariate_normal(out.mean, out.cov, size=n)

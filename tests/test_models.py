@@ -117,7 +117,6 @@ class TestAugment:
             propagate=lambda n, x, xi: x + xi,
             noise_cov=np.array([[0.0025]]),
             state_dim=1,
-            noise_dim=1,
         )
         aug = augment(Gaussian([0.8], [[0.02]]), model, 0)
         assert np.allclose(aug.mean, [0.8, 0.0])
@@ -128,7 +127,6 @@ class TestAugment:
             propagate=lambda n, x, xi: x,
             noise_cov=np.eye(3),
             state_dim=2,
-            noise_dim=3,
         )
         prior = Gaussian([1.0, -1.0], [[2.0, 0.3], [0.3, 1.0]])
         aug = augment(prior, model, 0)
@@ -142,7 +140,6 @@ class TestAugment:
             propagate=lambda n, x, xi: x,
             noise_cov=np.eye(1),
             state_dim=1,
-            noise_dim=1,
         )
         with pytest.raises(DimensionMismatch):
             augment(Gaussian([0.0, 0.0], np.eye(2)), model, 0)
@@ -157,18 +154,29 @@ class TestProcessModelNoiseCov:
         [
             (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
             (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive semi-definite"),
-            (np.eye(3), "shape"),
+            (np.ones((2, 3)), "shape"),
             (np.array([[np.nan, 0.0], [0.0, 1.0]]), "not finite"),
             (np.array([[np.inf, 0.0], [0.0, 1.0]]), "not finite"),
         ],
     )
     def test_rejected_at_construction(self, noise_cov, match):
         with pytest.raises(ValueError, match=match):
-            ProcessModel(propagate=lambda n, x, xi: x, noise_cov=noise_cov, state_dim=1, noise_dim=2)
+            ProcessModel(propagate=lambda n, x, xi: x, noise_cov=noise_cov, state_dim=1)
 
     def test_accepted_as_nested_lists(self):
-        model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=[[0.5]], state_dim=1, noise_dim=1)
+        model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=[[0.5]], state_dim=1)
         assert model.noise_cov.dtype == float and model.noise_cov.shape == (1, 1)
+
+    @pytest.mark.parametrize("noise_cov", [np.zeros((0, 0)), [[0.5]], np.eye(3)], ids=["none", "one", "three"])
+    def test_noise_dim_is_the_covariance_size(self, noise_cov):
+        model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=noise_cov, state_dim=1)
+        assert model.noise_dim == np.shape(noise_cov)[0]
+
+    def test_replace_keeps_covariance_and_dimensions(self):
+        model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=np.eye(3), state_dim=2)
+        wrapped = dataclasses.replace(model, propagate=lambda n, x, xi: x + 1.0)
+        assert wrapped.noise_cov is model.noise_cov
+        assert (wrapped.state_dim, wrapped.noise_dim) == (2, 3)
 
 
 class TestObservationModelObsCov:
@@ -180,18 +188,24 @@ class TestObservationModelObsCov:
         [
             (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
             (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive semi-definite"),
-            (np.eye(3), "shape"),
+            (np.ones((2, 3)), "shape"),
             (np.array([[np.nan, 0.0], [0.0, 1.0]]), "not finite"),
             (np.array([[np.inf, 0.0], [0.0, 1.0]]), "not finite"),
         ],
     )
     def test_rejected_at_construction(self, obs_cov, match):
         with pytest.raises(ValueError, match=match):
-            ObservationModel(observe=lambda n, x: x, obs_cov=obs_cov, obs_dim=2)
+            ObservationModel(observe=lambda n, x: x, obs_cov=obs_cov)
 
     def test_accepted_as_nested_lists(self):
-        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[0.5, 0.1], [0.1, 0.5]], obs_dim=2)
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[0.5, 0.1], [0.1, 0.5]])
         assert obs.obs_cov.dtype == float and obs.obs_cov.shape == (2, 2)
+        assert obs.obs_dim == 2
+
+    def test_replace_keeps_covariance_and_dimension(self):
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=np.eye(2))
+        wrapped = dataclasses.replace(obs, observe=lambda n, x: 2.0 * x)
+        assert wrapped.obs_cov is obs.obs_cov and wrapped.obs_dim == 2
 
 
 class TestComposedObservation:
@@ -200,14 +214,12 @@ class TestComposedObservation:
             propagate=lambda n, x, xi: x + xi,
             noise_cov=np.eye(1),
             state_dim=1,
-            noise_dim=1,
         )
 
     def test_identity_composition(self):
         obs = ObservationModel(
             observe=lambda n, x: x,
             obs_cov=np.eye(1),
-            obs_dim=1,
         )
         psi = composed_observation(self._random_walk(), obs, 0)
         assert np.allclose(psi(np.array([1.5, 0.25])), [1.75])
@@ -221,7 +233,7 @@ class TestComposedObservation:
             dt=0.01,
         )
         process = discretize_sde(spec)
-        obs = ObservationModel(observe=lambda n, x: x, obs_cov=np.eye(1), obs_dim=1)
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=np.eye(1))
         psi = composed_observation(process, obs, 0)
         assert np.isclose(psi(np.array([0.8, 0.0]))[0], 0.8288)
 
@@ -230,12 +242,10 @@ class TestComposedObservation:
             propagate=lambda n, x, xi: x,
             noise_cov=np.eye(1),
             state_dim=1,
-            noise_dim=1,
         )
         obs = ObservationModel(
             observe=lambda n, x: (x - 0.05) ** 2,
             obs_cov=np.eye(1),
-            obs_dim=1,
         )
         psi = composed_observation(process, obs, 0)
         assert np.isclose(psi(np.array([0.3, 9.9]))[0], 0.0625)
@@ -246,14 +256,12 @@ class TestComposedObservation:
             propagate=lambda n, x, xi: a @ x + xi,
             noise_cov=np.eye(2),
             state_dim=2,
-            noise_dim=2,
             jacobian=lambda n, x, xi: np.hstack([a, np.eye(2)]),
         )
         h = np.array([[1.0, -1.0]])
         obs = ObservationModel(
             observe=lambda n, x: h @ x,
             obs_cov=np.eye(1),
-            obs_dim=1,
             jacobian=lambda n, x: h,
         )
         psi = composed_observation(process, obs, 0)
@@ -395,7 +403,6 @@ def _pendulum_process(jacobian):
         propagate=propagate,
         noise_cov=np.eye(1),
         state_dim=2,
-        noise_dim=1,
         jacobian=jac if jacobian else None,
     )
 
@@ -468,11 +475,10 @@ class TestValueAndJacobian:
             propagate=lambda n, x, xi: x + xi,
             noise_cov=np.eye(1),
             state_dim=1,
-            noise_dim=1,
             jacobian=lambda n, x, xi: np.array([[np.inf, 1.0]]),
         )
         obs = ObservationModel(
-            observe=lambda n, x: x, obs_cov=np.eye(1), obs_dim=1, jacobian=lambda n, x: [[np.nan]]
+            observe=lambda n, x: x, obs_cov=np.eye(1), jacobian=lambda n, x: [[np.nan]]
         )
         z = np.array([0.2, 0.1])
         with pytest.raises(DivergedEvaluation, match="not finite"):

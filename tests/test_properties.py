@@ -18,6 +18,7 @@ from gaussfilt import (
     ProcessModel,
     augment,
     cholesky_factor,
+    condition,
     cubature3,
     cubature5,
     measurement_update_linear,
@@ -76,7 +77,6 @@ def linear_time_cases(draw):
         propagate=lambda n, x, xi: x @ a.T + xi @ b.T,
         noise_cov=draw(psd(dd)),
         state_dim=d,
-        noise_dim=dd,
         jacobian=lambda n, x, xi: np.hstack([a, b]),
         vectorized=True,
     )
@@ -106,6 +106,21 @@ def test_point_time_update_is_exact_on_linear_maps(case):
         pred = time_update_points(aug, process, 0, rule)
         assert_agree(pred, exact)
         assert_psd(pred)
+
+
+@BOUNDED
+@given(st.integers(2, 8).flatmap(lambda k: st.tuples(gaussians(k), st.integers(1, k - 1))), st.data())
+def test_condition_is_the_closed_form_conditional(case, data):
+    # The leading k - len(y) components given the trailing len(y), against
+    # m_x + C_xy C_yy^-1 (y - m_y) and C_xx - C_xy C_yy^-1 C_yx.
+    joint, observed = case
+    y = data.draw(arrays(float, observed, elements=st.floats(-10.0, 10.0)))
+    k = joint.dim - observed
+    c, m = joint.cov, joint.mean
+    gain = np.linalg.solve(c[k:, k:], c[k:, :k]).T
+    shrunk = c[:k, :k] - gain @ c[k:, :k]
+    want = Gaussian(m[:k] + gain @ (y - m[k:]), 0.5 * (shrunk + shrunk.T))
+    assert_agree(condition(joint, y), want)
 
 
 def assert_passes_public_check(g: Gaussian):

@@ -267,12 +267,10 @@ class TestSimulateTruth:
             propagate=lambda n, x, xi: 0.9 * x + xi,
             noise_cov=np.zeros((1, 1)),
             state_dim=1,
-            noise_dim=1,
         )
         obs = ObservationModel(
             observe=lambda n, x: np.asarray(x, dtype=float),
             obs_cov=np.zeros((1, 1)),
-            obs_dim=1,
         )
         run = simulate_truth(process, obs, np.array([1.0]), 5, np.random.default_rng(5))
         assert np.allclose(run.truth[:, 0], 0.9 ** np.arange(6))
@@ -303,13 +301,11 @@ class TestSimulateTruth:
             propagate=lambda n, x, xi: np.column_stack([x[:, 0] + 0.1 * x[:, 1], 0.9 * x[:, 1]]) + xi,
             noise_cov=0.01 * np.eye(2),
             state_dim=2,
-            noise_dim=2,
             vectorized=True,
         )
         obs = ObservationModel(
             observe=lambda n, x: np.hypot(x[:, 0], x[:, 1])[:, None],
             obs_cov=[[0.01]],
-            obs_dim=1,
             vectorized=True,
         )
         run = simulate_truth(process, obs, np.array([3.0, 1.0]), 10, np.random.default_rng(2))
@@ -322,9 +318,9 @@ class TestSimulateTruth:
 
     def test_overflowing_truth_raises_diverged(self):
         process = ProcessModel(
-            propagate=lambda n, x, xi: 1e100 * x + xi, noise_cov=[[1.0]], state_dim=1, noise_dim=1
+            propagate=lambda n, x, xi: 1e100 * x + xi, noise_cov=[[1.0]], state_dim=1
         )
-        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]], obs_dim=1)
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]])
         with pytest.raises(DivergedEvaluation, match="not finite"):
             simulate_truth(process, obs, np.array([1.0]), 5, np.random.default_rng(0))
 
@@ -368,9 +364,9 @@ class TestStackedTruth:
     def test_non_vectorized_model_stacks_byte_for_byte(self):
         a = np.array([[0.9, 0.2], [-0.1, 0.95]])
         process = ProcessModel(
-            propagate=lambda n, x, xi: a @ np.sin(x) + xi, noise_cov=0.01 * np.eye(2), state_dim=2, noise_dim=2
+            propagate=lambda n, x, xi: a @ np.sin(x) + xi, noise_cov=0.01 * np.eye(2), state_dim=2
         )
-        obs = ObservationModel(observe=lambda n, x: np.hypot(*x), obs_cov=[[0.01]], obs_dim=1)
+        obs = ObservationModel(observe=lambda n, x: np.hypot(*x), obs_cov=[[0.01]])
         x0s = [[1.0, 0.0], [0.3, -2.0], [2.0, 2.0], [-1.0, 0.5], [0.0, 0.0]]
         stacked = _stacked_run(process, obs, x0s, 15, self.SEEDS)
         for r, alone in enumerate(_one_row_runs(process, obs, x0s, 15, self.SEEDS)):
@@ -395,10 +391,9 @@ class TestStackedTruth:
             propagate=lambda n, x, xi: np.where(np.abs(x) > 5.0, 1e300 * x, x) + xi,
             noise_cov=[[1e-4]],
             state_dim=1,
-            noise_dim=1,
             vectorized=True,
         )
-        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]], obs_dim=1, vectorized=True)
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]], vectorized=True)
         with pytest.raises(DivergedEvaluation, match="not finite"):
             _stacked_run(process, obs, [[1.0], [10.0], [-1.0]], 5, (0, 1, 2))
 

@@ -53,7 +53,6 @@ def linear_process(a, gamma):
         propagate=lambda n, x, xi: a @ x + xi,
         noise_cov=np.atleast_2d(np.asarray(gamma, dtype=float)),
         state_dim=d,
-        noise_dim=d,
         jacobian=lambda n, x, xi: np.hstack([a, np.eye(d)]),
     )
 
@@ -291,7 +290,6 @@ class TestTimeUpdatePoints:
             propagate=lambda n, x, xi: x ** 2,
             noise_cov=np.zeros((0, 0)),
             state_dim=1,
-            noise_dim=0,
         )
         aug = Gaussian([0.0], [[1.0]])
         out = time_update_points(aug, process, 0, cubature5())
@@ -560,8 +558,8 @@ def _model_pair(nonlinear, vectorized):
         def observe(n, x):
             return np.stack([x[..., 0] - 0.5 * x[..., 1], 0.3 * x[..., 0] + 2.0 * x[..., 1]], axis=-1)
 
-    process = ProcessModel(propagate, 0.1 * np.eye(2), 2, 2, vectorized=vectorized)
-    obs = ObservationModel(observe, np.diag([0.3, 0.5]), 2, vectorized=vectorized)
+    process = ProcessModel(propagate, 0.1 * np.eye(2), 2, vectorized=vectorized)
+    obs = ObservationModel(observe, np.diag([0.3, 0.5]), vectorized=vectorized)
     return process, obs
 
 
