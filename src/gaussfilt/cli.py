@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .cubature import cubature3, cubature5, standard_rule
 from .errors import ConfigError, GaussFiltError, InvalidDimension
@@ -52,13 +53,8 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
         if args.command == "run" and (args.seed is not None or args.out is not None):
-            # Overrides go through the same checks as the file's own values.
-            raw = config.to_dict()
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            if args.out is not None:
-                raw["output_dir"] = args.out
-            config = ExperimentConfig.from_dict(raw)
+            config = replace(config, seed=config.seed if args.seed is None else args.seed,
+                             output_dir=config.output_dir if args.out is None else args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

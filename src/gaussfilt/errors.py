@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of config counts."""
+
+
+def as_integer(value, name: str) -> int:
+    """int(value); a bool or a fraction, which int would take or truncate, raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class GaussFiltError(Exception):

@@ -17,6 +17,7 @@ from .errors import (
     LineSearchFailed,
     OptimizerDidNotConverge,
     SingularHessian,
+    as_integer,
 )
 from .gaussian import Gaussian
 from .models import ObservationModel, ProcessModel, augment, composed_observation
@@ -48,6 +49,8 @@ class FilterKind:
     variational: VariationalSettings | None = None
 
     def __post_init__(self):
+        for name in ("rule_degree", "sample_count"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown filter family {self.family!r}")
         if self.family in ("CGF", "CGSF") and self.rule_degree not in (3, 5):

@@ -8,12 +8,13 @@ perturbs another filter's results.
 
 import json
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch
+from .errors import ConfigError, LengthMismatch, as_integer
 from .filters import FilterKind, run_filter
 from .gaussian import Gaussian
 from .testbeds import (
@@ -22,6 +23,7 @@ from .testbeds import (
     TurnModelSpec,
     bistable_models,
     lorenz63_models,
+    psd_sqrt,
     simulate_truth,
     turn_models,
 )
@@ -29,7 +31,12 @@ from .updates import VariationalSettings
 
 _MASK64 = (1 << 64) - 1
 
-TESTBEDS = ("bistable", "lorenz63", "tracking")
+# testbed name -> (parameter spec, model builder)
+TESTBEDS = {
+    "bistable": (BistableSpec, bistable_models),
+    "lorenz63": (Lorenz63Spec, lorenz63_models),
+    "tracking": (TurnModelSpec, turn_models),
+}
 
 # Component groupings reported separately in summaries, per testbed.
 METRIC_GROUPS = {
@@ -71,39 +78,29 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
 
 
-def _integer(value, name: str) -> int:
-    """int(value); a bool or a fraction, which int would truncate, raises ConfigError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+@contextmanager
+def _malformed():
+    """What a malformed value makes Python or a spec raise, as ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, IndexError) as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
 
 
 def _parse_filter(entry: dict) -> FilterKind:
     if not isinstance(entry, dict) or "family" not in entry:
         raise ConfigError(f"filter entry must be an object with 'family': {entry!r}")
-    kwargs = {key: _integer(entry[key], key) for key in ("rule_degree", "sample_count") if key in entry}
+    kwargs = {key: entry[key] for key in ("rule_degree", "sample_count") if key in entry}
     if "variational" in entry:
-        settings = dict(entry["variational"])
-        if "max_iter" in settings:
-            settings["max_iter"] = _integer(settings["max_iter"], "max_iter")
-        kwargs["variational"] = VariationalSettings(**settings)
+        kwargs["variational"] = VariationalSettings(**entry["variational"])
     return FilterKind(entry["family"], **kwargs)
-
-
-def _check_grid(replicates: int, steps: int, seed: int, window: tuple | None) -> None:
-    """The grid checks of ``ExperimentConfig.from_dict``, which
-    ``run_experiment`` repeats for a config built or replaced directly."""
-    if replicates < 1 or steps < 1:
-        raise ConfigError("replicates and steps must be >= 1")
-    if not 0 <= seed <= _MASK64:
-        raise ConfigError("seed must fit in 64 unsigned bits")
-    if window is not None and not 1 <= window[0] <= window[1] <= steps:
-        raise ConfigError(f"window {list(window)} outside 1..{steps}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative experiment description (JSON-serializable)."""
+    """Declarative experiment description (JSON-serializable).  It checks
+    itself and makes its counts ints at construction, so ``from_dict``,
+    ``dataclasses.replace`` and a direct build raise the same ConfigError."""
 
     name: str
     testbed: str
@@ -118,53 +115,57 @@ class ExperimentConfig:
     output_dir: str = "out"
     window: tuple | None = None  # (lo, hi) step window for time averages
 
+    def __post_init__(self):
+        with _malformed():
+            if self.testbed not in TESTBEDS:
+                raise ConfigError(f"testbed must be one of {tuple(TESTBEDS)}, got {self.testbed!r}")
+            for key in ("replicates", "steps", "seed"):
+                object.__setattr__(self, key, as_integer(getattr(self, key), key))
+            if self.replicates < 1 or self.steps < 1:
+                raise ConfigError("replicates and steps must be >= 1")
+            if not 0 <= self.seed <= _MASK64:
+                raise ConfigError("seed must fit in 64 unsigned bits")
+            if self.window is not None:
+                lo, hi = (as_integer(v, "window") for v in self.window)
+                object.__setattr__(self, "window", (lo, hi))
+                if not 1 <= lo <= hi <= self.steps:
+                    raise ConfigError(f"window {[lo, hi]} outside 1..{self.steps}")
+            labels = [f.label() for f in self.filters]
+            if not labels:
+                raise ConfigError("at least one filter required")
+            if len(set(labels)) != len(labels):
+                raise ConfigError(f"duplicate filter labels: {labels}")
+            d = self.build_models()[0].state_dim  # checks the testbed params and the prior's dimension
+            if isinstance(self.truth_x0, str):
+                if self.truth_x0 != "prior-sample":
+                    raise ConfigError(f"unknown truth_x0 {self.truth_x0!r}")
+            elif np.atleast_1d(self.truth_x0).shape != (d,) or not np.isfinite(self.truth_x0).all():
+                raise ConfigError(f"truth_x0 must be \"prior-sample\" or a finite state of dim {d}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Parse and validate a raw config; anything malformed raises ConfigError."""
-        try:
-            required = ["name", "testbed", "filters", "replicates", "steps", "seed", "prior"]
-            for key in required:
+        """Read a raw (JSON) config; anything malformed raises ConfigError."""
+        with _malformed():
+            for key in ("name", "testbed", "filters", "replicates", "steps", "seed", "prior"):
                 if key not in raw:
                     raise ConfigError(f"missing config field {key!r}")
-            if raw["testbed"] not in TESTBEDS:
-                raise ConfigError(f"testbed must be one of {TESTBEDS}, got {raw['testbed']!r}")
             prior = raw["prior"]
             if "mean" not in prior or "cov" not in prior:
                 raise ConfigError("prior must carry 'mean' and 'cov'")
-            replicates, steps, seed = (_integer(raw[key], key) for key in ("replicates", "steps", "seed"))
-            window = raw.get("window")
-            if window is not None:
-                window = (_integer(window[0], "window"), _integer(window[1], "window"))
-            _check_grid(replicates, steps, seed, window)
-            filters = [_parse_filter(f) for f in raw["filters"]]
-            if not filters:
-                raise ConfigError("at least one filter required")
-            labels = [f.label() for f in filters]
-            if len(set(labels)) != len(labels):
-                raise ConfigError(f"duplicate filter labels: {labels}")
-            cfg = cls(
+            return cls(
                 name=str(raw["name"]),
                 testbed=raw["testbed"],
                 params=dict(raw.get("params", {})),
-                filters=filters,
-                replicates=replicates,
-                steps=steps,
-                seed=seed,
+                filters=[_parse_filter(f) for f in raw["filters"]],
+                replicates=raw["replicates"],
+                steps=raw["steps"],
+                seed=raw["seed"],
                 prior_mean=list(prior["mean"]),
                 prior_cov=[list(row) for row in prior["cov"]],
                 truth_x0=raw.get("truth_x0", "prior-sample"),
                 output_dir=str(raw.get("output_dir", "out")),
-                window=window,
+                window=raw.get("window"),
             )
-            d = cfg.build_models()[0].state_dim  # validates testbed params and prior dimensions
-            if isinstance(cfg.truth_x0, str):
-                if cfg.truth_x0 != "prior-sample":
-                    raise ConfigError(f"unknown truth_x0 {cfg.truth_x0!r}")
-            elif np.atleast_1d(cfg.truth_x0).shape != (d,) or not np.isfinite(cfg.truth_x0).all():
-                raise ConfigError(f"truth_x0 must be \"prior-sample\" or a finite state of dim {d}")
-            return cfg
-        except (TypeError, ValueError, KeyError, IndexError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -176,19 +177,10 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def build_models(self):
+        spec_type, models = TESTBEDS[self.testbed]
         try:
-            if self.testbed == "bistable":
-                spec = BistableSpec(**self.params)
-                process, obs = bistable_models(spec)
-                dt_obs = spec.dt * spec.substeps
-            elif self.testbed == "lorenz63":
-                spec = Lorenz63Spec(**self.params)
-                process, obs = lorenz63_models(spec)
-                dt_obs = spec.dt
-            else:
-                spec = TurnModelSpec(**self.params)
-                process, obs = turn_models(spec)
-                dt_obs = spec.dt
+            spec = spec_type(**self.params)
+            process, obs = models(spec)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {self.testbed} params: {exc}") from exc
         prior = Gaussian(np.array(self.prior_mean, dtype=float),
@@ -197,7 +189,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"prior dim {prior.dim} does not match {self.testbed} state dim {process.state_dim}"
             )
-        return process, obs, prior, dt_obs
+        # only the bistable SDE takes substeps between observations
+        return process, obs, prior, spec.dt * getattr(spec, "substeps", 1)
 
     def to_dict(self) -> dict:
         out = {
@@ -255,17 +248,13 @@ class RunResult:
 
 
 def _resolve_truth_x0(config, prior, rng):
-    # Any other string (in a config built without from_dict) fails float conversion.
-    if isinstance(config.truth_x0, str) and config.truth_x0 == "prior-sample":
-        from .testbeds import psd_sqrt
-
+    if isinstance(config.truth_x0, str):  # "prior-sample", the one string a config takes
         return prior.mean + psd_sqrt(prior.cov) @ rng.standard_normal(prior.dim)
     return np.atleast_1d(np.asarray(config.truth_x0, dtype=float))
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run the replicate x filter grid; deterministic given the config."""
-    _check_grid(config.replicates, config.steps, config.seed, config.window)
     process, obs, prior, dt_obs = config.build_models()
     labels = [f.label() for f in config.filters]
     d = process.state_dim

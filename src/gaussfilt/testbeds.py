@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import as_integer
 from .models import ObservationModel, ProcessModel, SdeSpec, discretize_sde
 
 IDENTITY_OBS = "identity"
@@ -37,6 +38,7 @@ class BistableSpec:
 
     def __post_init__(self):
         _check_finite(self)
+        object.__setattr__(self, "substeps", as_integer(self.substeps, "substeps"))
         if self.beta <= 0 or self.obs_var <= 0:
             raise ValueError("beta and obs_var must be positive")
         if self.obs_kind not in (IDENTITY_OBS, SHIFTED_QUADRATIC_OBS):

@@ -19,6 +19,7 @@ from .errors import (
     NotPositiveDefinite,
     OptimizerDidNotConverge,
     SingularHessian,
+    as_integer,
 )
 from .gaussian import Gaussian, _conditioning_terms, _factor_of, _settled, cholesky_factor, symmetrize
 from .models import ObsFunction, ProcessModel, central_difference
@@ -49,6 +50,7 @@ class VariationalSettings:
     hessian_fd_step: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:

@@ -82,13 +82,24 @@ def test_validate_malformed_field_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"steps": 3.9}, {"replicates": True}, {"filters": [{"family": "VGF", "variational": {"max_iter": 2.5}}]}],
-    ids=["fractional-steps", "boolean-replicates", "fractional-max-iter"],
+    [{"steps": 3.9}, {"replicates": True}, {"filters": [{"family": "VGF", "variational": {"max_iter": 2.5}}]},
+     {"params": {"substeps": True}}, {"params": {"substeps": 2.5}}],
+    ids=["fractional-steps", "boolean-replicates", "fractional-max-iter", "boolean-substeps",
+         "fractional-substeps"],
 )
 def test_validate_rejects_a_non_integer_count(tmp_path, capsys, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["validate", "--config", str(path)]) == 1
     assert "must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_substeps_runs_as_the_integer(tmp_path):
+    for sub, substeps in (("a", 2.0), ("b", 2)):
+        path = write_config(tmp_path, params={"substeps": substeps}, output_dir=str(tmp_path / sub))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path)]) == 0
+    for name in ("per_step.csv", "summary.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_run_rejects_out_of_range_seed_override(tmp_path, capsys):

@@ -74,6 +74,10 @@ class TestFilterKind:
             FilterKind("CGF", rule_degree=4)
         with pytest.raises(ValueError):
             FilterKind("PGF", sample_count=1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            FilterKind("PGF", sample_count=2.5)
+        with pytest.raises(ValueError, match="must be an integer"):
+            VariationalSettings(max_iter=2.5)
 
     def test_family_partitions(self):
         assert FilterKind("LGSF").is_smoothing

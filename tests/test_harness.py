@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gaussfilt import ExperimentConfig, rmse, run_experiment, write_results
+from gaussfilt import ExperimentConfig, FilterKind, rmse, run_experiment, write_results
 from gaussfilt.errors import ConfigError, LengthMismatch
 from gaussfilt.harness import filter_stream_seed, replicate_seed, splitmix64
 
@@ -196,27 +196,38 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_dict(bistable_config(truth_x0=0.8)).truth_x0 == 0.8
 
     def test_directly_built_unknown_truth_x0_is_not_sampled(self):
-        cfg = dataclasses.replace(ExperimentConfig.from_dict(bistable_config()), truth_x0="prior_sample")
-        with pytest.raises(ValueError):
-            run_experiment(cfg)
+        cfg = ExperimentConfig.from_dict(bistable_config())
+        with pytest.raises(ConfigError, match="prior_sample"):
+            dataclasses.replace(cfg, truth_x0="prior_sample")
 
     @pytest.mark.parametrize(
-        "changes,match",
+        "changes,match,raw_changes",
         [
-            ({"seed": -1}, "seed"),
-            ({"seed": 2 ** 64}, "seed"),
-            ({"replicates": 0}, "replicates"),
-            ({"steps": 0}, "steps"),
-            ({"window": (5, 9)}, "window"),
+            ({"seed": -1}, "seed", None),
+            ({"seed": 2 ** 64}, "seed", None),
+            ({"replicates": 0}, "replicates", None),
+            ({"steps": 0}, "steps", None),
+            ({"window": (5, 9)}, "window", None),
+            ({"filters": [FilterKind("LGF"), FilterKind("LGF")]}, "duplicate",
+             {"filters": [{"family": "LGF"}, {"family": "LGF"}]}),
+            ({"filters": []}, "at least one filter", None),
+            ({"testbed": "nope"}, "'nope'", None),
+            ({"replicates": True}, "replicates must be an integer", None),
+            ({"prior_mean": [0.0, 0.0], "prior_cov": [[1.0, 0.0], [0.0, 1.0]]}, "prior dim 2",
+             {"prior": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}),
+            ({"truth_x0": [0.1, 0.2]}, "truth_x0", None),
         ],
-        ids=["negative-seed", "seed-past-64-bits", "no-replicates", "no-steps", "window-past-steps"],
+        ids=["negative-seed", "seed-past-64-bits", "no-replicates", "no-steps", "window-past-steps",
+             "duplicate-labels", "no-filters", "unknown-testbed", "boolean-replicates",
+             "prior-wrong-dim", "truth-x0-wrong-shape"],
     )
-    def test_run_experiment_rejects_what_from_dict_rejects(self, changes, match):
+    def test_run_experiment_rejects_what_from_dict_rejects(self, changes, match, raw_changes):
+        # The config checks itself at construction, so the grid never sees these.
         cfg = ExperimentConfig.from_dict(bistable_config(replicates=1, steps=2))
         with pytest.raises(ConfigError, match=match):
-            ExperimentConfig.from_dict({**bistable_config(replicates=1, steps=2), **changes})
+            ExperimentConfig.from_dict({**bistable_config(replicates=1, steps=2), **(raw_changes or changes)})
         with pytest.raises(ConfigError, match=match):
-            run_experiment(dataclasses.replace(cfg, **changes))
+            dataclasses.replace(cfg, **changes)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
