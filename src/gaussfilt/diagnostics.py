@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 @dataclass
 class Diagnostics:
-    jitters: int = 0
+    """The per-step counters; per_step.csv has one column per field, in this order."""
+
     fallbacks: int = 0
+    jitters: int = 0
     bfgs_iterations: int = 0

@@ -2,8 +2,9 @@
 
 
 def as_integer(value, name: str) -> int:
-    """int(value); a bool or a fraction, which int would take or truncate, raises ValueError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value); a bool, a string or a fraction, which int would take, parse or
+    truncate, raises ValueError."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -9,11 +9,12 @@ perturbs another filter's results.
 import json
 import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import Diagnostics
 from .errors import ConfigError, LengthMismatch, as_integer
 from .filters import FilterKind, run_filter
 from .gaussian import Gaussian
@@ -30,6 +31,9 @@ from .testbeds import (
 from .updates import VariationalSettings
 
 _MASK64 = (1 << 64) - 1
+
+# The per-step counters, in the order of their per_step.csv columns.
+_COUNTERS = tuple(f.name for f in fields(Diagnostics))
 
 # testbed name -> (parameter spec, model builder)
 TESTBEDS = {
@@ -83,17 +87,16 @@ def _malformed():
     """What a malformed value makes Python or a spec raise, as ConfigError."""
     try:
         yield
-    except (TypeError, ValueError, KeyError, IndexError) as exc:
+    except KeyError as exc:  # a key that from_dict takes out by name
+        raise ConfigError(f"missing config field {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
 def _parse_filter(entry: dict) -> FilterKind:
-    if not isinstance(entry, dict) or "family" not in entry:
-        raise ConfigError(f"filter entry must be an object with 'family': {entry!r}")
-    kwargs = {key: entry[key] for key in ("rule_degree", "sample_count") if key in entry}
     if "variational" in entry:
-        kwargs["variational"] = VariationalSettings(**entry["variational"])
-    return FilterKind(entry["family"], **kwargs)
+        entry = {**entry, "variational": VariationalSettings(**entry["variational"])}
+    return FilterKind(**entry)
 
 
 @dataclass(frozen=True)
@@ -104,14 +107,14 @@ class ExperimentConfig:
 
     name: str
     testbed: str
-    params: dict
     filters: list
     replicates: int
     steps: int
     seed: int
     prior_mean: list
     prior_cov: list
-    truth_x0: object  # literal state vector, scalar, or "prior-sample"
+    params: dict = field(default_factory=dict)
+    truth_x0: object = "prior-sample"  # literal state vector, scalar, or "prior-sample"
     output_dir: str = "out"
     window: tuple | None = None  # (lo, hi) step window for time averages
 
@@ -119,6 +122,8 @@ class ExperimentConfig:
         with _malformed():
             if self.testbed not in TESTBEDS:
                 raise ConfigError(f"testbed must be one of {tuple(TESTBEDS)}, got {self.testbed!r}")
+            if not (isinstance(self.name, str) and isinstance(self.output_dir, str)):
+                raise ConfigError("name and output_dir must be strings")
             for key in ("replicates", "steps", "seed"):
                 object.__setattr__(self, key, as_integer(getattr(self, key), key))
             if self.replicates < 1 or self.steps < 1:
@@ -144,28 +149,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Read a raw (JSON) config; anything malformed raises ConfigError."""
+        """Read a raw (JSON) config.  ``prior`` holds exactly ``mean`` and
+        ``cov``, each filter entry holds ``FilterKind``'s fields and every
+        other key is a field of this class, so an unknown or missing key, like
+        anything malformed, raises ConfigError."""
         with _malformed():
-            for key in ("name", "testbed", "filters", "replicates", "steps", "seed", "prior"):
-                if key not in raw:
-                    raise ConfigError(f"missing config field {key!r}")
-            prior = raw["prior"]
-            if "mean" not in prior or "cov" not in prior:
-                raise ConfigError("prior must carry 'mean' and 'cov'")
-            return cls(
-                name=str(raw["name"]),
-                testbed=raw["testbed"],
-                params=dict(raw.get("params", {})),
-                filters=[_parse_filter(f) for f in raw["filters"]],
-                replicates=raw["replicates"],
-                steps=raw["steps"],
-                seed=raw["seed"],
-                prior_mean=list(prior["mean"]),
-                prior_cov=[list(row) for row in prior["cov"]],
-                truth_x0=raw.get("truth_x0", "prior-sample"),
-                output_dir=str(raw.get("output_dir", "out")),
-                window=raw.get("window"),
-            )
+            raw = dict(raw)
+            prior = raw.pop("prior")
+            if set(prior) != {"mean", "cov"}:
+                raise ConfigError(f"prior must hold exactly 'mean' and 'cov', got {sorted(prior)}")
+            filters = [_parse_filter(f) for f in raw.pop("filters")]
+            return cls(filters=filters, prior_mean=prior["mean"], prior_cov=prior["cov"], **raw)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -227,7 +221,7 @@ class RunResult:
     dt_obs: float
     truths: np.ndarray       # (replicates, steps + 1, d)
     estimates: dict          # label -> (replicates, steps, d)
-    diagnostics: dict        # label -> (replicates, steps, 3) [fallbacks, jitters, bfgs_iterations]
+    diagnostics: dict        # label -> (replicates, steps, len(_COUNTERS))
     failures: list = field(default_factory=list)  # (replicate, label, message)
 
     def per_step_errors(self, label: str, components=None) -> np.ndarray:
@@ -260,7 +254,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     d = process.state_dim
     reps, steps = config.replicates, config.steps
     estimates = {lab: np.zeros((reps, steps, d)) for lab in labels}
-    diagnostics = {lab: np.zeros((reps, steps, 3), dtype=int) for lab in labels}
+    diagnostics = {lab: np.zeros((reps, steps, len(_COUNTERS)), dtype=int) for lab in labels}
     failures = []
     rep_seeds = [replicate_seed(config.seed, r) for r in range(reps)]
     truth_rngs = [np.random.default_rng(rep_seed) for rep_seed in rep_seeds]
@@ -274,9 +268,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             estimates[lab][r, :done] = means[1:]
             estimates[lab][r, done:] = means[-1]  # steps past a failure keep the last mean
             diagnostics[lab][r, :done] = np.reshape(
-                [(rec.diagnostics.fallbacks, rec.diagnostics.jitters, rec.diagnostics.bfgs_iterations)
-                 for rec in traj.records[1:]],
-                (done, 3),
+                [[getattr(rec.diagnostics, name) for name in _COUNTERS] for rec in traj.records[1:]],
+                (done, len(_COUNTERS)),
             )
             if traj.error is not None:
                 failures.append((r, lab, str(traj.error)))
@@ -299,17 +292,16 @@ def write_results(result: RunResult, out_dir) -> list:
 
     per_step = out / "per_step.csv"
     with open(per_step, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("replicate,filter,step,time,rmse,fallbacks,jitters,bfgs_iterations\n")
+        fh.write(",".join(("replicate", "filter", "step", "time", "rmse") + _COUNTERS) + "\n")
         errors = {lab: result.per_step_errors(lab) for lab in result.labels}
+        counts = {lab: result.diagnostics[lab].tolist() for lab in result.labels}
         for r in range(cfg.replicates):
             for lab in result.labels:
                 for k in range(cfg.steps):
                     fh.write(
                         f"{r},{lab},{k + 1},{_fmt((k + 1) * result.dt_obs)},"
                         f"{_fmt(errors[lab][r, k])},"
-                        f"{result.diagnostics[lab][r, k, 0]},"
-                        f"{result.diagnostics[lab][r, k, 1]},"
-                        f"{result.diagnostics[lab][r, k, 2]}\n"
+                        f"{','.join(map(str, counts[lab][r][k]))}\n"
                     )
 
     summary = out / "summary.csv"

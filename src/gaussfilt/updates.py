@@ -7,7 +7,7 @@ ordering the prior is the (d+D)-dimensional joint belief over z = [x, xi]
 and the map is the observation composed with one forward step.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,18 +35,13 @@ class VariationalSettings:
     L L^T is the prior covariance, with the chain-rule gradient of the
     misfit.  ``grad_tol`` is therefore compared with the norm of that
     whitened gradient; ``None`` still resolves to 1e-6 * (1 + |J(x0)|), J(x0)
-    being the misfit at the prior mean.  ``fd_step``, when set, replaces the
-    observation map's Jacobian in that gradient with central differences of
-    that step; ``None`` uses the map's own Jacobian.  Called without a
-    gradient, ``bfgs_minimize`` takes ``fd_step`` (default
-    sqrt(eps)*(1+|x_i|)) as its central-difference step.
-    ``hessian_fd_step`` is the step of the data term's x-space Hessian (the
-    prior term's is exact); ``None`` means eps^(1/4)*(1+|x_i|).
+    being the misfit at the prior mean.  ``hessian_fd_step`` is the step of
+    the data term's x-space Hessian (the prior term's is exact); ``None``
+    means eps^(1/4)*(1+|x_i|).
     """
 
     grad_tol: float | None = None
     max_iter: int = 200
-    fd_step: float | None = None
     hessian_fd_step: float | None = None
 
     def __post_init__(self):
@@ -98,7 +93,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
 
     ``f`` maps one point to a float.  ``grad``, when given, maps one point to
     the gradient of ``f``; otherwise central differences of step
-    ``settings.fd_step`` supply it.  Returns (minimizer, iteration count); a
+    sqrt(eps)*(1+|x_i|) supply it.  Returns (minimizer, iteration count); a
     non-finite f at x0 raises DivergedEvaluation, and a LineSearchFailed or
     OptimizerDidNotConverge carries the count in ``iterations``.  The
     inverse-Hessian approximation starts at the identity; the line search
@@ -110,7 +105,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
     settings = settings or DEFAULT_VARIATIONAL
     if grad is None:
         rows = lambda vs: np.array([f(v) for v in vs], dtype=float)
-        grad = lambda v: central_difference(rows, v, settings.fd_step)[0]
+        grad = lambda v: central_difference(rows, v)[0]
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     fx = float(f(x))
     if not np.isfinite(fx):
@@ -138,8 +133,6 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
                 break
             alpha *= 0.5
         if not ok:
-            if np.linalg.norm(g) <= tol:
-                return x, it
             raise LineSearchFailed(
                 f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})", it
             )
@@ -245,21 +238,15 @@ class WhitenedMisfit:
     whitened coordinates u = L^-1 (x - m), where it reads
     1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2.  A point where the map leaves its
     domain scores inf.  Called at one u, it keeps the map's value and
-    Jacobian there, from one joint call, for ``gradient``.  With ``fd_step``
-    set, that Jacobian is the central difference of that step.  L^-1 and
+    Jacobian there, from one joint call, for ``gradient``.  L^-1 and
     L_R^-1 are formed once, so every evaluation is a matrix product.
     """
 
-    def __init__(self, prior, obs_map, y, r, fd_step=None, diag=None):
+    def __init__(self, prior, obs_map, y, r, diag=None):
         self.mean = prior.mean
         self.l_prior = _factor_of(prior, diag)
         self.w_prior = np.linalg.inv(self.l_prior)
         self.w_obs = np.linalg.inv(cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag))
-        if fd_step is not None:
-            base = obs_map
-            obs_map = replace(
-                base, linearize=lambda x: (base(x), central_difference(base.rows, x, fd_step))
-            )
         self.obs_map = obs_map
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         self._last = None
@@ -331,7 +318,7 @@ def measurement_update_variational(
     misfit's chain-rule gradient.
     """
     settings = settings or DEFAULT_VARIATIONAL
-    misfit = WhitenedMisfit(prior, obs_map, y, r, settings.fd_step, diag)
+    misfit = WhitenedMisfit(prior, obs_map, y, r, diag)
     try:
         u_min, iters = bfgs_minimize(misfit, np.zeros(prior.dim), settings, grad=misfit.gradient)
     except (LineSearchFailed, OptimizerDidNotConverge) as exc:

@@ -83,14 +83,33 @@ def test_validate_malformed_field_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides",
     [{"steps": 3.9}, {"replicates": True}, {"filters": [{"family": "VGF", "variational": {"max_iter": 2.5}}]},
-     {"params": {"substeps": True}}, {"params": {"substeps": 2.5}}],
+     {"params": {"substeps": True}}, {"params": {"substeps": 2.5}}, {"replicates": "2"},
+     {"params": {"substeps": "2"}}],
     ids=["fractional-steps", "boolean-replicates", "fractional-max-iter", "boolean-substeps",
-         "fractional-substeps"],
+         "fractional-substeps", "string-replicates", "string-substeps"],
 )
 def test_validate_rejects_a_non_integer_count(tmp_path, capsys, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["validate", "--config", str(path)]) == 1
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides,key",
+    [
+        ({"filters": [{"family": "PGF", "sample_cout": 10}]}, "sample_cout"),
+        ({"windw": [1, 2]}, "windw"),
+        ({"prior": {"mean": [0.8], "cov": [[0.02]], "sd": [0.1]}}, "sd"),
+        ({"filters": [{"family": "VGF", "variational": {"fd_step": 1e-6}}]}, "fd_step"),
+        ({"prior_mean": [0.8]}, "prior_mean"),
+    ],
+    ids=["filter-key", "top-level-key", "prior-key", "variational-key", "field-name-as-key"],
+)
+def test_validate_rejects_an_unknown_key(tmp_path, capsys, overrides, key):
+    path = write_config(tmp_path, **overrides)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err
 
 
 def test_integral_float_substeps_runs_as_the_integer(tmp_path):

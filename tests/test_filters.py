@@ -64,8 +64,8 @@ class TestFilterKind:
         assert FilterKind("VGSF", variational=VariationalSettings()).label() == "VGSF"
         tight = VariationalSettings(grad_tol=1e-8, max_iter=50)
         assert FilterKind("VGF", variational=tight).label() == "VGF[grad_tol=1e-08;max_iter=50]"
-        steps = VariationalSettings(fd_step=1e-6, hessian_fd_step=1e-3)
-        assert FilterKind("VGSF", variational=steps).label() == "VGSF[fd_step=1e-06;hessian_fd_step=0.001]"
+        steps = VariationalSettings(max_iter=7, hessian_fd_step=1e-3)
+        assert FilterKind("VGSF", variational=steps).label() == "VGSF[max_iter=7;hessian_fd_step=0.001]"
 
     def test_validation(self):
         with pytest.raises(ValueError):

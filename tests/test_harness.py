@@ -5,10 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussfilt import ExperimentConfig, FilterKind, rmse, run_experiment, write_results
+from gaussfilt import ExperimentConfig, FilterKind, VariationalSettings, rmse, run_experiment, write_results
 from gaussfilt.errors import ConfigError, LengthMismatch
-from gaussfilt.harness import filter_stream_seed, replicate_seed, splitmix64
+from gaussfilt.filters import ALL_FAMILIES
+from gaussfilt.harness import _parse_filter, filter_stream_seed, replicate_seed, splitmix64
 
 
 def bistable_config(**overrides):
@@ -82,7 +85,7 @@ class TestExperimentConfig:
                     {"family": "CGF", "rule_degree": 5},
                     {"family": "PGF", "sample_count": 50},
                     {"family": "VGF", "variational": {"max_iter": 7, "grad_tol": 1e-5}},
-                    {"family": "VGSF", "variational": {"fd_step": 1e-6, "hessian_fd_step": 1e-3}},
+                    {"family": "VGSF", "variational": {"grad_tol": 1e-7, "hessian_fd_step": 1e-3}},
                 ],
                 window=[2, 4],
             )
@@ -240,6 +243,87 @@ class TestExperimentConfig:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(path)
+
+
+@st.composite
+def filter_entries(draw):
+    """One JSON filter entry, with the fields ``to_dict`` writes for its family."""
+    entry = {"family": draw(st.sampled_from(ALL_FAMILIES))}
+    if entry["family"] in ("CGF", "CGSF"):
+        entry["rule_degree"] = draw(st.sampled_from([3, 5]))
+    if entry["family"] in ("PGF", "PGSF"):
+        entry["sample_count"] = draw(st.integers(2, 5000))
+    if entry["family"] in ("VGF", "VGSF") and draw(st.booleans()):
+        entry["variational"] = draw(st.fixed_dictionaries({}, optional={
+            "grad_tol": st.floats(1e-12, 1.0),
+            "max_iter": st.integers(1, 500),
+            "hessian_fd_step": st.floats(1e-8, 0.1),
+        }))
+    return entry
+
+
+_STATE_DIMS = {"bistable": 1, "lorenz63": 3, "tracking": 5}
+_PARAMS = {"bistable": {"substeps": 5}, "lorenz63": {"obs_var": 0.25}, "tracking": {"q": 1e-3}}
+_NUMBERS = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def raw_configs(draw):
+    """A valid JSON config on any testbed, with or without the optional keys."""
+    testbed = draw(st.sampled_from(sorted(_STATE_DIMS)))
+    d, steps = _STATE_DIMS[testbed], draw(st.integers(1, 50))
+    raw = {
+        "name": draw(st.text(max_size=8)),
+        "testbed": testbed,
+        "filters": draw(st.lists(filter_entries(), min_size=1, max_size=4,
+                                 unique_by=lambda entry: _parse_filter(entry).label())),
+        "replicates": draw(st.integers(1, 100)),
+        "steps": steps,
+        "seed": draw(st.integers(0, 2 ** 64 - 1)),
+        "prior": {
+            "mean": draw(st.lists(_NUMBERS, min_size=d, max_size=d)),
+            "cov": np.diag(draw(st.lists(st.floats(1e-3, 10.0), min_size=d, max_size=d))).tolist(),
+        },
+    }
+    optional = {
+        "params": st.sampled_from([{}, _PARAMS[testbed]]),
+        "truth_x0": st.one_of(st.just("prior-sample"), st.lists(_NUMBERS, min_size=d, max_size=d)),
+        "output_dir": st.text(min_size=1, max_size=8),
+        "window": st.integers(1, steps).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, steps)))
+        .map(list),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            raw[key] = draw(values)
+    return raw
+
+
+class TestConfigSchema:
+    @settings(max_examples=50, deadline=None)
+    @given(raw_configs())
+    def test_from_dict_inverts_to_dict(self, raw):
+        cfg = ExperimentConfig.from_dict(raw)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw_configs(), st.data())
+    def test_an_unknown_key_at_any_level_is_a_config_error(self, raw, data):
+        levels = {
+            "top level": (raw, {f.name for f in dataclasses.fields(ExperimentConfig)} | {"prior"}),
+            "prior": (raw["prior"], {"mean", "cov"}),
+        }
+        for i, entry in enumerate(raw["filters"]):
+            levels[f"filter {i}"] = (entry, {f.name for f in dataclasses.fields(FilterKind)})
+            if "variational" in entry:
+                levels[f"filter {i} variational"] = (
+                    entry["variational"], {f.name for f in dataclasses.fields(VariationalSettings)})
+        target, known = levels[data.draw(st.sampled_from(sorted(levels)))]
+        key = data.draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+                        .filter(lambda k: k not in known))
+        target[key] = 1
+        with pytest.raises(ConfigError, match=repr(key)):
+            ExperimentConfig.from_dict(raw)
 
 
 class TestRunExperiment:
