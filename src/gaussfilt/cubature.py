@@ -6,7 +6,7 @@ measures, affine transport, and a moment-matching oracle.
 
 The degree-5 rule's points and the probes of ``updates.numerical_hessian``
 are one fully symmetric stencil (Stroud 1971), built by
-``symmetric_stencil`` with different axis and pair offsets.
+``symmetric_stencil`` from different axis and pair directions.
 """
 
 from dataclasses import dataclass
@@ -83,21 +83,26 @@ class DiscreteMeasure:
         return self.points.shape[0]
 
 
-def symmetric_stencil(h_axis: np.ndarray, h_pair: np.ndarray) -> np.ndarray:
-    """The (1 + 2k + 4 k(k-1)/2, k) offsets of the fully symmetric stencil:
-    the origin, then +h_axis_i e_i and -h_axis_i e_i for each i, then
-    +-h_pair_i e_i +-h_pair_j e_j in sign order (++, +-, -+, --) for each
-    pair i < j in row-major order."""
-    k = h_axis.shape[0]
+def symmetric_stencil(a_axis: np.ndarray, a_pair: np.ndarray) -> np.ndarray:
+    """The (1 + 2k + 4 k(k-1)/2, n) offsets of the fully symmetric stencil
+    along k direction rows of length n: the origin, then +a_axis[i] and
+    -a_axis[i] for each i, then +-a_pair[i] +-a_pair[j] in sign order
+    (++, +-, -+, --) for each pair i < j in row-major order.  Every offset
+    is formed by subtraction from +0.0, never by negation, so the rows of
+    scaled identities hold +0.0 off their axes."""
+    k, n = a_axis.shape
     iu, ju = np.triu_indices(k, 1)
-    out = np.zeros((1 + 2 * k + 4 * iu.size, k))
+    out = np.zeros((1 + 2 * k + 4 * iu.size, n))
     # Views of the axis and pair rows, indexed (axis or pair, sign, coordinate).
-    axes = out[1:1 + 2 * k].reshape(k, 2, k)
-    pairs = out[1 + 2 * k:].reshape(iu.size, 4, k)
-    axes[np.arange(k), :, np.arange(k)] = h_axis[:, None] * [1.0, -1.0]
-    pair = np.arange(iu.size)
-    pairs[pair, :, iu] = h_pair[iu][:, None] * [1.0, 1.0, -1.0, -1.0]
-    pairs[pair, :, ju] = h_pair[ju][:, None] * [1.0, -1.0, 1.0, -1.0]
+    axes = out[1:1 + 2 * k].reshape(k, 2, n)
+    pairs = out[1 + 2 * k:].reshape(iu.size, 4, n)
+    axes[:, 0] = a_axis
+    axes[:, 1] = 0.0 - a_axis
+    ai, aj = a_pair[iu], a_pair[ju]
+    pairs[:, 0] = ai + aj
+    pairs[:, 1] = ai - aj
+    pairs[:, 2] = aj - ai
+    pairs[:, 3] = (0.0 - ai) - aj
     return out
 
 
@@ -132,7 +137,7 @@ def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None
         pts = np.vstack([np.sqrt(k) * np.eye(k), -np.sqrt(k) * np.eye(k)])
         rule = DiscreteMeasure(np.full(2 * k, 1.0 / (2 * k)), pts)
     else:
-        pts = symmetric_stencil(np.full(k, np.sqrt(k + 2.0)), np.full(k, np.sqrt((k + 2.0) / 2.0)))
+        pts = symmetric_stencil(np.sqrt(k + 2.0) * np.eye(k), np.sqrt((k + 2.0) / 2.0) * np.eye(k))
         w = [2.0 / (k + 2), (4.0 - k) / (2.0 * (k + 2) ** 2), 1.0 / (k + 2) ** 2]
         rule = DiscreteMeasure(np.repeat(w, [1, 2 * k, 2 * k * (k - 1)]), pts)
     rule.weights.flags.writeable = False

@@ -33,6 +33,8 @@ from .updates import (
 CONVENTIONAL_FAMILIES = ("LGF", "VGF", "CGF", "PGF")
 SMOOTHING_FAMILIES = ("LGSF", "VGSF", "CGSF", "PGSF")
 ALL_FAMILIES = CONVENTIONAL_FAMILIES + SMOOTHING_FAMILIES
+# FilterKind's parameter -> the families that read it
+_READERS = {"rule_degree": ("CGF", "CGSF"), "sample_count": ("PGF", "PGSF"), "variational": ("VGF", "VGSF")}
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,8 @@ class FilterKind:
     """Selects a filter family plus its rule parameters.
 
     rule_degree applies to CGF/CGSF; sample_count to PGF/PGSF; variational
-    settings to VGF/VGSF.
+    settings to VGF/VGSF.  A family keeps the default of every parameter it
+    does not read, so two kinds that filter alike compare equal.
     """
 
     family: str
@@ -53,6 +56,9 @@ class FilterKind:
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown filter family {self.family!r}")
+        for f in fields(self)[1:]:
+            if self.family not in _READERS[f.name] and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.family} does not read {f.name}")
         if self.family in ("CGF", "CGSF") and self.rule_degree not in (3, 5):
             raise ValueError("rule_degree must be 3 or 5")
         if self.family in ("PGF", "PGSF") and self.sample_count < 2:

@@ -18,15 +18,15 @@ from .gaussian import Gaussian, as_covariance
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
 
-def central_difference(rows: Callable, x: np.ndarray, step: float | None = None) -> np.ndarray:
+def central_difference(rows: Callable, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian (out x k) of a stacked evaluator at x.
 
     ``rows`` maps stacked points (m, k) to (m, out) values, or (m,) for a
-    scalar function; all 2k probes x +- h_i e_i go to it in one call.  The
-    step h_i is ``step``, or sqrt(eps)*(1+|x_i|) when that is None.
+    scalar function; all 2k probes x +- h_i e_i go to it in one call, with
+    h_i = sqrt(eps)*(1+|x_i|).
     """
     x = np.asarray(x, dtype=float)
-    h = np.full(x.shape, step) if step is not None else _SQRT_EPS * (1.0 + np.abs(x))
+    h = _SQRT_EPS * (1.0 + np.abs(x))
     k = x.shape[0]
     probes = np.repeat(x[None, :], 2 * k, axis=0)
     idx = np.arange(k)

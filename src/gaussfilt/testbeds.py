@@ -17,12 +17,14 @@ QUADRATIC_SHIFT = 0.05
 
 
 def _check_finite(spec) -> None:
-    """ValueError unless every number in ``spec`` is finite; a value that is
-    not numeric at all raises TypeError."""
+    """ValueError unless every field of ``spec`` not declared ``str`` holds
+    finite numbers: a string, like a NaN, is not one."""
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if not isinstance(value, str) and not np.isfinite(value).all():
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if f.type is not str and not (
+            np.issubdtype(np.asarray(value).dtype, np.number) and np.isfinite(value).all()
+        ):
+            raise ValueError(f"{f.name} must be numeric and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class BistableSpec:
     obs_var: float = 0.03
 
     def __post_init__(self):
-        _check_finite(self)
         object.__setattr__(self, "substeps", as_integer(self.substeps, "substeps"))
+        _check_finite(self)
         if self.beta <= 0 or self.obs_var <= 0:
             raise ValueError("beta and obs_var must be positive")
         if self.obs_kind not in (IDENTITY_OBS, SHIFTED_QUADRATIC_OBS):

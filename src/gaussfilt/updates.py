@@ -29,20 +29,17 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class VariationalSettings:
-    """Stopping and finite-difference controls for the variational update.
+    """Stopping controls for the variational update.
 
     The update runs BFGS in whitened coordinates u = L^-1 (x - m), where
     L L^T is the prior covariance, with the chain-rule gradient of the
     misfit.  ``grad_tol`` is therefore compared with the norm of that
     whitened gradient; ``None`` still resolves to 1e-6 * (1 + |J(x0)|), J(x0)
-    being the misfit at the prior mean.  ``hessian_fd_step`` is the step of
-    the data term's x-space Hessian (the prior term's is exact); ``None``
-    means eps^(1/4)*(1+|x_i|).
+    being the misfit at the prior mean.
     """
 
     grad_tol: float | None = None
     max_iter: int = 200
-    hessian_fd_step: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
@@ -54,37 +51,28 @@ class VariationalSettings:
 
 DEFAULT_VARIATIONAL = VariationalSettings()
 
-# The unit stencils symmetric_stencil(1, 1) by k, built on first use, read-only.
-_STENCILS: dict = {}
 
+def numerical_hessian(rows, x, basis):
+    """Central-difference Hessian (k x k) of u -> f(x + basis @ u) at u = 0.
 
-def numerical_hessian(rows, x, step=None):
-    """Symmetric central-difference Hessian.
-
-    All 1 + 2k + 4 k(k-1)/2 probes, x plus the offsets of
-    ``cubature.symmetric_stencil(h, h)``, go to one call of ``rows``, which
-    maps stacked points (m, k) to m values.  The offsets are the cached unit
-    stencil scaled by h, which gives each +-h_i exactly.
+    ``rows`` maps stacked points (m, n) to the m values of f; ``basis`` is
+    (n, k).  All 1 + 2k + 4 k(k-1)/2 probes, x plus the offsets of
+    ``cubature.symmetric_stencil`` along the scaled columns h basis e_i, go
+    to one call.  The step h = (eps (1 + max_j |x_j| / s_j))^(1/4), with s_j
+    the norm of basis row j (the prior sd of x_j when basis is its Cholesky
+    factor), is in the units of u: x's units do not change it, and its
+    origin only through the rounding of x_j, in units of s_j.
     """
     x = np.asarray(x, dtype=float)
-    h = np.full(x.shape, step) if step is not None else _EPS ** 0.25 * (1.0 + np.abs(x))
-    k = x.shape[0]
-    unit = _STENCILS.get(k)
-    if unit is None:
-        unit = _STENCILS[k] = symmetric_stencil(np.ones(k), np.ones(k))
-        unit.flags.writeable = False
-    idx = np.arange(k)
-    iu, ju = np.triu_indices(k, 1)
+    k = basis.shape[1]
+    h = (_EPS * (1.0 + np.max(np.abs(x) / np.linalg.norm(basis, axis=1)))) ** 0.25
+    steps = h * basis.T
+    vals = rows(x + symmetric_stencil(steps, steps))
     first_pair = 1 + 2 * k
-    probes = x + unit * h
-    vals = rows(probes)
-    hess = np.empty((k, k))
-    # h_i ** 2 through pow, as a scalar square is computed; h * h differs in
-    # the last bit for a few steps in ten thousand.
-    h_sq = np.array([hi ** 2 for hi in h])
-    hess[idx, idx] = (vals[1:first_pair:2] - 2.0 * vals[0] + vals[2:first_pair:2]) / h_sq
+    hess = np.diag((vals[1:first_pair:2] - 2.0 * vals[0] + vals[2:first_pair:2]) / (h * h))
     fpp, fpm, fmp, fmm = vals[first_pair:].reshape(-1, 4).T
-    hess[iu, ju] = hess[ju, iu] = (fpp - fpm - fmp + fmm) / (4.0 * h[iu] * h[ju])
+    upper = ~np.tri(k, dtype=bool)  # the pairs i < j, in the stencil's row-major order
+    hess[upper] = hess.T[upper] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     return hess
 
 
@@ -230,22 +218,20 @@ def measurement_update_points(
 
 
 class WhitenedMisfit:
-    """The variational misfit of a prior N(m, L L^T) and an observation y,
+    """The variational misfit of a prior N(m, L L^T) and an observation y in
+    the whitened coordinates u = L^-1 (x - m):
 
-        J(x) = 1/2 |L^-1 (x - m)|^2 + 1/2 |L_R^-1 r(x)|^2,
+        J(u) = 1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2,
 
-    with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T, in x and in the
-    whitened coordinates u = L^-1 (x - m), where it reads
-    1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2.  A point where the map leaves its
-    domain scores inf.  Called at one u, it keeps the map's value and
-    Jacobian there, from one joint call, for ``gradient``.  L^-1 and
-    L_R^-1 are formed once, so every evaluation is a matrix product.
+    with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T.  A point where
+    the map leaves its domain scores inf.  Called at one u, it keeps the
+    map's value and Jacobian there, from one joint call, for ``gradient``.
+    L_R^-1 is formed once, so every evaluation is a matrix product.
     """
 
     def __init__(self, prior, obs_map, y, r, diag=None):
         self.mean = prior.mean
         self.l_prior = _factor_of(prior, diag)
-        self.w_prior = np.linalg.inv(self.l_prior)
         self.w_obs = np.linalg.inv(cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag))
         self.obs_map = obs_map
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -265,12 +251,6 @@ class WhitenedMisfit:
             # an overflowing quadratic means a hopeless probe point; the
             # resulting inf makes the line search back off, as intended
             return 0.5 * np.sum(dr * dr, axis=0)
-
-    def at_x(self, xs):
-        """J at stacked points (m, k)."""
-        dx = self.w_prior @ (xs - self.mean).T
-        with np.errstate(over="ignore"):
-            return 0.5 * np.sum(dx * dx, axis=0) + self._data_term(xs)
 
     def at_u(self, us, preds=None):
         """J at stacked whitened points (m, k); ``preds``: the map's values there, if known."""
@@ -296,10 +276,11 @@ class WhitenedMisfit:
         a = self.w_obs @ jac @ self.l_prior
         return u - a.T @ w
 
-    def hessian(self, x, step=None):
-        """The x-space Hessian of J at one x: the prior term's L^-T L^-1
-        exactly, the data term's by ``numerical_hessian`` of that step."""
-        return self.w_prior.T @ self.w_prior + numerical_hessian(self._data_term, x, step)
+    def hessian(self, x):
+        """The whitened Hessian I + H_d of J at x = m + L u: the prior term's
+        identity exactly, the data term's H_d by ``numerical_hessian`` along
+        the columns of L."""
+        return np.eye(x.shape[0]) + numerical_hessian(self._data_term, x, self.l_prior)
 
 
 def measurement_update_variational(
@@ -311,11 +292,12 @@ def measurement_update_variational(
     diag: Diagnostics | None = None,
 ) -> Gaussian:
     """Posterior mean as the misfit minimizer, covariance as the inverse of
-    the x-space Hessian there, whose data term is numerically differenced.
+    the misfit's Hessian there, L (I + H_d)^-1 L^T.
 
     BFGS runs in whitened coordinates from u = 0 (the prior mean), where the
     prior term's Hessian is the identity BFGS starts from, and takes the
-    misfit's chain-rule gradient.
+    misfit's chain-rule gradient.  With G G^T the Cholesky factorization of
+    I + H_d, the covariance is F F^T for F = L G^-T.
     """
     settings = settings or DEFAULT_VARIATIONAL
     misfit = WhitenedMisfit(prior, obs_map, y, r, diag)
@@ -328,9 +310,9 @@ def measurement_update_variational(
     if diag is not None:
         diag.bfgs_iterations += iters
     minimizer = misfit.to_x(u_min)
-    hess = misfit.hessian(minimizer, settings.hessian_fd_step)
     try:
-        lh = cholesky_factor(hess, diag)
+        g = cholesky_factor(misfit.hessian(minimizer), diag)
     except NotPositiveDefinite as exc:
         raise SingularHessian("misfit Hessian not invertible at the minimizer") from exc
-    return _settled(minimizer, np.linalg.solve(lh.T, np.linalg.inv(lh)), diag)
+    f = misfit.l_prior @ np.linalg.inv(g).T
+    return _settled(minimizer, f @ f.T, diag)

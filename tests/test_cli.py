@@ -157,6 +157,19 @@ def test_run_overrides_round_trip_through_config_echo(tmp_path, capsys):
             "truth_x0": "prior-sample",
         },
         {"params": {"beta": float("nan")}},
+        {
+            "testbed": "lorenz63",
+            "params": {"sigma": "10"},
+            "prior": {"mean": [1.0, 1.0, 1.0], "cov": np.eye(3).tolist()},
+            "truth_x0": "prior-sample",
+        },
+        {
+            "testbed": "lorenz63",
+            "params": {"obs_shift": "0.5"},
+            "prior": {"mean": [1.0, 1.0, 1.0], "cov": np.eye(3).tolist()},
+            "truth_x0": "prior-sample",
+        },
+        {"params": {"substeps": 5, "sigma": "0.5"}},
     ],
     ids=[
         "negative-obs-var",
@@ -166,6 +179,9 @@ def test_run_overrides_round_trip_through_config_echo(tmp_path, capsys):
         "nan-prior-cov",
         "lorenz-g-of-two",
         "nan-beta",
+        "string-lorenz-sigma",
+        "string-obs-shift",
+        "string-bistable-sigma",
     ],
 )
 def test_validate_rejects_what_run_would_fail_on(tmp_path, capsys, overrides):

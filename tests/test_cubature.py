@@ -176,7 +176,7 @@ class TestSymmetricStencil:
         assert mu.weights.tobytes() == wts.tobytes()
 
     def test_layout(self):
-        out = symmetric_stencil(np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0]))
+        out = symmetric_stencil(np.diag([1.0, 2.0, 3.0]), np.diag([10.0, 20.0, 30.0]))
         assert out.shape == (1 + 6 + 12, 3)
         assert np.array_equal(out[:7], [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 2, 0],
                                         [0, -2, 0], [0, 0, 3], [0, 0, -3]])
@@ -184,3 +184,11 @@ class TestSymmetricStencil:
         assert np.array_equal(out[7:11], [[10, 20, 0], [10, -20, 0], [-10, 20, 0], [-10, -20, 0]])
         assert np.array_equal(out[11:15], [[10, 0, 30], [10, 0, -30], [-10, 0, 30], [-10, 0, -30]])
         assert np.array_equal(out[15:], [[0, 20, 30], [0, 20, -30], [0, -20, 30], [0, -20, -30]])
+        assert not np.signbit(out[out == 0.0]).any()  # +0.0 off the axes, as the rules print
+
+    def test_direction_rows(self):
+        # two directions in three dimensions: +-a_i, then +-b_0 +-b_1
+        a, b = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]]), np.array([[0.0, 1.0, 1.0], [4.0, 0.0, 0.0]])
+        out = symmetric_stencil(a, b)
+        assert np.array_equal(out, [[0, 0, 0], a[0], -a[0], a[1], -a[1],
+                                    b[0] + b[1], b[0] - b[1], b[1] - b[0], -b[0] - b[1]])

@@ -64,8 +64,8 @@ class TestFilterKind:
         assert FilterKind("VGSF", variational=VariationalSettings()).label() == "VGSF"
         tight = VariationalSettings(grad_tol=1e-8, max_iter=50)
         assert FilterKind("VGF", variational=tight).label() == "VGF[grad_tol=1e-08;max_iter=50]"
-        steps = VariationalSettings(max_iter=7, hessian_fd_step=1e-3)
-        assert FilterKind("VGSF", variational=steps).label() == "VGSF[max_iter=7;hessian_fd_step=0.001]"
+        steps = VariationalSettings(max_iter=7, grad_tol=1e-3)
+        assert FilterKind("VGSF", variational=steps).label() == "VGSF[grad_tol=0.001;max_iter=7]"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +78,10 @@ class TestFilterKind:
             FilterKind("PGF", sample_count=2.5)
         with pytest.raises(ValueError, match="must be an integer"):
             VariationalSettings(max_iter=2.5)
+        with pytest.raises(ValueError, match="LGF does not read sample_count"):
+            FilterKind("LGF", sample_count=10)
+        with pytest.raises(ValueError, match="PGF does not read variational"):
+            FilterKind("PGF", variational=VariationalSettings())
 
     def test_family_partitions(self):
         assert FilterKind("LGSF").is_smoothing
@@ -215,7 +219,7 @@ class TestRunFilter:
     def test_posterior_covariances_psd(self, family):
         process, obs = scalar_linear_model()
         traj = run_filter(
-            FilterKind(family, sample_count=300),
+            FilterKind(family, sample_count=300) if family in ("PGF", "PGSF") else FilterKind(family),
             process,
             obs,
             Gaussian([0.0], [[1.0]]),
@@ -317,20 +321,27 @@ class TestRunFilter:
             jacobian=lambda n, x: [[1.0, 0.0]] if output == "obs-jacobian" else [[1.0]],
         )
         rng = np.random.default_rng(0)
-        kind = FilterKind(family, sample_count=50)
+        kind = FilterKind(family, sample_count=50) if family in ("PGF", "PGSF") else FilterKind(family)
         traj = run_filter(kind, process, obs, Gaussian([0.0], [[1.0]]), [0.5, 0.2], rng)
         assert isinstance(traj.error, DimensionMismatch)
         assert len(traj.records) == 1
         named = {"obs-jacobian": "(1, 2), not", "process-jacobian": "(1, 3), not"}
         assert named.get(output, "map returned shape (") in str(traj.error)
 
-    def test_non_finite_hessian_falls_back_without_warning(self):
-        # A Hessian step of 1e3 sends the bistable misfit's probes out of the
-        # map's domain, so the data-term Hessian is not finite and every step
-        # falls back to the linearized update, silently.
-        process, obs = bistable_models(BistableSpec())
+    @pytest.mark.parametrize("family", ["VGF", "VGSF"])
+    def test_non_finite_hessian_falls_back_without_warning(self, family):
+        # An observation map that is finite at one point but not at stacked
+        # points: the misfit and its gradient are finite, but the data-term
+        # Hessian, whose probes go to the map in one stacked call, is not, so
+        # every step falls back to the linearized update, silently.
+        process, _ = bistable_models(BistableSpec())
+        obs = ObservationModel(
+            observe=lambda n, x: x if len(x) == 1 else np.full(x.shape, np.nan),
+            obs_cov=[[0.03]],
+            jacobian=lambda n, x: np.array([[1.0]]),
+            vectorized=True,
+        )
         run = simulate_truth(process, obs, np.array([0.8]), 3, np.random.default_rng(0))
-        kind = FilterKind("VGSF", variational=VariationalSettings(hessian_fd_step=1e3))
-        traj = run_filter(kind, process, obs, Gaussian([0.8], [[0.02]]), run.observations)
+        traj = run_filter(FilterKind(family), process, obs, Gaussian([0.8], [[0.02]]), run.observations)
         assert traj.error is None
         assert [r.diagnostics.fallbacks for r in traj.records[1:]] == [1, 1, 1]

@@ -85,7 +85,7 @@ class TestExperimentConfig:
                     {"family": "CGF", "rule_degree": 5},
                     {"family": "PGF", "sample_count": 50},
                     {"family": "VGF", "variational": {"max_iter": 7, "grad_tol": 1e-5}},
-                    {"family": "VGSF", "variational": {"grad_tol": 1e-7, "hessian_fd_step": 1e-3}},
+                    {"family": "VGSF", "variational": {"grad_tol": 1e-7}},
                 ],
                 window=[2, 4],
             )
@@ -245,20 +245,27 @@ class TestExperimentConfig:
             ExperimentConfig.from_file(path)
 
 
+# Each FilterKind parameter: the families that read it, and its valid values.
+_FAMILY_PARAMETERS = {
+    "rule_degree": (("CGF", "CGSF"), st.sampled_from([3, 5])),
+    "sample_count": (("PGF", "PGSF"), st.integers(2, 5000)),
+    "variational": (("VGF", "VGSF"), st.fixed_dictionaries({}, optional={
+        "grad_tol": st.floats(1e-12, 1.0),
+        "max_iter": st.integers(1, 500),
+    })),
+}
+
+
 @st.composite
 def filter_entries(draw):
     """One JSON filter entry, with the fields ``to_dict`` writes for its family."""
     entry = {"family": draw(st.sampled_from(ALL_FAMILIES))}
     if entry["family"] in ("CGF", "CGSF"):
-        entry["rule_degree"] = draw(st.sampled_from([3, 5]))
+        entry["rule_degree"] = draw(_FAMILY_PARAMETERS["rule_degree"][1])
     if entry["family"] in ("PGF", "PGSF"):
-        entry["sample_count"] = draw(st.integers(2, 5000))
+        entry["sample_count"] = draw(_FAMILY_PARAMETERS["sample_count"][1])
     if entry["family"] in ("VGF", "VGSF") and draw(st.booleans()):
-        entry["variational"] = draw(st.fixed_dictionaries({}, optional={
-            "grad_tol": st.floats(1e-12, 1.0),
-            "max_iter": st.integers(1, 500),
-            "hessian_fd_step": st.floats(1e-8, 0.1),
-        }))
+        entry["variational"] = draw(_FAMILY_PARAMETERS["variational"][1])
     return entry
 
 
@@ -323,6 +330,19 @@ class TestConfigSchema:
                         .filter(lambda k: k not in known))
         target[key] = 1
         with pytest.raises(ConfigError, match=repr(key)):
+            ExperimentConfig.from_dict(raw)
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw_configs(), st.data())
+    def test_a_parameter_its_family_does_not_read_is_a_config_error(self, raw, data):
+        # It would validate and then vanish from the echo: {"family": "LGF",
+        # "sample_count": 10} would echo as {"family": "LGF"}.
+        entry = data.draw(st.sampled_from(raw["filters"]))
+        key = data.draw(st.sampled_from(
+            sorted(k for k, (readers, _) in _FAMILY_PARAMETERS.items() if entry["family"] not in readers)))
+        default = {f.name: f.default for f in dataclasses.fields(FilterKind)}[key]
+        entry[key] = data.draw(_FAMILY_PARAMETERS[key][1].filter(lambda v: v != default))
+        with pytest.raises(ConfigError, match=f"{entry['family']} does not read {key}"):
             ExperimentConfig.from_dict(raw)
 
 

@@ -1,7 +1,8 @@
 """Machine-independent counters on the per-step path: the kernels build no
-checked Gaussian, a cubature step factors each covariance once, each
-deterministic cubature rule is built once, and the linearized filters run one
-Euler-Maruyama pass per linearization point."""
+checked Gaussian, a cubature step factors each covariance once, the
+variational update inverts no prior factor, each deterministic cubature rule
+is built once, and the linearized filters run one Euler-Maruyama pass per
+linearization point."""
 
 import math
 
@@ -21,6 +22,7 @@ from gaussfilt import (
     cubature5,
     discretize_sde,
     empirical,
+    measurement_update_variational,
     run_filter,
     simulate_truth,
     standard_rule,
@@ -28,6 +30,7 @@ from gaussfilt import (
 )
 from gaussfilt.cubature import symmetric_stencil
 from gaussfilt.filters import conventional_step, smoothing_step
+from gaussfilt.models import augment, composed_observation
 
 
 def _counting(monkeypatch, cls):
@@ -62,8 +65,7 @@ def test_tracking_run_checks_no_gaussian(family, monkeypatch):
 
 
 def _counting_linalg(monkeypatch, name):
-    """Count the calls of ``np.linalg.<name>`` for the rest of the test; the
-    package calls both counted routines only in ``gaussfilt.gaussian``."""
+    """Count the calls of ``np.linalg.<name>`` for the rest of the test."""
     calls = []
     original = getattr(np.linalg, name)
 
@@ -100,6 +102,21 @@ def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
         assert (len(cholesky), len(eigvalsh)) == (4, 0)
 
 
+def test_variational_update_inverts_no_prior_factor(monkeypatch):
+    # One bistable VGSF measurement update, in the 21-dim joint: Cholesky
+    # factors of the prior, of R, of I + H_d and of the posterior covariance,
+    # and the inverses of R's factor and of I + H_d's.  The Hessian is taken
+    # in the prior's whitened coordinates, so the prior's factor is never
+    # inverted and nothing is solved against it.
+    process, obs = bistable_models(BistableSpec())
+    prior = augment(Gaussian([0.8], [[0.02]]), process, 0)
+    psi = composed_observation(process, obs, 0)
+    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve")}
+    posterior = measurement_update_variational(prior, psi, np.array([0.95]), obs.obs_cov)
+    assert posterior.dim == 21
+    assert {name: len(calls) for name, calls in counted.items()} == {"cholesky": 4, "inv": 2, "solve": 0}
+
+
 def test_each_deterministic_rule_is_built_once(empty_rule_cache, monkeypatch):
     built = _counting(monkeypatch, DiscreteMeasure)
     for _ in range(3):
@@ -126,7 +143,7 @@ def test_empirical_draws_are_fresh():
 
 def test_cached_degree5_rule_equals_a_fresh_stencil(empty_rule_cache):
     k = 21
-    fresh = symmetric_stencil(np.full(k, np.sqrt(k + 2.0)), np.full(k, np.sqrt((k + 2.0) / 2.0)))
+    fresh = symmetric_stencil(np.sqrt(k + 2.0) * np.eye(k), np.sqrt((k + 2.0) / 2.0) * np.eye(k))
     for _ in range(2):  # built, then taken from the cache
         assert standard_rule(cubature5(), k).points.tobytes() == fresh.tobytes()
 
