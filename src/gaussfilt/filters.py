@@ -22,6 +22,7 @@ from .errors import (
 from .gaussian import Gaussian
 from .models import ObservationModel, ProcessModel, augment, composed_observation
 from .updates import (
+    DEFAULT_VARIATIONAL,
     VariationalSettings,
     measurement_update_linear,
     measurement_update_points,
@@ -43,7 +44,8 @@ class FilterKind:
 
     rule_degree applies to CGF/CGSF; sample_count to PGF/PGSF; variational
     settings to VGF/VGSF.  A family keeps the default of every parameter it
-    does not read, so two kinds that filter alike compare equal.
+    does not read, and default variational settings are stored as None, so
+    two kinds that filter alike compare equal.
     """
 
     family: str
@@ -59,6 +61,8 @@ class FilterKind:
         for f in fields(self)[1:]:
             if self.family not in _READERS[f.name] and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.family} does not read {f.name}")
+        if self.variational == DEFAULT_VARIATIONAL:
+            object.__setattr__(self, "variational", None)
         if self.family in ("CGF", "CGSF") and self.rule_degree not in (3, 5):
             raise ValueError("rule_degree must be 3 or 5")
         if self.family in ("PGF", "PGSF") and self.sample_count < 2:
@@ -92,15 +96,13 @@ class FilterKind:
             return f"{self.family}{self.rule_degree}"
         if self.family in ("PGF", "PGSF"):
             return f"{self.family}{self.sample_count}"
-        if self.family in ("VGF", "VGSF") and self.variational is not None:
-            default = VariationalSettings()
+        if self.variational is not None:
             changed = ";".join(
                 f"{f.name}={getattr(self.variational, f.name)!r}"
                 for f in fields(VariationalSettings)
-                if getattr(self.variational, f.name) != getattr(default, f.name)
+                if getattr(self.variational, f.name) != getattr(DEFAULT_VARIATIONAL, f.name)
             )
-            if changed:
-                return f"{self.family}[{changed}]"
+            return f"{self.family}[{changed}]"
         return self.family
 
 

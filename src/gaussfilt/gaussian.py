@@ -32,15 +32,15 @@ def _psd_floor(cov: np.ndarray) -> float:
 def as_covariance(cov, dim: int | None = None, what: str = "covariance") -> np.ndarray:
     """``cov`` as a float (dim, dim) array, square of any size when ``dim`` is
     None; raises ValueError unless it has that shape, is finite, is symmetric
-    to 1e-12 of its scale and its least eigenvalue is at least ``_psd_floor``."""
+    to 1e-12 of its largest entry and its least eigenvalue is at least
+    ``_psd_floor``."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     dim = cov.shape[0] if dim is None else dim
     if cov.shape != (dim, dim):
         raise ValueError(f"{what} shape {cov.shape} incompatible with dimension {dim}")
     if not np.isfinite(cov).all():
         raise ValueError(f"{what} is not finite")
-    scale = 1.0 + np.max(np.abs(cov)) if cov.size else 1.0
-    if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12 * scale:
+    if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12 * np.max(np.abs(cov), initial=0.0):
         raise ValueError(f"{what} is not symmetric")
     if cov.size and np.linalg.eigvalsh(cov)[0] < _psd_floor(cov):
         raise ValueError(f"{what} is not positive semi-definite")

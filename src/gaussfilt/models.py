@@ -15,25 +15,44 @@ import numpy as np
 from .errors import DimensionMismatch, DivergedEvaluation
 from .gaussian import Gaussian, as_covariance
 
-_SQRT_EPS = np.sqrt(np.finfo(float).eps)
+_EPS = np.finfo(float).eps
 
 
-def central_difference(rows: Callable, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian (out x k) of a stacked evaluator at x.
+def difference_step(x: np.ndarray, basis: np.ndarray | None, power: float) -> float:
+    """The step h = (eps (1 + max_j |x_j| / s_j))^power of every difference at
+    x along the columns of ``basis`` (the identity when None), s_j being the
+    norm of basis row j; a zero row stays out of the max.  With a prior's
+    Cholesky factor L as basis, s_j is the prior sd of x_j, so h is in the
+    units of u = L^-1 (x - m).  ``power``: 1/2 for first differences, 1/4 for
+    second."""
+    ratio = np.abs(x)
+    if basis is not None:
+        s = np.linalg.norm(basis, axis=1)
+        ratio = np.divide(ratio, s, out=np.zeros_like(ratio), where=s > 0.0)
+    return (_EPS * (1.0 + np.max(ratio, initial=0.0))) ** power
 
-    ``rows`` maps stacked points (m, k) to (m, out) values, or (m,) for a
-    scalar function; all 2k probes x +- h_i e_i go to it in one call, with
-    h_i = sqrt(eps)*(1+|x_i|).
-    """
+
+def central_difference(rows: Callable, x: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """Central-difference J @ basis (out x k) of a stacked evaluator at x, along
+    the columns of ``basis`` (n x k; the identity when None).  ``rows`` maps
+    stacked points (m, n) to (m, out) values, or (m,) for a scalar function;
+    all 2k probes x +- h basis e_i go to it in one call, h being
+    ``difference_step(x, basis, 1/2)``."""
     x = np.asarray(x, dtype=float)
-    h = _SQRT_EPS * (1.0 + np.abs(x))
-    k = x.shape[0]
-    probes = np.repeat(x[None, :], 2 * k, axis=0)
-    idx = np.arange(k)
-    probes[idx, idx] += h
-    probes[k + idx, idx] -= h
-    vals = np.asarray(rows(probes), dtype=float).reshape(2 * k, -1)
-    return ((vals[:k] - vals[k:]) / (2.0 * h)[:, None]).T
+    h = difference_step(x, basis, 0.5)
+    steps = h * (np.eye(x.shape[0]) if basis is None else basis.T)
+    k = steps.shape[0]
+    vals = np.asarray(rows(np.concatenate([x + steps, x - steps])), dtype=float).reshape(2 * k, -1)
+    return ((vals[:k] - vals[k:]) / (2.0 * h)).T
+
+
+def _along(jac, basis: np.ndarray | None, out_dim: int, n: int) -> np.ndarray:
+    """An analytic Jacobian, checked as (out_dim, n), times ``basis`` (the
+    identity when None); DimensionMismatch otherwise."""
+    jac = np.atleast_2d(jac)
+    if jac.shape != (out_dim, n):
+        raise DimensionMismatch(f"Jacobian {jac.shape}, not {(out_dim, n)}")
+    return jac if basis is None else jac @ basis
 
 
 @dataclass(frozen=True)
@@ -67,12 +86,17 @@ class ProcessModel:
         """The forward map at step n as a map of augmented points z = [x, xi]."""
         d = self.state_dim
         split = lambda f: None if f is None else (lambda z: f(n, z[..., :d], z[..., d:]))
+
+        def linearize(z, basis):  # the user's one-pass hook, taken along basis
+            value, jac = self.linearize(n, z[:d], z[d:])
+            return value, _along(jac, basis, d, z.shape[0])
+
         return ObsFunction(
             fn=split(self.propagate),
             out_dim=d,
             jacobian=split(self.jacobian),
             vectorized=self.vectorized,
-            linearize=split(self.linearize),
+            linearize=None if self.linearize is None else linearize,
         )
 
     def forward(self, n: int, z: np.ndarray) -> np.ndarray:
@@ -81,9 +105,12 @@ class ProcessModel:
         output is not finite."""
         return self.at_step(n).rows(z)
 
-    def value_and_jacobian(self, n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The forward map at one point z = [x, xi] and its d x (d+D) Jacobian."""
-        return self.at_step(n).value_and_jacobian(z)
+    def value_and_jacobian(
+        self, n: int, z: np.ndarray, basis: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The forward map at one point z = [x, xi] and its d x (d+D) Jacobian
+        times ``basis`` (the identity when None), as ``ObsFunction`` gives them."""
+        return self.at_step(n).value_and_jacobian(z, basis)
 
     def full_jacobian(self, n: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The Jacobian from ``value_and_jacobian``; kept only because the
@@ -139,7 +166,7 @@ class ObsFunction:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     wrap_observation: Callable | None = None
     vectorized: bool = False
-    linearize: Callable | None = None  # x -> (value, Jacobian) from one evaluation
+    linearize: Callable | None = None  # (x, basis) -> (value, Jacobian @ basis) from one evaluation
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
         """The map at stacked points (m, k); returns (m, out_dim).
@@ -169,22 +196,25 @@ class ObsFunction:
         r = np.subtract(y, predicted)
         return r if self.wrap_observation is None else self.wrap_observation(r)
 
-    def value_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The map at one point x and its Jacobian there, from one ``linearize``
-        call when that is given, else ``self(x)`` and ``jacobian`` (central
-        differences when None).  Raises DimensionMismatch unless they are
-        (out_dim,) and (out_dim, len(x)), DivergedEvaluation if not finite."""
+    def value_and_jacobian(
+        self, x: np.ndarray, basis: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The map at one point x and J @ basis, its Jacobian along the columns
+        of ``basis`` (n x k; the identity when None): from one ``linearize``
+        call when that is given, else ``self(x)`` and the analytic ``jacobian``
+        (checked by ``_along``) or, when None, ``central_difference``.  Raises
+        DimensionMismatch unless the value is (out_dim,), DivergedEvaluation
+        if either is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
             if self.linearize is not None:
-                value, jac = self.linearize(x)
+                value, jac = self.linearize(x, basis)
             elif self.jacobian is not None:
-                value, jac = self(x), self.jacobian(x)
+                value, jac = self(x), _along(self.jacobian(x), basis, self.out_dim, len(x))
             else:
-                value, jac = self(x), central_difference(self.rows, x)
-            value, jac = np.asarray(value, dtype=float), np.atleast_2d(jac)
-        expected = (self.out_dim,), (self.out_dim, len(x))
-        if (value.shape, jac.shape) != expected:
-            raise DimensionMismatch(f"value and Jacobian {value.shape}, {jac.shape}, not {expected}")
+                value, jac = self(x), central_difference(self.rows, x, basis)
+            value = np.asarray(value, dtype=float)
+        if value.shape != (self.out_dim,):
+            raise DimensionMismatch(f"value {value.shape}, not {(self.out_dim,)}")
         if not (np.isfinite(value).all() and np.isfinite(jac).all()):
             raise DivergedEvaluation("value or Jacobian is not finite")
         return value, jac
@@ -293,18 +323,13 @@ def composed_observation(process: ProcessModel, obs: ObservationModel, n: int) -
     """The observation seen through one forward step: X = [x; xi] maps to the
     predicted observation at step n+1.  Nonlinear whenever the dynamics are,
     even for a linear measurement function.  At one point, one forward pass
-    to x' gives its value and chain-rule Jacobian H(x') J_p."""
+    gives x' and the pushed directions J_p @ basis, along which the
+    observation map is linearized (or differenced, not in x' units) in turn."""
     obs_next = obs.at_step(n + 1)
-
-    def linearize(z):
-        x_next, jp = process.value_and_jacobian(n, z)
-        value, h = obs_next.value_and_jacobian(x_next)
-        return value, h @ jp
-
     return ObsFunction(
         fn=lambda z: obs_next.rows(process.forward(n, z)),
         out_dim=obs.obs_dim,
         wrap_observation=obs.wrap_observation,
         vectorized=True,
-        linearize=linearize,
+        linearize=lambda z, basis: obs_next.value_and_jacobian(*process.value_and_jacobian(n, z, basis)),
     )

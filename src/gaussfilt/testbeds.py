@@ -189,29 +189,6 @@ def lorenz63_models(spec: Lorenz63Spec) -> tuple[ProcessModel, ObservationModel]
 _OMEGA_SMALL = 1e-8
 
 
-def turn_transition_matrix(omega: float, dt: float) -> np.ndarray:
-    """The 5x5 coordinated-turn matrix; entries use their limits near
-    omega = 0 (sin(w dt)/w -> dt, (cos(w dt)-1)/w -> 0)."""
-    if abs(omega) < _OMEGA_SMALL:
-        swo, cwo_m1, one_m_cwo = dt, 0.0, 0.0
-        c, s = 1.0, 0.0
-    else:
-        wd = omega * dt
-        c, s = np.cos(wd), np.sin(wd)
-        swo = s / omega
-        cwo_m1 = (c - 1.0) / omega
-        one_m_cwo = (1.0 - c) / omega
-    return np.array(
-        [
-            [1.0, swo, 0.0, cwo_m1, 0.0],
-            [0.0, c, 0.0, -s, 0.0],
-            [0.0, one_m_cwo, 1.0, swo, 0.0],
-            [0.0, s, 0.0, c, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
 def turn_models(spec: TurnModelSpec) -> tuple[ProcessModel, ObservationModel]:
     dt = spec.dt
     gamma = np.array(

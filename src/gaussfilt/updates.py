@@ -22,9 +22,7 @@ from .errors import (
     as_integer,
 )
 from .gaussian import Gaussian, _conditioning_terms, _factor_of, _settled, cholesky_factor, symmetrize
-from .models import ObsFunction, ProcessModel, central_difference
-
-_EPS = np.finfo(float).eps
+from .models import ObsFunction, ProcessModel, central_difference, difference_step
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,11 @@ def numerical_hessian(rows, x, basis):
     ``rows`` maps stacked points (m, n) to the m values of f; ``basis`` is
     (n, k).  All 1 + 2k + 4 k(k-1)/2 probes, x plus the offsets of
     ``cubature.symmetric_stencil`` along the scaled columns h basis e_i, go
-    to one call.  The step h = (eps (1 + max_j |x_j| / s_j))^(1/4), with s_j
-    the norm of basis row j (the prior sd of x_j when basis is its Cholesky
-    factor), is in the units of u: x's units do not change it, and its
-    origin only through the rounding of x_j, in units of s_j.
+    to one call, with h = ``difference_step(x, basis, 1/4)``.
     """
     x = np.asarray(x, dtype=float)
     k = basis.shape[1]
-    h = (_EPS * (1.0 + np.max(np.abs(x) / np.linalg.norm(basis, axis=1)))) ** 0.25
+    h = difference_step(x, basis, 0.25)
     steps = h * basis.T
     vals = rows(x + symmetric_stencil(steps, steps))
     first_pair = 1 + 2 * k
@@ -80,15 +75,14 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
     """BFGS with Armijo backtracking.
 
     ``f`` maps one point to a float.  ``grad``, when given, maps one point to
-    the gradient of ``f``; otherwise central differences of step
-    sqrt(eps)*(1+|x_i|) supply it.  Returns (minimizer, iteration count); a
-    non-finite f at x0 raises DivergedEvaluation, and a LineSearchFailed or
-    OptimizerDidNotConverge carries the count in ``iterations``.  The
-    inverse-Hessian approximation starts at the identity; the line search
-    tries steps 1, 1/2, 1/4, ... (at most 40 halvings) and accepts the first
-    that meets the Armijo condition with c = 1e-4 and strictly lowers f.  A
-    decrease lost in f's rounding thus fails the search instead of passing
-    it vacuously.
+    the gradient of ``f``; otherwise ``central_difference`` supplies it.
+    Returns (minimizer, iteration count); a non-finite f at x0 raises
+    DivergedEvaluation, and a LineSearchFailed or OptimizerDidNotConverge
+    carries the count in ``iterations``.  The inverse-Hessian approximation
+    starts at the identity; the line search tries steps 1, 1/2, 1/4, ... (at
+    most 40 halvings) and accepts the first that meets the Armijo condition
+    with c = 1e-4 and strictly lowers f.  A decrease lost in f's rounding
+    thus fails the search instead of passing it vacuously.
     """
     settings = settings or DEFAULT_VARIATIONAL
     if grad is None:
@@ -155,13 +149,12 @@ def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
 def time_update_linear(
     joint: Gaussian, process: ProcessModel, n: int, diag: Diagnostics | None = None
 ) -> Gaussian:
-    """First-order propagation of the joint belief through the forward map.
-
-    Valid for any joint covariance, including the full (non block diagonal)
-    one left behind by conditioning on the next observation.
-    """
-    mean, jac = process.value_and_jacobian(n, joint.mean)
-    return _settled(mean, jac @ joint.cov @ jac.T, diag)
+    """First-order propagation of the joint belief through the forward map:
+    the covariance is the Gram matrix B B^T of B = J L, the map's Jacobian
+    along the columns of the joint's Cholesky factor L.  Valid for any joint
+    covariance, including the full one left by conditioning on y_{n+1}."""
+    mean, b = process.value_and_jacobian(n, joint.mean, _factor_of(joint, diag))
+    return _settled(mean, b @ b.T, diag)
 
 
 def time_update_points(
@@ -187,10 +180,12 @@ def measurement_update_linear(
     r: np.ndarray,
     diag: Diagnostics | None = None,
 ) -> Gaussian:
-    """Kalman-style update with the observation map linearized at the mean."""
-    z, h = obs_map.value_and_jacobian(prior.mean)
-    ch = prior.cov @ h.T
-    return _kalman_update(prior, obs_map, y, r, z, ch, h @ ch, diag)
+    """Kalman-style update with the observation map linearized at the mean:
+    with L the prior's Cholesky factor and B = H L the Jacobian along its
+    columns, P_xz = L B^T and P_zz = B B^T."""
+    s = _factor_of(prior, diag)
+    z, b = obs_map.value_and_jacobian(prior.mean, s)
+    return _kalman_update(prior, obs_map, y, r, z, s @ b.T, b @ b.T, diag)
 
 
 def measurement_update_points(
@@ -225,8 +220,9 @@ class WhitenedMisfit:
 
     with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T.  A point where
     the map leaves its domain scores inf.  Called at one u, it keeps the
-    map's value and Jacobian there, from one joint call, for ``gradient``.
-    L_R^-1 is formed once, so every evaluation is a matrix product.
+    map's value and H L, its Jacobian along the columns of L, from one joint
+    call, for ``gradient``.  L_R^-1 is formed once, so every evaluation is a
+    matrix product.
     """
 
     def __init__(self, prior, obs_map, y, r, diag=None):
@@ -260,21 +256,20 @@ class WhitenedMisfit:
     def __call__(self, u):
         """J at one whitened point u, as ``at_u(u[None])[0]``."""
         try:
-            self._last = (u.copy(), *self.obs_map.value_and_jacobian(self.to_x(u)))
+            self._last = (u.copy(), *self.obs_map.value_and_jacobian(self.to_x(u), self.l_prior))
             return self.at_u(u[None], self._last[1][None])[0]
         except DivergedEvaluation:
             return self.at_u(u[None])[0]  # inf unless only the Jacobian is not finite
 
     def gradient(self, u):
-        """Exact whitened gradient u - (L_R^-1 H L)^T L_R^-1 r at one u, with
-        H the map's Jacobian at x = m + L u."""
+        """Exact whitened gradient u - (L_R^-1 B)^T L_R^-1 r at one u, with
+        B = H L the map's Jacobian at x = m + L u along the columns of L."""
         if self._last is not None and np.array_equal(self._last[0], u):
-            _, pred, jac = self._last  # the point just scored, as every accepted one is
+            _, pred, b = self._last  # the point just scored, as every accepted one is
         else:
-            pred, jac = self.obs_map.value_and_jacobian(self.to_x(u))
+            pred, b = self.obs_map.value_and_jacobian(self.to_x(u), self.l_prior)
         w = self.w_obs @ self.obs_map.residual(self.y, pred)
-        a = self.w_obs @ jac @ self.l_prior
-        return u - a.T @ w
+        return u - (self.w_obs @ b).T @ w
 
     def hessian(self, x):
         """The whitened Hessian I + H_d of J at x = m + L u: the prior term's

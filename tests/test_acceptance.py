@@ -39,7 +39,7 @@ from gaussfilt.models import (
     augment,
     composed_observation,
 )
-from gaussfilt.testbeds import TruthRun, turn_transition_matrix
+from gaussfilt.testbeds import TruthRun
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -402,15 +402,20 @@ def test_criterion_6_tracking_improvement():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 7: the turn transition matrix is continuous through the zero
+# Criterion 7: the turn model's transition is continuous through the zero
 # turn-rate singularity.
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_7_turn_singularity():
-    f_small = turn_transition_matrix(1e-9, 1.0)
-    limit = np.eye(5)
-    limit[0, 1] = limit[2, 3] = 1.0  # sin(w dt)/w -> dt; the cos terms -> 0
+    # The transition is linear in the positions and velocities: propagating
+    # each unit state at rate 1e-9 gives the matrix's columns, to be compared
+    # with constant velocity (sin(w dt)/w -> dt; the cos terms -> 0).
+    process, _ = turn_models(TurnModelSpec(dt=1.0))
+    units = np.column_stack([np.eye(4), np.full(4, 1e-9)])
+    f_small = process.propagate(0, units, np.zeros((4, 5)))[:, :4].T
+    limit = np.eye(4)
+    limit[0, 1] = limit[2, 3] = 1.0
     gap = float(np.max(np.abs(f_small - limit)))
     report(7, "turn-rate singularity", gap <= 1e-7, f"max entry gap {gap:.2e}")
 

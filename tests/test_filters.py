@@ -67,6 +67,16 @@ class TestFilterKind:
         steps = VariationalSettings(max_iter=7, grad_tol=1e-3)
         assert FilterKind("VGSF", variational=steps).label() == "VGSF[grad_tol=0.001;max_iter=7]"
 
+    def test_default_variational_settings_are_the_default(self):
+        # Explicit default settings filter alike and compare equal; they are
+        # stored as None only after the reader check has seen them.
+        for family in ("VGF", "VGSF"):
+            explicit = FilterKind(family, variational=VariationalSettings())
+            assert explicit == FilterKind(family) and explicit.variational is None
+            assert hash(explicit) == hash(FilterKind(family))
+        tight = VariationalSettings(grad_tol=1e-8)
+        assert FilterKind("VGF", variational=tight).variational is tight
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FilterKind("EKF")

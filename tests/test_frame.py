@@ -1,11 +1,13 @@
 """The deterministic filters in other units and about another origin.
 
 In the frame x' = D x + a, with D diagonal and positive, the conjugated
-drift D b(D^-1 (x' - a)), volatility D s(...), observation map
-h(D^-1 (x' - a)) and prior N(D m + a, D P D) pose the same filtering problem
-on the same observations.  Every deterministic family must then return
-D m + a and D P D at each step, up to rounding.  The testbeds used have
-analytic Jacobians, so no model is differenced in x.
+models and the prior N(D m + a, D P D) pose the same filtering problem on the
+same observations: for the SDE testbeds the drift D b(D^-1 (x' - a)) and
+volatility D s(...), for tracking the forward map D f(D^-1 (x' - a), D^-1 xi')
++ a with noise covariance D Gamma D; and the observation map h(D^-1 (x' - a)).
+Every deterministic family must then return D m + a and D P D at each step,
+up to rounding.  The turn model has no Jacobian, so tracking also checks the
+differences taken along the prior factor's columns.
 """
 
 import dataclasses
@@ -21,12 +23,15 @@ from gaussfilt import (
     FilterKind,
     Gaussian,
     Lorenz63Spec,
+    ProcessModel,
+    TurnModelSpec,
     bistable_models,
     discretize_sde,
     lorenz63_models,
     run_filter,
     simulate_truth,
     testbeds,
+    turn_models,
 )
 
 STEPS = 5
@@ -35,12 +40,18 @@ STEPS = 5
 CASES = {
     "bistable": (bistable_models, BistableSpec(), [0.8], [[0.02]]),
     "lorenz63": (lorenz63_models, Lorenz63Spec(), [1.0, 1.0, 1.0], np.eye(3)),
+    "tracking": (
+        turn_models,
+        TurnModelSpec(),
+        [1e3, 3e2, 1e3, 0.0, -3.0 * np.pi / 180.0],
+        np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]),
+    ),
 }
 
 # The largest move of any step's mean, in posterior sd, and of its variances,
-# relative.  Worst cases reached over 520 random and extreme frames: LGF,
-# LGSF, CGF3 and CGSF3 1.9e-11 and 2.6e-11; VGF 5.5e-7 and 6.3e-7; VGSF 9.2e-7
-# and 3.8e-6, all on Lorenz-63.
+# relative, per family on the SDE testbeds.  Worst cases reached over 520
+# random and extreme frames: LGF, LGSF, CGF3 and CGSF3 1.9e-11 and 2.6e-11;
+# VGF 5.5e-7 and 6.3e-7; VGSF 9.2e-7 and 3.8e-6, all on Lorenz-63.
 TOLERANCES = {
     "LGF": (1e-9, 1e-9),
     "LGSF": (1e-9, 1e-9),
@@ -48,6 +59,17 @@ TOLERANCES = {
     "CGSF": (1e-9, 1e-9),
     "VGF": (1e-5, 1e-5),
     "VGSF": (1e-5, 5e-5),
+}
+# On tracking, LGF, LGSF, VGF and VGSF difference the turn model along the
+# prior factor's columns; the rounding of x, up to 1e4 sd from the origin,
+# sets their floor.  Worst cases reached over 800 random and extreme frames:
+# LGF 2.2e-6 and 3.2e-6, LGSF 2.1e-6 and 4.1e-6, VGF 2.4e-6 and 3.9e-6, VGSF
+# 2.4e-6 and 4.9e-6; CGF3 and CGSF3 7.1e-12 and 4.9e-12.
+TRACKING_TOLERANCES = {
+    **TOLERANCES,
+    "LGF": (1e-5, 2e-5),
+    "LGSF": (1e-5, 2e-5),
+    "VGF": (1e-5, 2e-5),
 }
 
 
@@ -75,18 +97,42 @@ def in_frame(sde, obs, scale, shift):
     return discretize_sde(conjugated), observed
 
 
+def turn_in_frame(process, obs, scale, shift):
+    """The turn model and radar in the frame x' = scale * x + shift."""
+    back = lambda x: (x - shift) / scale
+    moved = ProcessModel(
+        propagate=lambda n, x, xi: scale * process.propagate(n, back(x), xi / scale) + shift,
+        noise_cov=scale[:, None] * process.noise_cov * scale,
+        state_dim=process.state_dim,
+        vectorized=process.vectorized,
+    )
+    observed = dataclasses.replace(
+        obs,
+        observe=lambda n, x: obs.observe(n, back(x)),
+        jacobian=lambda n, x: np.atleast_2d(obs.jacobian(n, back(x))) / scale,
+    )
+    return moved, observed
+
+
+def _models(testbed, scale, shift):
+    """The testbed's models, and the same models in the frame x' = scale * x + shift."""
+    make_models, spec = CASES[testbed][:2]
+    if testbed == "tracking":
+        process, obs = make_models(spec)
+        return (process, obs), turn_in_frame(process, obs, scale, shift)
+    sde, obs = _sde_and_obs(make_models, spec)
+    return (discretize_sde(sde), obs), in_frame(sde, obs, scale, shift)
+
+
 def frame_moves(kind, testbed, scale, offset_sd, seed):
     """The largest move of the means, in posterior sd, and of the variances,
     relative, from the original frame to x' = scale * x + a, where a is
     ``offset_sd`` prior sd of the new frame."""
-    make_models, spec, mean, cov = CASES[testbed]
-    mean, cov = np.array(mean), np.array(cov)
-    sde, obs = _sde_and_obs(make_models, spec)
-    process = discretize_sde(sde)
+    mean, cov = (np.array(v) for v in CASES[testbed][2:])
     shift = offset_sd * scale * np.sqrt(np.diag(cov))
+    (process, obs), (moved_process, moved_obs) = _models(testbed, scale, shift)
     truth = simulate_truth(process, obs, mean, STEPS, np.random.default_rng(seed))
     original = run_filter(kind, process, obs, Gaussian(mean, cov), truth.observations)
-    moved_process, moved_obs = in_frame(sde, obs, scale, shift)
     moved_prior = Gaussian(scale * mean + shift, scale[:, None] * cov * scale)
     moved = run_filter(kind, moved_process, moved_obs, moved_prior, truth.observations)
     assert original.error is None and moved.error is None
@@ -95,6 +141,12 @@ def frame_moves(kind, testbed, scale, offset_sd, seed):
     var_back = np.diagonal(moved.covariances(), axis1=1, axis2=2) / scale ** 2
     var_move = np.abs(var_back / sd ** 2 - 1.0)
     return float(mean_move.max()), float(var_move.max())
+
+
+def assert_within_tolerance(kind, testbed, moves):
+    table = TRACKING_TOLERANCES if testbed == "tracking" else TOLERANCES
+    mean_tol, var_tol = table[kind.family]
+    assert moves[0] <= mean_tol and moves[1] <= var_tol
 
 
 @st.composite
@@ -114,12 +166,10 @@ KINDS = [FilterKind(f) for f in ("LGF", "LGSF", "VGF", "VGSF")] + [
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(frames())
 def test_estimates_map_through_a_change_of_units_and_origin(kind, frame):
-    mean_tol, var_tol = TOLERANCES[kind.family]
-    mean_move, var_move = frame_moves(kind, *frame)
-    assert mean_move <= mean_tol and var_move <= var_tol
+    assert_within_tolerance(kind, frame[0], frame_moves(kind, *frame))
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
@@ -137,6 +187,23 @@ def test_frames_that_moved_the_x_space_hessian(kind, testbed, scale, offset_sd):
     # With the Hessian differenced in x, VGF and VGSF moved 0.14-0.19 sd and
     # 52-67% in variance in the Lorenz-63 frames, and VGSF 4.8% and 9.2e-5
     # in variance in the bistable ones.
-    mean_tol, var_tol = TOLERANCES[kind.family]
-    mean_move, var_move = frame_moves(kind, testbed, np.array(scale), np.array(offset_sd), 0)
-    assert mean_move <= mean_tol and var_move <= var_tol
+    moves = frame_moves(kind, testbed, np.array(scale), np.array(offset_sd), 0)
+    assert_within_tolerance(kind, testbed, moves)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
+@pytest.mark.parametrize(
+    "scale, offset_sd",
+    [
+        ([1e3] * 5, [0.0] * 5),
+        ([1e-6, 1e6, 1e-6, 1e6, 1.0], [1e4, -1e4, 1e4, -1e4, 0.0]),
+    ],
+    ids=["tracking-millimetres", "tracking-mixed-units-far-origin"],
+)
+def test_frames_that_moved_the_x_unit_differences(kind, scale, offset_sd):
+    # With the turn model differenced in x units, LGF, LGSF, VGF and VGSF
+    # moved 7.0e-4 to 3.7e-3 sd in millimetres, and LGF and VGF 0.060 sd and
+    # 15% in variance in the mixed frame; along the prior factor's columns,
+    # at most 8.8e-7 sd and 1.3e-6 in variance.
+    moves = frame_moves(kind, "tracking", np.array(scale), np.array(offset_sd), 0)
+    assert_within_tolerance(kind, "tracking", moves)

@@ -21,9 +21,11 @@ class TestGaussianInvariants:
         g = Gaussian([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
         assert g.dim == 2
 
-    def test_rejects_asymmetric(self):
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_rejects_asymmetric(self, scale):
+        # 2% asymmetric at any scale: the tolerance is relative to the matrix
         with pytest.raises(ValueError, match="symmetric"):
-            Gaussian([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
+            Gaussian([0.0, 0.0], scale * np.array([[1.0, 0.5], [0.49, 1.0]]))
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semi-definite"):

@@ -128,6 +128,15 @@ class TestExperimentConfig:
                 bistable_config(filters=[{"family": "VGF"}, {"family": "VGF", "variational": {}}])
             )
 
+    def test_default_variational_settings_echo_as_omitted(self):
+        explicit = ExperimentConfig.from_dict(
+            bistable_config(filters=[{"family": "VGF", "variational": {"max_iter": 200}}])
+        )
+        omitted = ExperimentConfig.from_dict(bistable_config(filters=[{"family": "VGF"}]))
+        assert explicit == omitted
+        assert explicit.to_dict() == omitted.to_dict()
+        assert explicit.to_dict()["filters"] == [{"family": "VGF"}]
+
     def test_prior_dimension_checked(self):
         with pytest.raises(ConfigError, match="dim"):
             ExperimentConfig.from_dict(

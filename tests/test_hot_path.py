@@ -1,6 +1,6 @@
 """Machine-independent counters on the per-step path: the kernels build no
-checked Gaussian, a cubature step factors each covariance once, the
-variational update inverts no prior factor, each deterministic cubature rule
+checked Gaussian, a cubature or linearized step factors each covariance
+once, the variational update inverts no prior factor, each deterministic cubature rule
 is built once, and the linearized filters run one Euler-Maruyama pass per
 linearization point."""
 
@@ -100,6 +100,36 @@ def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
         posterior = step(kind, traj.records[n].posterior, process, obs, y, n)
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
         assert (len(cholesky), len(eigvalsh)) == (4, 0)
+
+
+@pytest.mark.parametrize(
+    "family, factored, inverted",
+    [("LGF", 4, 1), ("LGSF", 4, 1), ("VGF", 5, 2), ("VGSF", 5, 2)],
+)
+def test_bistable_linearized_step_factors_each_covariance_once(family, factored, inverted, monkeypatch):
+    # Per step: the augmented joint's factor, which the linearizations take
+    # as their basis, and one for each covariance the kernels return; the
+    # innovation covariance's factor and its inverse (LGF, LGSF), or the
+    # factors of R and I + H_d and their inverses (VGF, VGSF).  The second
+    # kernel takes the first kernel's factor instead of factoring it again,
+    # and nothing is solved.
+    process, obs = bistable_models(BistableSpec())
+    prior = Gaussian([0.8], [[0.02]])
+    truth = simulate_truth(process, obs, prior.mean, 5, np.random.default_rng(5))
+    kind = FilterKind(family)
+    traj = run_filter(kind, process, obs, prior, truth.observations)
+    assert traj.error is None
+    step = smoothing_step if kind.is_smoothing else conventional_step
+    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve")}
+    for n, y in enumerate(truth.observations):
+        for calls in counted.values():
+            calls.clear()
+        posterior = step(kind, traj.records[n].posterior, process, obs, y, n)
+        assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
+        assert traj.records[n + 1].diagnostics.fallbacks == 0
+        assert {name: len(calls) for name, calls in counted.items()} == {
+            "cholesky": factored, "inv": inverted, "solve": 0
+        }
 
 
 def test_variational_update_inverts_no_prior_factor(monkeypatch):

@@ -21,7 +21,27 @@ from gaussfilt import (
     turn_models,
 )
 from gaussfilt.errors import DimensionMismatch, DivergedEvaluation
-from gaussfilt.models import ObsFunction, central_difference
+from gaussfilt.models import ObsFunction, central_difference, difference_step
+
+
+def _analytic_maps():
+    """name -> (map, its analytic Jacobian at a point, centre, sd) for the
+    Lorenz-63 forward map and range observation, and the radar."""
+    process, lorenz_obs = lorenz63_models(Lorenz63Spec())
+    _, radar = turn_models(TurnModelSpec())
+    forward = process.at_step(0)
+    return {
+        "lorenz63-forward": (
+            forward, lambda z: forward.value_and_jacobian(z)[1], np.zeros(6), np.array([10.0] * 3 + [0.1] * 3)
+        ),
+        "lorenz63-range": (lorenz_obs.at_step(0), lambda x: lorenz_obs.jacobian(0, x), np.zeros(3), np.full(3, 10.0)),
+        "radar": (
+            radar.at_step(0),
+            lambda x: radar.jacobian(0, x),
+            np.array([1e3, 3e2, 1e3, 0.0, -0.05]),
+            np.array([10.0, 3.0, 10.0, 3.0, 1e-2]),
+        ),
+    }
 
 
 class TestFiniteDifferenceJacobian:
@@ -33,6 +53,31 @@ class TestFiniteDifferenceJacobian:
     def test_quadratic(self):
         j = central_difference(ObsFunction(lambda x: np.array([x[0] ** 2]), out_dim=1).rows, np.array([3.0]))
         assert np.isclose(j[0, 0], 6.0, atol=1e-5)
+
+    @pytest.mark.parametrize("name", ["lorenz63-forward", "lorenz63-range", "radar"])
+    def test_along_a_basis_matches_the_analytic_jacobian(self, name):
+        # The derivatives along the columns of a random factor B, at prior
+        # scales, are J @ B.
+        fn, jacobian, centre, sd = _analytic_maps()[name]
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            x = centre + sd * rng.standard_normal(len(sd))
+            basis = np.tril(rng.standard_normal((len(sd), len(sd)))) * sd[:, None]
+            exact = np.atleast_2d(jacobian(x)) @ basis
+            numeric = central_difference(fn.rows, x, basis)
+            assert np.max(np.abs(numeric - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+    def test_zero_basis_row_leaves_the_step_finite(self):
+        # A coordinate the basis does not move (here one far from the origin)
+        # stays out of the step's max: the step and derivatives stay finite.
+        a = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 0.0]])
+        fn = ObsFunction(lambda x: np.array([np.sin(x[0]), x[1] ** 2]) + a @ x, out_dim=2)
+        x = np.array([0.3, -0.7, 1e300])
+        basis = np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 0.0]])
+        assert difference_step(x, basis, 0.5) == difference_step(x[:2], basis[:2], 0.5)
+        numeric = central_difference(fn.rows, x, basis)
+        exact = (np.array([[np.cos(x[0]), 0.0, 0.0], [0.0, 2.0 * x[1], 0.0]]) + a) @ basis
+        assert np.max(np.abs(numeric - exact)) <= 1e-6
 
 
 class TestDiscretizeSde:

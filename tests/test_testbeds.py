@@ -22,7 +22,7 @@ from gaussfilt import (
 from gaussfilt.errors import DivergedEvaluation
 from gaussfilt.harness import _resolve_truth_x0, replicate_seed
 from gaussfilt.models import central_difference
-from gaussfilt.testbeds import turn_transition_matrix, wrap_angle
+from gaussfilt.testbeds import wrap_angle
 
 
 class TestBistable:
@@ -125,6 +125,21 @@ class TestLorenz63:
             assert np.max(np.abs(jo - jo_num)) <= 1e-5 * (1 + np.max(np.abs(jo)))
 
 
+def _transition_matrix(omega, dt):
+    """The 5x5 coordinated-turn matrix at a turn rate omega != 0, the
+    closed-form reference for the turn model's ``propagate``."""
+    c, s = np.cos(omega * dt), np.sin(omega * dt)
+    return np.array(
+        [
+            [1.0, s / omega, 0.0, (c - 1.0) / omega, 0.0],
+            [0.0, c, 0.0, -s, 0.0],
+            [0.0, (1.0 - c) / omega, 1.0, s / omega, 0.0],
+            [0.0, s, 0.0, c, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
 class TestTurnModel:
     def test_defaults(self):
         spec = TurnModelSpec()
@@ -132,21 +147,24 @@ class TestTurnModel:
         assert (spec.range_var, spec.bearing_var) == (100.0, 1e-5)
 
     def test_zero_rate_is_constant_velocity(self):
-        f = turn_transition_matrix(0.0, 1.0)
-        expected = np.eye(5)
-        expected[0, 1] = expected[2, 3] = 1.0
-        assert np.allclose(f, expected)
+        process, _ = turn_models(TurnModelSpec())
+        x = np.array([1.0, 2.0, 3.0, 4.0, 0.0])
+        out = process.propagate(0, x, np.zeros(5))
+        assert np.array_equal(out, [3.0, 2.0, 7.0, 4.0, 0.0])
 
     def test_continuity_at_small_rate(self):
-        f_small = turn_transition_matrix(1e-9, 1.0)
-        f_limit = turn_transition_matrix(0.0, 1.0)
-        assert np.max(np.abs(f_small - f_limit)) <= 1e-7
+        process, _ = turn_models(TurnModelSpec())
+        rows = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
+        small, limit = (
+            process.propagate(0, np.column_stack([rows, np.full(3, w)]), np.zeros((3, 5)))
+            for w in (1e-9, 0.0)
+        )
+        assert np.max(np.abs(small - limit)) <= 1e-7
 
     def test_quarter_turn_structure(self):
-        dt = 1.0
-        omega = 0.5 * np.pi / dt
-        f = turn_transition_matrix(omega, dt)
-        out = f @ np.array([1.0, 1.0, 0.0, 0.0, omega])
+        process, _ = turn_models(TurnModelSpec(dt=1.0))
+        omega = 0.5 * np.pi
+        out = process.propagate(0, np.array([1.0, 1.0, 0.0, 0.0, omega]), np.zeros(5))
         # velocity rotates by pi/2: (1, 0) -> (0, 1)
         assert np.allclose(out[[1, 3]], [np.cos(omega), np.sin(omega)], atol=1e-12)
         assert np.allclose(out[[1, 3]], [0.0, 1.0], atol=1e-12)
@@ -158,7 +176,7 @@ class TestTurnModel:
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.standard_normal(5)
-            f = turn_transition_matrix(x[4], 1.0)
+            f = _transition_matrix(x[4], 1.0)
             assert np.allclose(process.propagate(0, x, np.zeros(5)), f @ x)
 
     @staticmethod
