@@ -31,21 +31,21 @@ from .updates import (
     time_update_points,
 )
 
-CONVENTIONAL_FAMILIES = ("LGF", "VGF", "CGF", "PGF")
-SMOOTHING_FAMILIES = ("LGSF", "VGSF", "CGSF", "PGSF")
-ALL_FAMILIES = CONVENTIONAL_FAMILIES + SMOOTHING_FAMILIES
-# FilterKind's parameter -> the families that read it
-_READERS = {"rule_degree": ("CGF", "CGSF"), "sample_count": ("PGF", "PGSF"), "variational": ("VGF", "VGSF")}
+# Every family is a kernel with one of two orderings, "F" for conventional and
+# "SF" for smoothing.  Kernel -> the one FilterKind parameter it reads.
+KERNEL_PARAMETERS = {"LG": None, "VG": "variational", "CG": "rule_degree", "PG": "sample_count"}
+ALL_FAMILIES = tuple(kernel + order for order in ("F", "SF") for kernel in KERNEL_PARAMETERS)
 
 
 @dataclass(frozen=True)
 class FilterKind:
     """Selects a filter family plus its rule parameters.
 
-    rule_degree applies to CGF/CGSF; sample_count to PGF/PGSF; variational
-    settings to VGF/VGSF.  A family keeps the default of every parameter it
-    does not read, and default variational settings are stored as None, so
-    two kinds that filter alike compare equal.
+    The family's kernel (``LG``, ``VG``, ``CG`` or ``PG``) reads the one
+    parameter ``KERNEL_PARAMETERS`` names for it: rule_degree for CG,
+    sample_count for PG, variational settings for VG.  A family keeps the
+    default of every parameter it does not read, and default variational
+    settings are stored as None, so two kinds that filter alike compare equal.
     """
 
     family: str
@@ -59,31 +59,37 @@ class FilterKind:
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown filter family {self.family!r}")
         for f in fields(self)[1:]:
-            if self.family not in _READERS[f.name] and getattr(self, f.name) != f.default:
+            if f.name != self.parameter and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.family} does not read {f.name}")
         if self.variational == DEFAULT_VARIATIONAL:
             object.__setattr__(self, "variational", None)
-        if self.family in ("CGF", "CGSF") and self.rule_degree not in (3, 5):
+        if self.kernel == "CG" and self.rule_degree not in (3, 5):
             raise ValueError("rule_degree must be 3 or 5")
-        if self.family in ("PGF", "PGSF") and self.sample_count < 2:
+        if self.kernel == "PG" and self.sample_count < 2:
             raise ValueError("sample_count must be >= 2")
 
     @property
+    def kernel(self) -> str:
+        """The family without its ordering suffix."""
+        return self.family[:2]
+
+    @property
+    def parameter(self) -> str | None:
+        """The name of the one parameter the kernel reads; None for LG."""
+        return KERNEL_PARAMETERS[self.kernel]
+
+    @property
     def is_smoothing(self) -> bool:
-        return self.family in SMOOTHING_FAMILIES
+        return self.family.endswith("SF")
 
     @property
     def uses_points(self) -> bool:
-        return self.family in ("CGF", "PGF", "CGSF", "PGSF")
-
-    @property
-    def uses_rng(self) -> bool:
-        return self.family in ("PGF", "PGSF")
+        return self.rule() is not None
 
     def rule(self) -> RuleKind | None:
-        if self.family in ("CGF", "CGSF"):
+        if self.kernel == "CG":
             return cubature3() if self.rule_degree == 3 else cubature5()
-        if self.family in ("PGF", "PGSF"):
+        if self.kernel == "PG":
             return empirical(self.sample_count)
         return None
 
@@ -92,18 +98,15 @@ class FilterKind:
         non-default variational settings ``VGF[grad_tol=1e-08;max_iter=50]``
         (the changed fields in field order; no commas, as labels are CSV
         fields)."""
-        if self.family in ("CGF", "CGSF"):
-            return f"{self.family}{self.rule_degree}"
-        if self.family in ("PGF", "PGSF"):
-            return f"{self.family}{self.sample_count}"
-        if self.variational is not None:
+        value = self.parameter and getattr(self, self.parameter)
+        if isinstance(value, VariationalSettings):
             changed = ";".join(
-                f"{f.name}={getattr(self.variational, f.name)!r}"
+                f"{f.name}={getattr(value, f.name)!r}"
                 for f in fields(VariationalSettings)
-                if getattr(self.variational, f.name) != getattr(DEFAULT_VARIATIONAL, f.name)
+                if getattr(value, f.name) != getattr(DEFAULT_VARIATIONAL, f.name)
             )
             return f"{self.family}[{changed}]"
-        return self.family
+        return self.family if value is None else f"{self.family}{value}"
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,9 @@ def _time_update(kind, joint, process, n, rng, diag):
 
 
 def _measurement_update(kind, prior, obs_map, y, r, rng, diag):
-    if kind.family in ("LGF", "LGSF"):
+    if kind.kernel == "LG":
         return measurement_update_linear(prior, obs_map, y, r, diag)
-    if kind.family in ("VGF", "VGSF"):
+    if kind.kernel == "VG":
         try:
             return measurement_update_variational(prior, obs_map, y, r, kind.variational, diag)
         except _VARIATIONAL_FALLBACK:

@@ -99,6 +99,15 @@ def _parse_filter(entry: dict) -> FilterKind:
     return FilterKind(**entry)
 
 
+def _filter_entry(kind: FilterKind) -> dict:
+    """The inverse of ``_parse_filter``: the family plus the parameter its
+    kernel reads, left out when None."""
+    value = kind.parameter and getattr(kind, kind.parameter)
+    if value is None:
+        return {"family": kind.family}
+    return {"family": kind.family, kind.parameter: asdict(value) if kind.kernel == "VG" else value}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment description (JSON-serializable).  It checks
@@ -187,28 +196,12 @@ class ExperimentConfig:
         return process, obs, prior, spec.dt * getattr(spec, "substeps", 1)
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "testbed": self.testbed,
-            "params": self.params,
-            "filters": [],
-            "replicates": self.replicates,
-            "steps": self.steps,
-            "seed": self.seed,
-            "prior": {"mean": self.prior_mean, "cov": self.prior_cov},
-            "truth_x0": self.truth_x0,
-            "output_dir": self.output_dir,
-            "window": list(self.window) if self.window else None,
-        }
-        for f in self.filters:
-            entry = {"family": f.family}
-            if f.family in ("CGF", "CGSF"):
-                entry["rule_degree"] = f.rule_degree
-            if f.family in ("PGF", "PGSF"):
-                entry["sample_count"] = f.sample_count
-            if f.variational is not None:
-                entry["variational"] = asdict(f.variational)
-            out["filters"].append(entry)
+        """The inverse of ``from_dict``: every field by name, the prior's
+        regrouped as ``prior``, each filter as ``_filter_entry``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["prior"] = {"mean": out.pop("prior_mean"), "cov": out.pop("prior_cov")}
+        out["filters"] = [_filter_entry(f) for f in self.filters]
+        out["window"] = list(self.window) if self.window else None
         return out
 
 

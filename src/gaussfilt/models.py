@@ -23,8 +23,9 @@ def difference_step(x: np.ndarray, basis: np.ndarray | None, power: float) -> fl
     x along the columns of ``basis`` (the identity when None), s_j being the
     norm of basis row j; a zero row stays out of the max.  With a prior's
     Cholesky factor L as basis, s_j is the prior sd of x_j, so h is in the
-    units of u = L^-1 (x - m).  ``power``: 1/2 for first differences, 1/4 for
-    second."""
+    units of u = L^-1 (x - m).  ``power``: 1/3 for central first differences,
+    1/4 for central second differences, each balancing rounding against
+    truncation."""
     ratio = np.abs(x)
     if basis is not None:
         s = np.linalg.norm(basis, axis=1)
@@ -37,9 +38,9 @@ def central_difference(rows: Callable, x: np.ndarray, basis: np.ndarray | None =
     the columns of ``basis`` (n x k; the identity when None).  ``rows`` maps
     stacked points (m, n) to (m, out) values, or (m,) for a scalar function;
     all 2k probes x +- h basis e_i go to it in one call, h being
-    ``difference_step(x, basis, 1/2)``."""
+    ``difference_step(x, basis, 1/3)``."""
     x = np.asarray(x, dtype=float)
-    h = difference_step(x, basis, 0.5)
+    h = difference_step(x, basis, 1.0 / 3.0)
     steps = h * (np.eye(x.shape[0]) if basis is None else basis.T)
     k = steps.shape[0]
     vals = np.asarray(rows(np.concatenate([x + steps, x - steps])), dtype=float).reshape(2 * k, -1)

@@ -136,14 +136,14 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
     )
 
 
-def _kalman_update(prior, obs_map, y, r, z, p_xz, p_zz, diag):
-    """The Gaussian measurement update from the predicted observation z, the
-    cross covariance P_xz and the observation covariance P_zz, which every
-    non-variational family supplies in its own way."""
+def _kalman_update(mean, p_xx, obs_map, y, r, z, p_xz, p_zz, diag):
+    """The Gaussian measurement update of a prior with this mean from P_xx, the
+    predicted observation z, P_xz and the observation covariance P_zz, which
+    every non-variational family supplies in its own way."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     shift, shrink = _conditioning_terms(symmetrize(p_zz + r), p_xz, obs_map.residual(y, z))
-    return _settled(prior.mean + shift, prior.cov - shrink, diag)
+    return _settled(mean + shift, p_xx - shrink, diag)
 
 
 def time_update_linear(
@@ -185,7 +185,7 @@ def measurement_update_linear(
     columns, P_xz = L B^T and P_zz = B B^T."""
     s = _factor_of(prior, diag)
     z, b = obs_map.value_and_jacobian(prior.mean, s)
-    return _kalman_update(prior, obs_map, y, r, z, s @ b.T, b @ b.T, diag)
+    return _kalman_update(prior.mean, prior.cov, obs_map, y, r, z, s @ b.T, b @ b.T, diag)
 
 
 def measurement_update_points(
@@ -197,8 +197,9 @@ def measurement_update_points(
     rng: np.random.Generator | None = None,
     diag: Diagnostics | None = None,
 ) -> Gaussian:
-    """Update using cross/auto covariances of a discrete measure pushed
-    through the observation map."""
+    """Update using the state, cross and observation covariances of a discrete
+    measure pushed through the observation map, all three from its points, so
+    that P_xx - P_xz S^-1 P_zx is a Schur complement, whatever the sample."""
     s = _factor_of(prior, diag)
     mu = transform(standard_rule(kind, prior.dim, rng), prior.mean, s)
     zpts = obs_map.rows(mu.points)
@@ -208,8 +209,9 @@ def measurement_update_points(
     z_mean, p_zz = weighted_moments(mu.weights, zpts)
     xs = mu.points  # transform's own array, centred in place; a cached rule's is read-only
     xs -= mu.weights @ xs
+    p_xx = xs.T @ (mu.weights[:, None] * xs)  # symmetrized by _settled
     p_xz = xs.T @ (mu.weights[:, None] * (zpts - z_mean))
-    return _kalman_update(prior, obs_map, y, r, z_mean, p_xz, p_zz, diag)
+    return _kalman_update(prior.mean, p_xx, obs_map, y, r, z_mean, p_xz, p_zz, diag)
 
 
 class WhitenedMisfit:

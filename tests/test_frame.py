@@ -62,9 +62,12 @@ TOLERANCES = {
 }
 # On tracking, LGF, LGSF, VGF and VGSF difference the turn model along the
 # prior factor's columns; the rounding of x, up to 1e4 sd from the origin,
-# sets their floor.  Worst cases reached over 800 random and extreme frames:
-# LGF 2.2e-6 and 3.2e-6, LGSF 2.1e-6 and 4.1e-6, VGF 2.4e-6 and 3.9e-6, VGSF
-# 2.4e-6 and 4.9e-6; CGF3 and CGSF3 7.1e-12 and 4.9e-12.
+# sets their floor.  Worst cases reached over 302 random and extreme frames
+# with the central difference's step power 1/3: LGF 2.7e-8 and 3.5e-8, LGSF
+# 2.3e-8 and 4.3e-8, VGF 2.1e-7 and 4.5e-7, VGSF 1.2e-6 and 1.8e-6 (BFGS's
+# tolerance bounds these two).  With power 1/2, over 800 frames: LGF 2.2e-6
+# and 3.2e-6, LGSF 2.1e-6 and 4.1e-6, VGF 2.4e-6 and 3.9e-6, VGSF 2.4e-6 and
+# 4.9e-6.  CGF3 and CGSF3 difference nothing: 7.1e-12 and 4.9e-12.
 TRACKING_TOLERANCES = {
     **TOLERANCES,
     "LGF": (1e-5, 2e-5),
@@ -204,6 +207,7 @@ def test_frames_that_moved_the_x_unit_differences(kind, scale, offset_sd):
     # With the turn model differenced in x units, LGF, LGSF, VGF and VGSF
     # moved 7.0e-4 to 3.7e-3 sd in millimetres, and LGF and VGF 0.060 sd and
     # 15% in variance in the mixed frame; along the prior factor's columns,
-    # at most 8.8e-7 sd and 1.3e-6 in variance.
+    # at most 8.8e-7 sd and 1.3e-6 in variance with step power 1/2, and
+    # 7.5e-7 sd and 9.8e-7 (VGSF; LGF and LGSF 1.6e-8) with power 1/3.
     moves = frame_moves(kind, "tracking", np.array(scale), np.array(offset_sd), 0)
     assert_within_tolerance(kind, "tracking", moves)

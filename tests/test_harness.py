@@ -72,6 +72,57 @@ class TestRmse:
             rmse([[1.0]], [[1.0], [2.0]])
 
 
+TIGHT = VariationalSettings(grad_tol=1e-8, max_iter=50)
+
+# (family, parameters, label, to_dict's filter entry) for every family, with
+# default and non-default parameters.
+FAMILY_TABLE = [
+    ("LGF", {}, "LGF", {"family": "LGF"}),
+    ("LGSF", {}, "LGSF", {"family": "LGSF"}),
+    ("VGF", {}, "VGF", {"family": "VGF"}),
+    ("VGF", {"variational": TIGHT}, "VGF[grad_tol=1e-08;max_iter=50]",
+     {"family": "VGF", "variational": {"grad_tol": 1e-8, "max_iter": 50}}),
+    ("VGSF", {}, "VGSF", {"family": "VGSF"}),
+    ("VGSF", {"variational": VariationalSettings(max_iter=7)}, "VGSF[max_iter=7]",
+     {"family": "VGSF", "variational": {"grad_tol": None, "max_iter": 7}}),
+    ("CGF", {}, "CGF3", {"family": "CGF", "rule_degree": 3}),
+    ("CGF", {"rule_degree": 5}, "CGF5", {"family": "CGF", "rule_degree": 5}),
+    ("CGSF", {}, "CGSF3", {"family": "CGSF", "rule_degree": 3}),
+    ("CGSF", {"rule_degree": 5}, "CGSF5", {"family": "CGSF", "rule_degree": 5}),
+    ("PGF", {}, "PGF1000", {"family": "PGF", "sample_count": 1000}),
+    ("PGF", {"sample_count": 10}, "PGF10", {"family": "PGF", "sample_count": 10}),
+    ("PGSF", {}, "PGSF1000", {"family": "PGSF", "sample_count": 1000}),
+    ("PGSF", {"sample_count": 10}, "PGSF10", {"family": "PGSF", "sample_count": 10}),
+]
+
+# family -> the ValueError messages for a non-default value of each parameter it does not read
+NOT_READ = {
+    "LGF": ("LGF does not read rule_degree", "LGF does not read sample_count", "LGF does not read variational"),
+    "LGSF": ("LGSF does not read rule_degree", "LGSF does not read sample_count", "LGSF does not read variational"),
+    "VGF": ("VGF does not read rule_degree", "VGF does not read sample_count"),
+    "VGSF": ("VGSF does not read rule_degree", "VGSF does not read sample_count"),
+    "CGF": ("CGF does not read sample_count", "CGF does not read variational"),
+    "CGSF": ("CGSF does not read sample_count", "CGSF does not read variational"),
+    "PGF": ("PGF does not read rule_degree", "PGF does not read variational"),
+    "PGSF": ("PGSF does not read rule_degree", "PGSF does not read variational"),
+}
+NON_DEFAULT = {"rule_degree": 5, "sample_count": 10, "variational": TIGHT}
+
+
+@pytest.mark.parametrize("family, params, label, entry", FAMILY_TABLE)
+def test_every_family_labels_echoes_and_rejects_literally(family, params, label, entry):
+    kind = FilterKind(family, **params)
+    assert kind.label() == label
+    cfg = ExperimentConfig.from_dict(bistable_config(filters=[entry]))
+    assert cfg.filters == [kind]
+    assert cfg.to_dict()["filters"] == [entry]
+    for message in NOT_READ[family]:
+        name = message.split()[-1]
+        with pytest.raises(ValueError) as raised:
+            FilterKind(family, **params, **{name: NON_DEFAULT[name]})
+        assert str(raised.value) == message
+
+
 class TestExperimentConfig:
     def test_roundtrip(self):
         cfg = ExperimentConfig.from_dict(bistable_config())

@@ -1,5 +1,5 @@
 """Machine-independent counters on the per-step path: the kernels build no
-checked Gaussian, a cubature or linearized step factors each covariance
+checked Gaussian, a cubature, sampling or linearized step factors each covariance
 once, the variational update inverts no prior factor, each deterministic cubature rule
 is built once, and the linearized filters run one Euler-Maruyama pass per
 linearization point."""
@@ -130,6 +130,23 @@ def test_bistable_linearized_step_factors_each_covariance_once(family, factored,
         assert {name: len(calls) for name, calls in counted.items()} == {
             "cholesky": factored, "inv": inverted, "solve": 0
         }
+
+
+@pytest.mark.parametrize("family", ["PGF", "PGSF"])
+def test_bistable_sampling_step_factors_each_covariance_once(family, monkeypatch):
+    # One step from the bistable prior: the augmented joint's factor, the
+    # innovation covariance's factor and its inverse, and one factor for each
+    # of the two covariances the kernels return.  The point update's state
+    # covariance comes from its points as a product, not a factorization.
+    process, obs = bistable_models(BistableSpec())
+    prior, kind = Gaussian([0.8], [[0.02]]), FilterKind(family)
+    step = smoothing_step if kind.is_smoothing else conventional_step
+    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve", "eigvalsh")}
+    posterior = step(kind, prior, process, obs, np.array([0.95]), 0, np.random.default_rng(5))
+    assert posterior.dim == 1
+    assert {name: len(calls) for name, calls in counted.items()} == {
+        "cholesky": 4, "inv": 1, "solve": 0, "eigvalsh": 0
+    }
 
 
 def test_variational_update_inverts_no_prior_factor(monkeypatch):
