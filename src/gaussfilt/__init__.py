@@ -8,7 +8,6 @@ from .cubature import (
     cubature5,
     empirical,
     moment_defect,
-    moments,
     standard_rule,
     transform,
 )

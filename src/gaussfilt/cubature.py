@@ -117,8 +117,8 @@ def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None
     Degree 5: a 2k^2+1 point fully-symmetric rule -- the origin, the axis
     points +-sqrt(k+2) e_i, and the diagonal points
     sqrt((k+2)/2) (+-e_i +- e_j), in ``symmetric_stencil`` order.  Axis
-    weights go negative for k > 4; downstream moment estimates then rely on
-    covariance repair.
+    weights go negative for k > 4, so the moments they estimate can be
+    indefinite, and abort a time update unless ``repair_covariance`` mends them.
     Both are built once per (degree, k) and returned, read-only, on every
     later call.
     Empirical: sample_count fresh i.i.d. standard-normal draws, equal weights.
@@ -158,11 +158,6 @@ def transform(mu: DiscreteMeasure, m: np.ndarray, s: np.ndarray) -> DiscreteMeas
     pts = mu.points @ s.T
     pts += m  # in place: a wide point set allocates one (m, k) array, not two
     return DiscreteMeasure._unchecked(mu.weights, pts)
-
-
-def moments(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean and (symmetrized) covariance of the point set."""
-    return weighted_moments(mu.weights, mu.points)
 
 
 def weighted_moments(weights: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,8 @@ class SingularMatrix(GaussFiltError):
 
 
 class SingularHessian(GaussFiltError):
-    """Misfit Hessian at the minimizer could not be inverted."""
+    """Misfit Hessian at the minimizer, or the observation covariance that
+    weights the misfit, could not be inverted."""
 
 
 class DivergedEvaluation(GaussFiltError):

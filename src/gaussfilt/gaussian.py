@@ -13,9 +13,11 @@ import numpy as np
 from .diagnostics import Diagnostics
 from .errors import NotPositiveDefinite, SingularInnovationCov, SingularMatrix
 
-# Escalating jitter scales applied as eps * trace(C)/d * I on factorization
-# failure.  Augmented covariances become rank-deficient after conditioning on
-# an observation, so a zero-tolerance factorization would be unusable there.
+# Escalating jitter scales: a covariance C that does not factor is taken as
+# C + eps * diag(scale) for the least eps that factors, where ``scale`` holds
+# per-coordinate variances.  Augmented covariances become rank-deficient after
+# conditioning on an observation, so a zero-tolerance factorization would be
+# unusable there.
 JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)
 
 
@@ -23,17 +25,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _psd_floor(cov: np.ndarray) -> float:
-    """The least eigenvalue a positive semi-definite ``cov`` may show in
-    floating point: -1e-10 of its trace."""
-    return -1e-10 * max(np.trace(cov), 1e-300)
-
-
 def as_covariance(cov, dim: int | None = None, what: str = "covariance") -> np.ndarray:
     """``cov`` as a float (dim, dim) array, square of any size when ``dim`` is
     None; raises ValueError unless it has that shape, is finite, is symmetric
-    to 1e-12 of its largest entry and its least eigenvalue is at least
-    ``_psd_floor``."""
+    to 1e-12 of its largest entry and its least eigenvalue is at least -1e-10
+    of its trace, as rounding leaves a positive semi-definite matrix."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     dim = cov.shape[0] if dim is None else dim
     if cov.shape != (dim, dim):
@@ -42,7 +38,7 @@ def as_covariance(cov, dim: int | None = None, what: str = "covariance") -> np.n
         raise ValueError(f"{what} is not finite")
     if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12 * np.max(np.abs(cov), initial=0.0):
         raise ValueError(f"{what} is not symmetric")
-    if cov.size and np.linalg.eigvalsh(cov)[0] < _psd_floor(cov):
+    if cov.size and np.linalg.eigvalsh(cov)[0] < -1e-10 * max(np.trace(cov), 1e-300):
         raise ValueError(f"{what} is not positive semi-definite")
     return cov
 
@@ -86,77 +82,72 @@ class Gaussian:
 
 
 def cholesky_factor(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
-    """Lower-triangular S with S S^T = C, adding escalating jitter on failure.
+    """Lower-triangular S with S S^T = C, or, if C does not factor, the factor
+    ``repair_covariance`` gives (or raises) on C's own |diagonal|."""
+    return _factored(np.atleast_2d(np.asarray(c, dtype=float)), None, diag)[1]
 
-    Raises NotPositiveDefinite if C is not finite, or if the factorization
-    still fails after the largest jitter; either signals a corrupted
-    covariance upstream.
+
+def repair_covariance(c: np.ndarray, scale: np.ndarray, diag: Diagnostics | None = None):
+    """C + eps diag(|scale|) and its Cholesky factor, for the least eps in
+    ``(0,) + JITTER_LADDER`` that factors; a jitter is counted when eps > 0.
+
+    ``scale`` holds per-coordinate variances, so the repair does not depend on
+    the units of C.  A coordinate whose scale is zero (below 1e12 times the
+    least normal float) must have a zero row in C, up to rounding, and gets a
+    zero row in both results.  A C that is not finite, has a nonzero row there
+    or does not factor at the largest eps raises NotPositiveDefinite: it
+    signals a corrupted covariance upstream.
     """
     c = symmetrize(np.atleast_2d(np.asarray(c, dtype=float)))
     if not np.isfinite(c).all():
         raise NotPositiveDefinite("covariance is not finite")
-    d = c.shape[0]
-    try:
-        return np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
-        pass
-    base = max(np.trace(c), 1e-300) / d
-    for eps in JITTER_LADDER:
-        try:
-            s = np.linalg.cholesky(c + eps * base * np.eye(d))
-        except np.linalg.LinAlgError:
-            continue
-        if diag is not None:
-            diag.jitters += 1
-        return s
-    raise NotPositiveDefinite("covariance not factorizable after maximal jitter")
-
-
-def repair_covariance(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
-    """Symmetrize and, if needed, shift tiny negative eigenvalues to zero.
-
-    Large negative eigenvalues (beyond 1e-6 of the trace scale) and
-    non-finite entries are treated as corruption and raised rather than
-    masked.  The result is exactly symmetric and passes ``as_covariance``,
-    so the kernels build their Gaussians from it unchecked.
-    """
-    c = symmetrize(np.atleast_2d(np.asarray(c, dtype=float)))
-    if not np.isfinite(c).all():
-        raise NotPositiveDefinite("covariance is not finite")
+    scale = np.abs(np.asarray(scale, dtype=float))
+    floor = np.finfo(float).tiny / JITTER_LADDER[0]  # the first rung keeps a variance above it normal
+    zero = scale < floor
+    # A covariance, or one subtracted from the covariance the scale comes
+    # from, bounds |c_ij| by 2 sqrt(scale_i scale_j); below that, a row at a
+    # zero scale is rounding, and is zeroed.
+    if np.all(np.abs(c[zero]) <= 2.0 * np.sqrt(floor) * np.sqrt(scale)):
+        c[zero] = c[:, zero] = scale[zero] = 0.0
+        keep = np.ix_(~zero, ~zero)
+        for eps in (0.0,) + JITTER_LADDER:
+            cov = c + np.diag(eps * scale)
+            factor = np.zeros_like(c)
+            try:
+                factor[keep] = np.linalg.cholesky(cov[keep])
+            except np.linalg.LinAlgError:
+                continue
+            if eps and diag is not None:
+                diag.jitters += 1
+            return cov, factor
     lo = np.linalg.eigvalsh(c)[0]
-    if lo >= 0.0:
-        return c
-    scale = max(np.trace(c), 1.0)
-    if lo < -1e-6 * scale:
-        raise NotPositiveDefinite(f"covariance has eigenvalue {lo:g}, beyond repair")
-    if diag is not None:
-        diag.jitters += 1
-    eye = np.eye(c.shape[0])
-    c = c + (-lo + 1e-300) * eye
-    # Rounding can absorb the shift: a diagonal that cancels to exactly zero
-    # beside nonzero off-diagonal entries is still indefinite.  Shift again.
-    while (lo := np.linalg.eigvalsh(c)[0]) < _psd_floor(c):
-        c = c + (-lo + 1e-300) * eye
-    return c
+    raise NotPositiveDefinite(f"covariance has eigenvalue {lo:g}, beyond repair")
 
 
-def _settled(mean: np.ndarray, c: np.ndarray, diag: Diagnostics | None = None) -> Gaussian:
-    """The Gaussian a kernel returns, with covariance ``c`` symmetrized.
-
-    A finite ``c`` whose Cholesky factorization succeeds is accepted as it is,
-    and the factor travels with it, even where ``eigvalsh`` would read a
-    rounding-level negative eigenvalue: a backward-stable factorization puts
-    such a matrix far above ``as_covariance``'s floor.  Only when the
-    factorization fails does ``repair_covariance`` run (shift, jitter count,
-    or NotPositiveDefinite), and the result carries no factor.
-    """
+def _factored(c: np.ndarray, scale, diag: Diagnostics | None):
+    """symmetrize(c) and its Cholesky factor, or, if it does not factor,
+    ``repair_covariance`` with ``scale`` (None: its own diagonal)."""
     s = symmetrize(c)
     if np.isfinite(s).all():
         try:
-            return Gaussian._unchecked(mean, s, np.linalg.cholesky(s))
+            return s, np.linalg.cholesky(s)
         except np.linalg.LinAlgError:
             pass
-    return Gaussian._unchecked(mean, repair_covariance(c, diag))
+    return repair_covariance(s, np.diagonal(s) if scale is None else scale, diag)
+
+
+def _settled(mean: np.ndarray, c: np.ndarray, diag: Diagnostics | None = None, scale=None) -> Gaussian:
+    """The Gaussian a kernel returns, with covariance ``c`` symmetrized and its
+    Cholesky factor carried to the next kernel.
+
+    A finite ``c`` whose factorization succeeds is accepted as it is, even
+    where ``eigvalsh`` would read a rounding-level negative eigenvalue: a
+    backward-stable factorization puts such a matrix far above
+    ``as_covariance``'s floor.  Otherwise ``repair_covariance`` runs with
+    ``scale``, the per-coordinate variances c came from (None: c's own
+    |diagonal|).
+    """
+    return Gaussian._unchecked(mean, *_factored(c, scale, diag))
 
 
 def _factor_of(g: Gaussian, diag: Diagnostics | None = None) -> np.ndarray:

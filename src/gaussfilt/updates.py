@@ -139,11 +139,12 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
 def _kalman_update(mean, p_xx, obs_map, y, r, z, p_xz, p_zz, diag):
     """The Gaussian measurement update of a prior with this mean from P_xx, the
     predicted observation z, P_xz and the observation covariance P_zz, which
-    every non-variational family supplies in its own way."""
+    every non-variational family supplies in its own way.  A posterior that
+    does not factor is repaired on the scale of P_xx's diagonal."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     shift, shrink = _conditioning_terms(symmetrize(p_zz + r), p_xz, obs_map.residual(y, z))
-    return _settled(mean + shift, p_xx - shrink, diag)
+    return _settled(mean + shift, p_xx - shrink, diag, p_xx.diagonal())
 
 
 def time_update_linear(
@@ -199,7 +200,8 @@ def measurement_update_points(
 ) -> Gaussian:
     """Update using the state, cross and observation covariances of a discrete
     measure pushed through the observation map, all three from its points, so
-    that P_xx - P_xz S^-1 P_zx is a Schur complement, whatever the sample."""
+    that P_xx - P_xz S^-1 P_zx is a Schur complement, whatever the sample.  The
+    update is centred on the points' mean, the one P_xz is taken about."""
     s = _factor_of(prior, diag)
     mu = transform(standard_rule(kind, prior.dim, rng), prior.mean, s)
     zpts = obs_map.rows(mu.points)
@@ -208,10 +210,23 @@ def measurement_update_points(
     zpts = zpts[0] + obs_map.residual(zpts, zpts[0])
     z_mean, p_zz = weighted_moments(mu.weights, zpts)
     xs = mu.points  # transform's own array, centred in place; a cached rule's is read-only
-    xs -= mu.weights @ xs
+    x_mean = mu.weights @ xs
+    xs -= x_mean
     p_xx = xs.T @ (mu.weights[:, None] * xs)  # symmetrized by _settled
     p_xz = xs.T @ (mu.weights[:, None] * (zpts - z_mean))
-    return _kalman_update(prior.mean, p_xx, obs_map, y, r, z_mean, p_xz, p_zz, diag)
+    return _kalman_update(x_mean, p_xx, obs_map, y, r, z_mean, p_xz, p_zz, diag)
+
+
+def _inverted_factor(c, what, diag):
+    """L^-1 for L = cholesky_factor(c, diag); SingularHessian if c does not
+    factor or L has a zero row, as it has where c has one."""
+    try:
+        factor = cholesky_factor(c, diag)
+    except NotPositiveDefinite as exc:
+        raise SingularHessian(f"{what} not invertible") from exc
+    if not np.diagonal(factor).all():
+        raise SingularHessian(f"{what} has a zero row")
+    return np.linalg.inv(factor)
 
 
 class WhitenedMisfit:
@@ -224,13 +239,14 @@ class WhitenedMisfit:
     the map leaves its domain scores inf.  Called at one u, it keeps the
     map's value and H L, its Jacobian along the columns of L, from one joint
     call, for ``gradient``.  L_R^-1 is formed once, so every evaluation is a
-    matrix product.
+    matrix product; an R with an exact component (a zero row) raises
+    SingularHessian, as the misfit then has no finite Hessian.
     """
 
     def __init__(self, prior, obs_map, y, r, diag=None):
         self.mean = prior.mean
         self.l_prior = _factor_of(prior, diag)
-        self.w_obs = np.linalg.inv(cholesky_factor(np.atleast_2d(np.asarray(r, dtype=float)), diag))
+        self.w_obs = _inverted_factor(r, "observation covariance", diag)
         self.obs_map = obs_map
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         self._last = None
@@ -307,9 +323,5 @@ def measurement_update_variational(
     if diag is not None:
         diag.bfgs_iterations += iters
     minimizer = misfit.to_x(u_min)
-    try:
-        g = cholesky_factor(misfit.hessian(minimizer), diag)
-    except NotPositiveDefinite as exc:
-        raise SingularHessian("misfit Hessian not invertible at the minimizer") from exc
-    f = misfit.l_prior @ np.linalg.inv(g).T
+    f = misfit.l_prior @ _inverted_factor(misfit.hessian(minimizer), "misfit Hessian", diag).T
     return _settled(minimizer, f @ f.T, diag)

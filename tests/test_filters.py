@@ -260,6 +260,29 @@ class TestRunFilter:
                 var = (var + 1.0) / (var + 2.0)  # predict with Q = 1, then update with R = 1
                 assert abs(rec.posterior.cov[0, 0] / var - 1.0) <= 0.25
 
+    @pytest.mark.parametrize("family", ["PGF", "PGSF"])
+    def test_sampling_filters_track_the_kalman_mean_on_a_diffuse_linear_walk(self, family):
+        # The walk above: the point update shifts the mean of its own points,
+        # the one its cross covariance is taken about.  Shifting the prior's
+        # exact mean instead put PGF up to 0.74 and PGSF up to 0.99 Kalman
+        # posterior sd off over these 50 runs; from the points' mean, at most
+        # 0.13 and 0.16.
+        walk = ProcessModel(propagate=lambda n, x, xi: x + xi, noise_cov=[[1.0]], state_dim=1, vectorized=True)
+        obs = ObservationModel(observe=lambda n, x: np.asarray(x, dtype=float), obs_cov=[[1.0]], vectorized=True)
+        prior = Gaussian([0.0], [[100.0]])
+        worst = 0.0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            truth = simulate_truth(walk, obs, 10.0 * rng.standard_normal(1), 5, rng)
+            traj = run_filter(FilterKind(family), walk, obs, prior, truth.observations, rng)
+            assert traj.error is None, f"seed {seed}: {traj.error}"
+            mean, var = 0.0, 100.0
+            for rec, y in zip(traj.records[1:], truth.observations):
+                var += 1.0
+                mean, var = mean + var / (var + 1.0) * (y[0] - mean), var / (var + 1.0)
+                worst = max(worst, abs(rec.posterior.mean[0] - mean) / np.sqrt(var))
+        assert worst <= 0.3, worst
+
     def test_variational_fallback_recorded(self):
         # An observation map whose misfit gradient explodes forces the
         # optimizer to give up; the filter must fall back to the linear
@@ -323,6 +346,25 @@ class TestRunFilter:
         traj = run_filter(FilterKind(family), walk, obs, Gaussian([0.0], [[1.0]]), [1.0, 2.0], rng)
         assert isinstance(traj.error, SingularInnovationCov)
         assert len(traj.records) == 1
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_observation_noise_with_an_exact_component(self, family):
+        # R = diag(1, 0) observes the second coordinate exactly.  R's factor
+        # has a zero row, which the variational misfit cannot invert, so VGF
+        # and VGSF fall back to the linear update at every step; no family
+        # lets an exception escape, and each puts the exactly observed
+        # coordinate at its observation.
+        walk = ProcessModel(propagate=lambda n, x, xi: x + xi, noise_cov=np.eye(2), state_dim=2, vectorized=True)
+        obs = ObservationModel(
+            observe=lambda n, x: np.asarray(x, dtype=float), obs_cov=np.diag([1.0, 0.0]), vectorized=True
+        )
+        ys = [np.array([1.0, 0.5]), np.array([0.2, -0.3]), np.array([0.4, 0.1])]
+        kind = FilterKind(family, sample_count=200) if family.startswith("PG") else FilterKind(family)
+        traj = run_filter(kind, walk, obs, Gaussian([0.0, 0.0], np.eye(2)), ys, np.random.default_rng(0))
+        assert traj.error is None
+        for rec, y in zip(traj.records[1:], ys):
+            assert rec.diagnostics.fallbacks == (kind.kernel == "VG")
+            assert abs(rec.posterior.mean[1] - y[1]) <= 1e-6
 
     @pytest.mark.parametrize(
         "output,family",

@@ -117,9 +117,10 @@ def turn_in_frame(process, obs, scale, shift):
     return moved, observed
 
 
-def _models(testbed, scale, shift):
-    """The testbed's models, and the same models in the frame x' = scale * x + shift."""
-    make_models, spec = CASES[testbed][:2]
+def _models(testbed, scale, shift, spec=None):
+    """The testbed's models, with ``spec`` in place of its own if given, and
+    the same models in the frame x' = scale * x + shift."""
+    make_models, spec = CASES[testbed][0], spec or CASES[testbed][1]
     if testbed == "tracking":
         process, obs = make_models(spec)
         return (process, obs), turn_in_frame(process, obs, scale, shift)
@@ -127,14 +128,16 @@ def _models(testbed, scale, shift):
     return (discretize_sde(sde), obs), in_frame(sde, obs, scale, shift)
 
 
-def frame_moves(kind, testbed, scale, offset_sd, seed):
+def frame_moves(kind, testbed, scale, offset_sd, seed, spec=None, steps=STEPS):
     """The largest move of the means, in posterior sd, and of the variances,
     relative, from the original frame to x' = scale * x + a, where a is
-    ``offset_sd`` prior sd of the new frame."""
+    ``offset_sd`` prior sd of the new frame, over ``steps`` steps of the
+    testbed with ``spec`` (default: its own); and the jitters both frames
+    counted."""
     mean, cov = (np.array(v) for v in CASES[testbed][2:])
     shift = offset_sd * scale * np.sqrt(np.diag(cov))
-    (process, obs), (moved_process, moved_obs) = _models(testbed, scale, shift)
-    truth = simulate_truth(process, obs, mean, STEPS, np.random.default_rng(seed))
+    (process, obs), (moved_process, moved_obs) = _models(testbed, scale, shift, spec)
+    truth = simulate_truth(process, obs, mean, steps, np.random.default_rng(seed))
     original = run_filter(kind, process, obs, Gaussian(mean, cov), truth.observations)
     moved_prior = Gaussian(scale * mean + shift, scale[:, None] * cov * scale)
     moved = run_filter(kind, moved_process, moved_obs, moved_prior, truth.observations)
@@ -143,7 +146,8 @@ def frame_moves(kind, testbed, scale, offset_sd, seed):
     mean_move = np.abs((moved.means() - shift) / scale - original.means()) / sd
     var_back = np.diagonal(moved.covariances(), axis1=1, axis2=2) / scale ** 2
     var_move = np.abs(var_back / sd ** 2 - 1.0)
-    return float(mean_move.max()), float(var_move.max())
+    jitters = sum(r.diagnostics.jitters for r in original.records + moved.records)
+    return float(mean_move.max()), float(var_move.max()), jitters
 
 
 def assert_within_tolerance(kind, testbed, moves):
@@ -211,3 +215,25 @@ def test_frames_that_moved_the_x_unit_differences(kind, scale, offset_sd):
     # 7.5e-7 sd and 9.8e-7 (VGSF; LGF and LGSF 1.6e-8) with power 1/3.
     moves = frame_moves(kind, "tracking", np.array(scale), np.array(offset_sd), 0)
     assert_within_tolerance(kind, "tracking", moves)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
+def test_singular_joint_in_mixed_units_far_from_the_origin(kind):
+    # With no turn-rate noise (q = 0) the augmented joint has a zero row at
+    # every step.  A jitter of eps trace(C)/d I, in the units of the joint's
+    # largest block, moved LGF, LGSF, VGF and VGSF 4.8 sd here (variances up
+    # to 5e25 times) and CGF3 and CGSF3 2e7 sd, with 40 to 129 jitters per
+    # frame.  The zero row now gets a zero row in the factor, and no jitter:
+    # worst moves 1.8e-6 sd and 2.7e-6 in variance (VGSF), 2.8e-8 and
+    # 3.1e-8 (LGF, LGSF) and 2e-11 (CGF3, CGSF3).
+    moves = frame_moves(
+        kind,
+        "tracking",
+        np.array([1e-6, 1e6, 1e-6, 1e6, 1.0]),
+        np.array([1e4, -1e4, 1e4, -1e4, 0.0]),
+        1,
+        TurnModelSpec(q=0.0),
+        40,
+    )
+    assert_within_tolerance(kind, "tracking", moves)
+    assert moves[2] == 0

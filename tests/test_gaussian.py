@@ -104,29 +104,87 @@ class TestCholeskyFactor:
 
 
 class TestRepairCovariance:
+    """C + eps diag(scale) and its factor, for the least eps in (0,) + JITTER_LADDER that factors."""
+
     def test_psd_untouched(self):
         c = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert np.array_equal(repair_covariance(c), c)
+        diag = Diagnostics()
+        cov, factor = repair_covariance(c, np.diagonal(c), diag)
+        assert cov.tobytes() == c.tobytes() and factor.tobytes() == np.linalg.cholesky(c).tobytes()
+        assert diag.jitters == 0
 
     def test_tiny_negative_eigenvalue_lifted(self):
+        # -1e-9 against a unit scale takes eps = 1e-8; against its own
+        # |diagonal| it is as negative as the coordinate's whole variance.
         c = np.diag([1.0, -1e-9])
-        out = repair_covariance(c)
-        assert np.linalg.eigvalsh(out)[0] >= 0.0
+        diag = Diagnostics()
+        cov, factor = repair_covariance(c, np.ones(2), diag)
+        assert np.array_equal(cov, c + 1e-8 * np.eye(2)) and diag.jitters == 1
+        assert np.array_equal(factor @ factor.T, cov)
+        with pytest.raises(NotPositiveDefinite, match="beyond repair"):
+            repair_covariance(c, np.abs(np.diagonal(c)))
 
     def test_shift_absorbed_by_rounding_is_repeated(self):
-        # The shift by -lo cancels the diagonal to exactly zero and leaves the
-        # off-diagonal entries, eigenvalues +-3.8e-65, which the public check
-        # rejects; a measurement update with an exact observation made this.
+        # An all-rounding posterior that a measurement update with an exact
+        # observation made from a prior of unit scale: a shift by its least
+        # eigenvalue cancelled the diagonal to exactly zero and left the
+        # off-diagonal entries.  The prior's scale repairs it at the first rung.
         c = np.array([[-4.163336342344337e-17, -3.846918741797563e-65],
                       [-3.846918741797563e-65, -4.163336342344337e-17]])
         diag = Diagnostics()
-        out = repair_covariance(c, diag)
-        Gaussian(np.zeros(2), out)
+        cov, factor = repair_covariance(c, np.ones(2), diag)
+        assert np.array_equal(cov, c + 1e-12 * np.eye(2))
+        Gaussian(np.zeros(2), cov)
         assert diag.jitters == 1
 
     def test_large_negative_eigenvalue_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            repair_covariance(np.diag([1.0, -0.5]))
+        with pytest.raises(NotPositiveDefinite, match=r"eigenvalue -0\.5, beyond repair"):
+            repair_covariance(np.diag([1.0, -0.5]), [1.0, 0.5])
+
+    def test_large_negative_eigenvalue_raises_in_any_units(self):
+        # The threshold was -1e-6 max(trace, 1), absolute below a unit trace,
+        # so this matrix was "repaired" to diag(1.5e-6, 0).
+        c = 1e-6 * np.diag([1.0, -0.5])
+        with pytest.raises(NotPositiveDefinite, match="beyond repair"):
+            repair_covariance(c, np.abs(np.diagonal(c)))
+
+    def test_zero_scale_coordinate_gets_a_zero_row(self):
+        c = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        diag = Diagnostics()
+        cov, factor = repair_covariance(c, np.abs(np.diagonal(c)), diag)
+        assert np.array_equal(cov, c + 1e-12 * np.diag([1.0, 1.0, 0.0])) and diag.jitters == 1
+        assert np.array_equal(factor[2], np.zeros(3)) and np.array_equal(factor[:, 2], np.zeros(3))
+        assert factor[:2, :2].tobytes() == np.linalg.cholesky(cov[:2, :2]).tobytes()
+
+    def test_zero_rows_alone_take_no_jitter(self):
+        c = np.diag([2.0, 0.0])
+        diag = Diagnostics()
+        cov, factor = repair_covariance(c, np.abs(np.diagonal(c)), diag)
+        assert np.array_equal(cov, c) and np.array_equal(factor, np.diag([np.sqrt(2.0), 0.0]))
+        assert diag.jitters == 0
+
+    def test_underflowed_row_at_zero_scale_is_zeroed(self):
+        # The points' covariance of a map with entries near 1e-206: the
+        # diagonal underflowed to zero beside a subnormal cross entry.
+        c = np.array([[1.13128433e-137, -8.2724222e-310, -8.2724222e-310],
+                      [-8.2724222e-310, 0.0, 0.0],
+                      [-8.2724222e-310, 0.0, 0.0]])
+        diag = Diagnostics()
+        cov, factor = repair_covariance(c, np.abs(np.diagonal(c)), diag)
+        assert np.array_equal(cov, np.diag([c[0, 0], 0.0, 0.0])) and diag.jitters == 0
+        assert factor.tobytes() == cholesky_factor(cov).tobytes()
+
+    def test_nonzero_row_at_zero_scale_raises(self):
+        c = np.array([[0.0, 1e-20], [1e-20, 1.0]])
+        with pytest.raises(NotPositiveDefinite, match="beyond repair"):
+            repair_covariance(c, np.abs(np.diagonal(c)))
+
+    def test_repaired_output_carries_its_factor(self):
+        c = np.array([[1.0, 1.0], [1.0, 1.0]])
+        diag = Diagnostics()
+        cov, factor = repair_covariance(c, np.abs(np.diagonal(c)), diag)
+        assert np.array_equal(cov, c + 1e-12 * np.eye(2)) and diag.jitters == 1
+        assert factor.tobytes() == cholesky_factor(cov, diag).tobytes() and diag.jitters == 1
 
     @pytest.mark.parametrize(
         "c",
@@ -136,7 +194,7 @@ class TestRepairCovariance:
     def test_non_finite_raises_without_jitter(self, c):
         diag = Diagnostics()
         with pytest.raises(NotPositiveDefinite):
-            repair_covariance(np.array(c), diag)
+            repair_covariance(np.array(c), np.ones(len(c)), diag)
         assert diag.jitters == 0
 
 
@@ -154,15 +212,27 @@ class TestSettled:
             g._factor[0, 0] = 1.0
 
     def test_unfactorable_matrix_takes_the_repair_path(self):
-        # Singular and PSD: the factorization fails, repair_covariance leaves
-        # it as it is, and the next kernel's factorization jitters.
+        # Singular and PSD: the factorization fails, repair_covariance jitters
+        # it once on its own |diagonal|, and the factor of the repaired
+        # matrix travels with it, so the next kernel does not factor again.
         c = np.array([[1.0, 1.0], [1.0, 1.0]])
         diag = Diagnostics()
         g = _settled(np.zeros(2), c, diag)
-        assert g._factor is None and g.cov.tobytes() == repair_covariance(c).tobytes()
-        assert diag.jitters == 0
-        assert _factor_of(g, diag).tobytes() == cholesky_factor(c).tobytes()
+        cov, factor = repair_covariance(c, np.abs(np.diagonal(c)))
+        assert g.cov.tobytes() == cov.tobytes() and g._factor.tobytes() == factor.tobytes()
+        assert g._factor.tobytes() == cholesky_factor(g.cov).tobytes()
         assert diag.jitters == 1
+        assert _factor_of(g, diag) is g._factor and diag.jitters == 1
+
+    def test_repair_takes_the_scale_given(self):
+        # A posterior left all rounding by an exact observation is repaired on
+        # the scale of the prior it came from, not on its own diagonal.
+        c = np.array([[-1e-17, 0.0], [0.0, 1.0]])
+        diag = Diagnostics()
+        g = _settled(np.zeros(2), c, diag, np.array([4.0, 1.0]))
+        assert np.array_equal(g.cov, c + 1e-12 * np.diag([4.0, 1.0])) and diag.jitters == 1
+        with pytest.raises(NotPositiveDefinite, match="beyond repair"):
+            _settled(np.zeros(2), c)
 
     def test_factorable_matrix_with_a_negative_eigenvalue_is_accepted_as_is(self):
         # Products B B^T of rank k - 1 whose rounding leaves eigvalsh a

@@ -82,7 +82,7 @@ def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
     # Per step: the augmented joint's factor, the innovation covariance's, and
     # one for each of the two covariances the kernels return; the second
     # kernel takes the first kernel's factor instead of factoring it again.
-    # No eigvalsh: repair_covariance runs only when a factorization fails.
+    # No eigvalsh: only repair_covariance's abort message reads an eigenvalue.
     process, obs = turn_models(TurnModelSpec())
     prior = Gaussian(
         [1e3, 3e2, 1e3, 0.0, -3.0 * math.pi / 180.0], np.diag([100.0, 10.0, 100.0, 10.0, 1e-4])

@@ -8,6 +8,7 @@ axis weights (k > 4).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -26,6 +27,8 @@ from gaussfilt import (
     time_update_linear,
     time_update_points,
 )
+from gaussfilt.errors import NotPositiveDefinite
+from gaussfilt.gaussian import repair_covariance
 from gaussfilt.models import ObsFunction
 
 RULES = [cubature3(), cubature5()]
@@ -144,7 +147,8 @@ def exact_or_noisy_observations(draw, k):
     """A full-row-rank linear map of a k-dim belief, an observation, and its
     noise covariance: random, or zero.  An exact observation leaves a
     singular posterior whose zero eigenvalues come out of the update as
-    rounding of either sign, so ``repair_covariance`` shifts the negative ones."""
+    rounding of either sign, so ``repair_covariance`` jitters it on the
+    prior's scale when it does not factor."""
     out = draw(st.integers(1, min(3, k)))
     obs_map = _full_rank_map(draw(_matrix(out, k)), out)
     y = draw(arrays(float, out, elements=st.floats(-10.0, 10.0)))
@@ -185,9 +189,9 @@ def test_augment_and_time_updates_pass_the_public_check(case, data):
 
 def test_exact_observations_exercise_the_repair():
     # The property tests above include covariances that repair_covariance
-    # shifted: with exact observations, every measurement kernel shifts some.
+    # jittered: with exact observations, every measurement kernel jitters some.
     rng = np.random.default_rng(0)
-    shifted = [0] * len(MEASUREMENT_UPDATES)
+    jittered = [0] * len(MEASUREMENT_UPDATES)
     for k in range(1, 9):
         for _ in range(4):
             a = rng.uniform(-2.0, 2.0, (k, k))
@@ -198,5 +202,51 @@ def test_exact_observations_exercise_the_repair():
             for i, update in enumerate(MEASUREMENT_UPDATES):
                 diag = Diagnostics()  # only repair_covariance counts here: the prior is definite
                 assert_passes_public_check(update(prior, obs_map, y, r, diag))
-                shifted[i] += diag.jitters
-    assert min(shifted) > 0, shifted
+                jittered[i] += diag.jitters
+    assert min(jittered) > 0, jittered
+
+
+@st.composite
+def unfactorable_covariances(draw):
+    """A symmetric C with the scale it is repaired on, its own |diagonal|:
+    rank-deficient, with zero rows, and either indefinite by rounding (a
+    negative eigenvalue of 1e-14 of the scale), far from positive
+    semi-definite (a negative diagonal entry), or with a zero diagonal entry
+    beside a nonzero row.  The first two are repaired, the last two raise."""
+    k = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))  # no underflow
+    b = draw(arrays(float, (k, draw(st.integers(0, k - 1))), elements=entries))
+    b[draw(arrays(bool, k))] = 0.0  # zero rows
+    c = b @ b.T
+    kind = draw(st.sampled_from(["rank-deficient", "rounding", "indefinite", "zero-diagonal"]))
+    i = draw(st.integers(0, k - 1))
+    if kind == "rounding":
+        v = np.sqrt(np.diagonal(c)) * draw(arrays(float, k, elements=st.floats(-1.0, 1.0)))
+        c = c - 1e-14 * np.outer(v, v)
+    elif kind == "indefinite":
+        c[i, i] = -abs(c[i, i]) - 0.5
+    elif kind == "zero-diagonal" and c[i].any():
+        c[i, i] = 0.0
+    return c, np.abs(np.diagonal(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unfactorable_covariances(), arrays(float, 6, elements=st.floats(-6.0, 6.0)))
+def test_repair_does_not_depend_on_units(case, exponents):
+    # In units x' = D x, C becomes D C D and its scale D^2 scale.  The repair
+    # maps through to rounding, and raises in both frames or in neither.  A
+    # singular matrix may factor at eps = 0 in one frame and take the first
+    # rung, 1e-12 of the scale, in the other: the bound allows that.
+    c, scale = case
+    d = 10.0 ** exponents[: len(scale)]
+    try:
+        cov, factor = repair_covariance(c, scale)
+    except NotPositiveDefinite:
+        with pytest.raises(NotPositiveDefinite, match="beyond repair"):
+            repair_covariance(d[:, None] * c * d, d**2 * scale)
+        return
+    moved, moved_factor = repair_covariance(d[:, None] * c * d, d**2 * scale)
+    assert np.all(np.abs(moved / np.outer(d, d) - cov) <= 1e-10 * np.sqrt(np.outer(scale, scale)))
+    for cov, factor in ((cov, factor), (moved, moved_factor)):
+        assert factor.tobytes() == cholesky_factor(cov).tobytes()
+        Gaussian(np.zeros(len(scale)), cov)

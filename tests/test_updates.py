@@ -453,12 +453,13 @@ class TestMeasurementUpdateVariational:
 
 def _stacked_points_update(prior, obs_map, y, r, mu):
     # The stacked formula the kernel replaced: the full (k + p)^2 covariance
-    # of [x, z], whose state, cross and observation blocks all enter the update.
+    # of [x, z], whose state, cross and observation blocks all enter the
+    # update, centred on the points' mean [x̄, z̄].
     zpts = obs_map.rows(mu.points)
     zpts = zpts[0] + obs_map.residual(zpts, zpts[0])
     mean, cov = weighted_moments(mu.weights, np.hstack([mu.points, zpts]))
     k = prior.dim
-    return _kalman_update(prior.mean, cov[:k, :k], obs_map, y, r, mean[k:], cov[:k, k:], cov[k:, k:], None)
+    return _kalman_update(mean[:k], cov[:k, :k], obs_map, y, r, mean[k:], cov[:k, k:], cov[k:, k:], None)
 
 
 class TestPointMoments:
