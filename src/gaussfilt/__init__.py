@@ -1,20 +1,11 @@
 """Sequential Gaussian approximation filters, conventional and
 noise-conditioning ("smoothing") variants, with benchmark testbeds."""
 
-from .cubature import (
-    DiscreteMeasure,
-    RuleKind,
-    cubature3,
-    cubature5,
-    empirical,
-    moment_defect,
-    standard_rule,
-    transform,
-)
+from .cubature import DiscreteMeasure, standard_rule, transform
 from .diagnostics import Diagnostics
 from .filters import FilterKind, FilterTrajectory, conventional_step, run_filter, smoothing_step
 from .gaussian import Gaussian, cholesky_factor, condition, quadratic_form
-from .harness import ExperimentConfig, RunResult, rmse, run_experiment, write_results
+from .harness import ExperimentConfig, RunResult, run_experiment, write_results
 from .models import (
     ObservationModel,
     ObsFunction,

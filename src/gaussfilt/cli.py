@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .cubature import cubature3, cubature5, standard_rule
+from .cubature import standard_rule
 from .errors import ConfigError, GaussFiltError, InvalidDimension
 from .harness import ExperimentConfig, run_experiment, write_results
 
@@ -39,8 +39,7 @@ def main(argv=None) -> int:
 
     if args.command == "rules":
         try:
-            kind = cubature3() if args.degree == 3 else cubature5()
-            mu = standard_rule(kind, args.dim)
+            mu = standard_rule(args.dim, args.degree)
         except InvalidDimension as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -1,8 +1,8 @@
 """Discrete measures approximating Gaussians.
 
 Deterministic cubature rules of degree 3 (2k points) and degree 5
-(2k^2 + 1 points) for the standard Gaussian, empirical (Monte Carlo)
-measures, affine transport, and a moment-matching oracle.
+(2k^2 + 1 points) for the standard Gaussian, sampled (Monte Carlo)
+measures, affine transport and weighted moments.
 
 The degree-5 rule's points and the probes of ``updates.numerical_hessian``
 are one fully symmetric stencil (Stroud 1971), built by
@@ -10,42 +10,10 @@ are one fully symmetric stencil (Stroud 1971), built by
 """
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, Unsupported
-
-CUBATURE3 = "cubature3"
-CUBATURE5 = "cubature5"
-EMPIRICAL = "empirical"
-
-
-@dataclass(frozen=True)
-class RuleKind:
-    """Tag selecting a rule family; sample_count only applies to empirical."""
-
-    tag: str
-    sample_count: int | None = None
-
-    def __post_init__(self):
-        if self.tag not in (CUBATURE3, CUBATURE5, EMPIRICAL):
-            raise ValueError(f"unknown rule tag {self.tag!r}")
-        if self.tag == EMPIRICAL:
-            if self.sample_count is None or self.sample_count < 2:
-                raise ValueError("empirical rule needs sample_count >= 2")
-
-
-def cubature3() -> RuleKind:
-    return RuleKind(CUBATURE3)
-
-
-def cubature5() -> RuleKind:
-    return RuleKind(CUBATURE5)
-
-
-def empirical(n: int) -> RuleKind:
-    return RuleKind(EMPIRICAL, n)
+from .errors import DimensionMismatch, InvalidDimension
 
 
 @dataclass(frozen=True)
@@ -106,12 +74,20 @@ def symmetric_stencil(a_axis: np.ndarray, a_pair: np.ndarray) -> np.ndarray:
     return out
 
 
-# Deterministic rules by (tag, k), built on first use; their arrays are read-only.
+# Deterministic rules by (degree, k), built on first use; their arrays are read-only.
 _RULES: dict = {}
 
 
-def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None) -> DiscreteMeasure:
-    """Discrete measure approximating the k-dimensional standard Gaussian.
+def standard_rule(
+    k: int,
+    degree: int | None = None,
+    *,
+    samples: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> DiscreteMeasure:
+    """Discrete measure approximating the k-dimensional standard Gaussian:
+    the cubature rule of ``degree`` (3 or 5), or, given ``samples``, that
+    many fresh i.i.d. standard-normal draws from ``rng``, equal weights.
 
     Degree 3: the 2k symmetric points +-sqrt(k) e_i, equal weights.
     Degree 5: a 2k^2+1 point fully-symmetric rule -- the origin, the axis
@@ -121,28 +97,28 @@ def standard_rule(kind: RuleKind, k: int, rng: np.random.Generator | None = None
     indefinite, and abort a time update unless ``repair_covariance`` mends them.
     Both are built once per (degree, k) and returned, read-only, on every
     later call.
-    Empirical: sample_count fresh i.i.d. standard-normal draws, equal weights.
     """
-    rule = _RULES.get((kind.tag, k))
+    rule = _RULES.get((degree, k)) if samples is None else None
     if rule is not None:
         return rule
     if k < 1:
         raise InvalidDimension(f"dimension must be >= 1, got {k}")
-    if kind.tag == EMPIRICAL:
+    if samples is not None:
         if rng is None:
-            raise ValueError("empirical rule requires a random generator")
-        n = kind.sample_count
-        return DiscreteMeasure._unchecked(np.full(n, 1.0 / n), rng.standard_normal((n, k)))
-    if kind.tag == CUBATURE3:
+            raise ValueError("a sampled measure requires a random generator")
+        return DiscreteMeasure._unchecked(np.full(samples, 1.0 / samples), rng.standard_normal((samples, k)))
+    if degree == 3:
         pts = np.vstack([np.sqrt(k) * np.eye(k), -np.sqrt(k) * np.eye(k)])
         rule = DiscreteMeasure(np.full(2 * k, 1.0 / (2 * k)), pts)
-    else:
+    elif degree == 5:
         pts = symmetric_stencil(np.sqrt(k + 2.0) * np.eye(k), np.sqrt((k + 2.0) / 2.0) * np.eye(k))
         w = [2.0 / (k + 2), (4.0 - k) / (2.0 * (k + 2) ** 2), 1.0 / (k + 2) ** 2]
         rule = DiscreteMeasure(np.repeat(w, [1, 2 * k, 2 * k * (k - 1)]), pts)
+    else:
+        raise ValueError(f"rule degree must be 3 or 5, got {degree!r}")
     rule.weights.flags.writeable = False
     rule.points.flags.writeable = False
-    _RULES[(kind.tag, k)] = rule
+    _RULES[(degree, k)] = rule
     return rule
 
 
@@ -167,36 +143,3 @@ def weighted_moments(weights: np.ndarray, points: np.ndarray) -> tuple[np.ndarra
     dev = points - mean
     cov = (weights * dev.T) @ dev
     return mean, 0.5 * (cov + cov.T)
-
-
-def _multi_indices(k: int, degree: int) -> Iterator[tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for head in range(degree + 1):
-        for tail in _multi_indices(k - 1, degree - head):
-            yield (head,) + tail
-
-
-def _gaussian_moment(alpha: tuple[int, ...]) -> float:
-    # Product of 1-D standard-normal moments: (a-1)!! for even a, else 0.
-    out = 1.0
-    for a in alpha:
-        if a % 2 == 1:
-            return 0.0
-        for m in range(a - 1, 0, -2):
-            out *= m
-    return out
-
-
-def moment_defect(mu: DiscreteMeasure, degree: int) -> float:
-    """Worst absolute mismatch against standard-Gaussian moments over all
-    monomials of total degree <= degree."""
-    if degree > 6 or mu.dim > 6:
-        raise Unsupported("moment_defect guard: degree <= 6 and dimension <= 6")
-    worst = 0.0
-    for alpha in _multi_indices(mu.dim, degree):
-        vals = np.prod(mu.points ** np.array(alpha), axis=1)
-        defect = abs(float(mu.weights @ vals) - _gaussian_moment(alpha))
-        worst = max(worst, defect)
-    return worst

@@ -42,10 +42,6 @@ class InvalidDimension(GaussFiltError):
     """Requested dimension is out of range."""
 
 
-class Unsupported(GaussFiltError):
-    """Request exceeds a built-in guard (e.g. moment degree/dimension)."""
-
-
 class _OptimizerStopped(GaussFiltError):
     """An optimizer gave up; ``iterations`` counts the iterations it ran."""
 
@@ -60,10 +56,6 @@ class OptimizerDidNotConverge(_OptimizerStopped):
 
 class LineSearchFailed(_OptimizerStopped):
     """Backtracking line search could not find an acceptable step."""
-
-
-class LengthMismatch(GaussFiltError):
-    """Sequences expected to have equal length do not."""
 
 
 class ConfigError(GaussFiltError):

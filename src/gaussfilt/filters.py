@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cubature import RuleKind, cubature3, cubature5, empirical
+from .cubature import DiscreteMeasure, standard_rule
 from .diagnostics import Diagnostics
 from .errors import (
     GaussFiltError,
@@ -84,14 +84,7 @@ class FilterKind:
 
     @property
     def uses_points(self) -> bool:
-        return self.rule() is not None
-
-    def rule(self) -> RuleKind | None:
-        if self.kernel == "CG":
-            return cubature3() if self.rule_degree == 3 else cubature5()
-        if self.kernel == "PG":
-            return empirical(self.sample_count)
-        return None
+        return self.kernel in ("CG", "PG")
 
     def label(self) -> str:
         """Family plus rule parameters, e.g. ``CGF5``, ``PGSF1000``, or for
@@ -126,16 +119,20 @@ class FilterTrajectory:
     def means(self) -> np.ndarray:
         return np.array([r.posterior.mean for r in self.records])
 
-    def covariances(self) -> np.ndarray:
-        return np.array([r.posterior.cov for r in self.records])
-
 
 _VARIATIONAL_FALLBACK = (OptimizerDidNotConverge, LineSearchFailed, SingularHessian)
 
 
+def _standard_measure(kind, k, rng) -> DiscreteMeasure:
+    """The kind's cubature rule, or its fresh draws from ``rng``, in dimension k."""
+    if kind.kernel == "CG":
+        return standard_rule(k, kind.rule_degree)
+    return standard_rule(k, samples=kind.sample_count, rng=rng)
+
+
 def _time_update(kind, joint, process, n, rng, diag):
     if kind.uses_points:
-        return time_update_points(joint, process, n, kind.rule(), rng, diag)
+        return time_update_points(joint, process, n, _standard_measure(kind, joint.dim, rng), diag)
     return time_update_linear(joint, process, n, diag)
 
 
@@ -148,7 +145,7 @@ def _measurement_update(kind, prior, obs_map, y, r, rng, diag):
         except _VARIATIONAL_FALLBACK:
             diag.fallbacks += 1
             return measurement_update_linear(prior, obs_map, y, r, diag)
-    return measurement_update_points(prior, obs_map, y, r, kind.rule(), rng, diag)
+    return measurement_update_points(prior, obs_map, y, r, _standard_measure(kind, prior.dim, rng), diag)
 
 
 def conventional_step(

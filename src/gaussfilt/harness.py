@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import Diagnostics
-from .errors import ConfigError, LengthMismatch, as_integer
+from .errors import ConfigError, as_integer
 from .filters import FilterKind, run_filter
 from .gaussian import Gaussian
 from .testbeds import (
@@ -69,17 +69,6 @@ def replicate_seed(seed: int, r: int) -> int:
 
 def filter_stream_seed(rep_seed: int, label: str) -> int:
     return splitmix64(rep_seed ^ zlib.crc32(label.encode("utf-8")))
-
-
-def rmse(a, b) -> float:
-    """Root mean square Euclidean distance over paired vectors."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise LengthMismatch(f"shapes {a.shape} and {b.shape} differ")
-    if a.shape[0] < 1:
-        raise LengthMismatch("need at least one pair")
-    return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
 
 
 @contextmanager

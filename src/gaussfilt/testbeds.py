@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import as_integer
+from .errors import DivergedEvaluation, as_integer
 from .models import ObservationModel, ProcessModel, SdeSpec, discretize_sde
 
 IDENTITY_OBS = "identity"
@@ -280,7 +280,8 @@ def simulate_truth(
     rng: np.random.Generator | list[np.random.Generator],
 ) -> TruthRun:
     """Roll out the truth and synthetic observations for a twin experiment,
-    evaluating the models as the filters do (DivergedEvaluation if not finite).
+    evaluating the models as the filters do; a state or observation that is not
+    finite raises DivergedEvaluation naming the truth rollout and its step.
     Stacked x0 (R, d) with R generators, one per row, gives (R, ...) arrays
     from one model call per step; row r draws xi_n, then eta_n, from rng[r]."""
     if steps < 1:
@@ -294,8 +295,11 @@ def simulate_truth(
     truth = [x]
     ys = []
     for n in range(steps):
-        x = process.forward(n, np.concatenate([x, draw(s_gamma)], axis=1))
-        y = obs.at_step(n + 1).rows(x) + draw(s_r)
+        try:
+            x = process.forward(n, np.concatenate([x, draw(s_gamma)], axis=1))
+            y = obs.at_step(n + 1).rows(x) + draw(s_r)
+        except DivergedEvaluation as exc:
+            raise DivergedEvaluation(f"truth rollout diverged at step {n + 1}: {exc}") from exc
         if obs.wrap_observation is not None:
             y = obs.wrap_observation(y)
         truth.append(x)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubature import RuleKind, standard_rule, symmetric_stencil, transform, weighted_moments
+from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
 from .errors import (
     DivergedEvaluation,
@@ -162,14 +162,15 @@ def time_update_points(
     joint: Gaussian,
     process: ProcessModel,
     n: int,
-    kind: RuleKind,
-    rng: np.random.Generator | None = None,
+    mu: DiscreteMeasure,
     diag: Diagnostics | None = None,
 ) -> Gaussian:
-    """Push a discrete measure for the joint belief through the forward map
-    and return the Gaussian with the push-forward's first two moments."""
+    """Transport ``mu``, a discrete measure for the joint's dimension from
+    ``cubature.standard_rule``, to the joint belief, push it through the
+    forward map and return the Gaussian with the push-forward's first two
+    moments."""
     s = _factor_of(joint, diag)
-    mu = transform(standard_rule(kind, joint.dim, rng), joint.mean, s)
+    mu = transform(mu, joint.mean, s)
     mean, cov = weighted_moments(mu.weights, process.forward(n, mu.points))
     return _settled(mean, cov, diag)
 
@@ -194,16 +195,17 @@ def measurement_update_points(
     obs_map: ObsFunction,
     y: np.ndarray,
     r: np.ndarray,
-    kind: RuleKind,
-    rng: np.random.Generator | None = None,
+    mu: DiscreteMeasure,
     diag: Diagnostics | None = None,
 ) -> Gaussian:
-    """Update using the state, cross and observation covariances of a discrete
-    measure pushed through the observation map, all three from its points, so
-    that P_xx - P_xz S^-1 P_zx is a Schur complement, whatever the sample.  The
-    update is centred on the points' mean, the one P_xz is taken about."""
+    """Update using the state, cross and observation covariances of ``mu``, a
+    discrete measure for the prior's dimension from ``cubature.standard_rule``,
+    transported to the prior and pushed through the observation map, all three
+    from its points, so that P_xx - P_xz S^-1 P_zx is a Schur complement,
+    whatever the sample.  The update is centred on the points' mean, the one
+    P_xz is taken about."""
     s = _factor_of(prior, diag)
-    mu = transform(standard_rule(kind, prior.dim, rng), prior.mean, s)
+    mu = transform(mu, prior.mean, s)
     zpts = obs_map.rows(mu.points)
     # Express every pushed observation relative to one of them through the
     # map's residual, so an angle averages across its wrap at +-pi.

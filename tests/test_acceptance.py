@@ -20,8 +20,6 @@ from gaussfilt import (
     bfgs_minimize,
     bistable_models,
     condition,
-    cubature3,
-    cubature5,
     measurement_update_linear,
     measurement_update_variational,
     run_experiment,
@@ -31,7 +29,6 @@ from gaussfilt import (
     turn_models,
     write_results,
 )
-from gaussfilt.cubature import moment_defect
 from gaussfilt.models import (
     ObsFunction,
     ObservationModel,
@@ -40,6 +37,7 @@ from gaussfilt.models import (
     composed_observation,
 )
 from gaussfilt.testbeds import TruthRun
+from moments import moment_defect
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -176,8 +174,8 @@ def test_criterion_2_cubature_exactness():
     ok = True
     worst = 0.0
     for k in range(1, 7):
-        mu3 = standard_rule(cubature3(), k)
-        mu5 = standard_rule(cubature5(), k)
+        mu3 = standard_rule(k, degree=3)
+        mu5 = standard_rule(k, degree=5)
         ok = ok and mu3.size == 2 * k and mu5.size == 2 * k * k + 1
         d3 = moment_defect(mu3, 3)
         d5 = moment_defect(mu5, 5)

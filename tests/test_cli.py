@@ -57,21 +57,38 @@ def test_run_seed_override_changes_output(tmp_path):
     assert a != b
 
 
-def test_rules_prints_degree3_points(capsys):
-    assert main(["rules", "--dim", "2", "--degree", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "weight,x1,x2"
-    assert len(lines) == 1 + 4
-    rows = [line.split(",") for line in lines[1:]]
-    weights = [float(r[0]) for r in rows]
-    points = np.array([[float(v) for v in r[1:]] for r in rows])
-    assert np.allclose(weights, 0.25)
-    assert np.allclose(sorted(np.abs(points).max(axis=1)), np.sqrt(2.0))
+R2 = "1.4142135623730951"  # repr(sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "degree,rows",
+    [
+        # +-sqrt(2) e_i; the negated identity's off-axis zeros print as -0.0
+        (3, [f"0.25,{R2},0.0", f"0.25,0.0,{R2}", f"0.25,-{R2},-0.0", f"0.25,-0.0,-{R2}"]),
+        # the origin, +-2 e_i, then (+-sqrt(2), +-sqrt(2)) in the order ++, +-, -+, --
+        (5, ["0.5,0.0,0.0", "0.0625,2.0,0.0", "0.0625,-2.0,0.0", "0.0625,0.0,2.0", "0.0625,0.0,-2.0",
+             f"0.0625,{R2},{R2}", f"0.0625,{R2},-{R2}", f"0.0625,-{R2},{R2}", f"0.0625,-{R2},-{R2}"]),
+    ],
+    ids=["degree3", "degree5"],
+)
+def test_rules_prints_points(capsys, degree, rows):
+    assert main(["rules", "--dim", "2", "--degree", str(degree)]) == 0
+    assert capsys.readouterr().out == "\n".join(["weight,x1,x2"] + rows) + "\n"
 
 
 def test_rules_rejects_bad_dimension(capsys):
     assert main(["rules", "--dim", "0", "--degree", "5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_run_with_a_diverging_truth_exits_2(tmp_path, capsys):
+    # dt * beta = 2.5: Euler-Maruyama leaves the wells in the first step.
+    path = write_config(tmp_path, params={"beta": 250})
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: truth rollout diverged at step 1:") and "not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_malformed_field_exits_1(tmp_path, capsys):

@@ -1,24 +1,12 @@
-"""Cubature rules, empirical measures, transport, and the moment oracle."""
+"""Cubature rules, sampled measures, transport, and the moment oracle."""
 
 import numpy as np
 import pytest
 
-from gaussfilt import DiscreteMeasure, RuleKind, cubature3, cubature5, empirical
-from gaussfilt.cubature import moment_defect, standard_rule, transform, weighted_moments
-from gaussfilt.cubature import symmetric_stencil
-from gaussfilt.errors import DimensionMismatch, InvalidDimension, Unsupported
-
-
-class TestRuleKind:
-    def test_empirical_needs_samples(self):
-        with pytest.raises(ValueError):
-            RuleKind("empirical")
-        with pytest.raises(ValueError):
-            empirical(1)
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            RuleKind("gauss-hermite")
+from gaussfilt import DiscreteMeasure
+from gaussfilt.cubature import standard_rule, symmetric_stencil, transform, weighted_moments
+from gaussfilt.errors import DimensionMismatch, InvalidDimension
+from moments import moment_defect
 
 
 class TestDiscreteMeasure:
@@ -36,12 +24,12 @@ class TestDiscreteMeasure:
 
 class TestStandardRule:
     def test_degree3_k1(self):
-        mu = standard_rule(cubature3(), 1)
+        mu = standard_rule(1, degree=3)
         assert sorted(mu.points[:, 0]) == [-1.0, 1.0]
         assert np.allclose(mu.weights, 0.5)
 
     def test_degree5_k1_matches_three_point_hermite(self):
-        mu = standard_rule(cubature5(), 1)
+        mu = standard_rule(1, degree=5)
         pts = sorted(mu.points[:, 0])
         assert np.allclose(pts, [-np.sqrt(3.0), 0.0, np.sqrt(3.0)])
         order = np.argsort(mu.points[:, 0])
@@ -49,30 +37,37 @@ class TestStandardRule:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_support_sizes(self, k):
-        assert standard_rule(cubature3(), k).size == 2 * k
-        assert standard_rule(cubature5(), k).size == 2 * k * k + 1
+        assert standard_rule(k, degree=3).size == 2 * k
+        assert standard_rule(k, degree=5).size == 2 * k * k + 1
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_moment_exactness(self, k):
-        assert moment_defect(standard_rule(cubature3(), k), 3) <= 1e-12
-        assert moment_defect(standard_rule(cubature5(), k), 5) <= 1e-12
+        assert moment_defect(standard_rule(k, degree=3), 3) <= 1e-12
+        assert moment_defect(standard_rule(k, degree=5), 5) <= 1e-12
 
     def test_degree5_negative_weights_beyond_dim4(self):
-        mu = standard_rule(cubature5(), 5)
+        mu = standard_rule(5, degree=5)
         assert np.min(mu.weights) < 0.0
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimension):
-            standard_rule(cubature3(), 0)
+            standard_rule(0, degree=3)
+        with pytest.raises(InvalidDimension):
+            standard_rule(0, samples=10, rng=np.random.default_rng(0))
 
-    def test_empirical_requires_rng(self):
-        with pytest.raises(ValueError):
-            standard_rule(empirical(10), 2)
+    @pytest.mark.parametrize("degree", [None, 1, 4, 7])
+    def test_unknown_degree(self, degree):
+        with pytest.raises(ValueError, match="degree must be 3 or 5"):
+            standard_rule(2, degree)
 
-    def test_empirical_moments_converge(self):
+    def test_sampled_requires_rng(self):
+        with pytest.raises(ValueError, match="random generator"):
+            standard_rule(2, samples=10)
+
+    def test_sampled_moments_converge(self):
         rng = np.random.default_rng(0)
         for n in (10 ** 3, 10 ** 5):
-            mu = standard_rule(empirical(n), 3, rng)
+            mu = standard_rule(3, samples=n, rng=rng)
             mean, cov = weighted_moments(mu.weights, mu.points)
             band = 4.0 / np.sqrt(n)
             assert np.max(np.abs(mean)) <= band
@@ -81,12 +76,12 @@ class TestStandardRule:
 
 class TestTransform:
     def test_identity(self):
-        mu = standard_rule(cubature3(), 2)
+        mu = standard_rule(2, degree=3)
         out = transform(mu, np.zeros(2), np.eye(2))
         assert np.array_equal(out.points, mu.points)
 
     def test_scalar_affine(self):
-        mu = standard_rule(cubature3(), 1)
+        mu = standard_rule(1, degree=3)
         out = transform(mu, [2.0], [[3.0]])
         assert sorted(out.points[:, 0]) == [-1.0, 5.0]
 
@@ -94,13 +89,13 @@ class TestTransform:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((3, 3))
         m = rng.standard_normal(3)
-        mu = transform(standard_rule(cubature3(), 3), m, a)
+        mu = transform(standard_rule(3, degree=3), m, a)
         mean, cov = weighted_moments(mu.weights, mu.points)
         assert np.max(np.abs(mean - m)) <= 1e-12 * (1 + np.max(np.abs(m)))
         assert np.max(np.abs(cov - a @ a.T)) <= 1e-12 * (1 + np.max(np.abs(a @ a.T)))
 
     def test_dimension_mismatch(self):
-        mu = standard_rule(cubature3(), 2)
+        mu = standard_rule(2, degree=3)
         with pytest.raises(DimensionMismatch):
             transform(mu, np.zeros(3), np.eye(3))
 
@@ -113,7 +108,7 @@ class TestMoments:
         assert np.allclose(cov, 0.0)
 
     def test_degree3_k2_standard(self):
-        mu = standard_rule(cubature3(), 2)
+        mu = standard_rule(2, degree=3)
         mean, cov = weighted_moments(mu.weights, mu.points)
         assert np.allclose(mean, 0.0)
         assert np.allclose(cov, np.eye(2))
@@ -126,18 +121,18 @@ class TestMoments:
 
 class TestMomentDefect:
     def test_degree3_exact_at_degree3(self):
-        assert moment_defect(standard_rule(cubature3(), 2), 3) <= 1e-12
+        assert moment_defect(standard_rule(2, degree=3), 3) <= 1e-12
 
     def test_degree3_k1_fourth_moment_defect(self):
         # The two-point rule gives E[x^4] = 1 against the Gaussian's 3.
-        assert np.isclose(moment_defect(standard_rule(cubature3(), 1), 4), 2.0)
+        assert np.isclose(moment_defect(standard_rule(1, degree=3), 4), 2.0)
 
     def test_degree5_exact_at_degree5(self):
-        assert moment_defect(standard_rule(cubature5(), 2), 5) <= 1e-12
+        assert moment_defect(standard_rule(2, degree=5), 5) <= 1e-12
 
     def test_guard(self):
-        mu = standard_rule(cubature3(), 2)
-        with pytest.raises(Unsupported):
+        mu = standard_rule(2, degree=3)
+        with pytest.raises(ValueError, match="guard"):
             moment_defect(mu, 7)
 
 
@@ -170,7 +165,7 @@ def _loop_degree5_rule(k):
 class TestSymmetricStencil:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 21])
     def test_degree5_matches_loop_reference_bit_for_bit(self, k):
-        mu = standard_rule(cubature5(), k)
+        mu = standard_rule(k, degree=5)
         wts, pts = _loop_degree5_rule(k)
         assert mu.points.shape == pts.shape == (2 * k * k + 1, k)
         assert mu.points.tobytes() == pts.tobytes()

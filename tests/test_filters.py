@@ -1,5 +1,7 @@
 """Filter construction and the sequential estimation loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -223,7 +225,31 @@ class TestRunFilter:
         a = run_filter(kind, process, obs, prior, ys, np.random.default_rng(42))
         b = run_filter(kind, process, obs, prior, ys, np.random.default_rng(42))
         assert np.array_equal(a.means(), b.means())
-        assert np.array_equal(a.covariances(), b.covariances())
+        for ra, rb in zip(a.records, b.records):
+            assert np.array_equal(ra.posterior.cov, rb.posterior.cov)
+
+    @pytest.mark.parametrize("family", ["PGF", "PGSF"])
+    def test_sampling_filters_need_a_generator_at_their_first_step(self, family):
+        # Both orderings draw their points before they push any through a model.
+        process, obs = scalar_linear_model()
+        rows = []
+        process = replace(process, propagate=lambda n, x, xi: rows.append(n) or A * x + xi)
+        obs = replace(obs, observe=lambda n, x: rows.append(n) or np.asarray(x, dtype=float))
+        with pytest.raises(ValueError, match="random generator"):
+            run_filter(FilterKind(family), process, obs, Gaussian([0.0], [[1.0]]), [1.0, -0.3])
+        assert rows == []
+
+    @pytest.mark.parametrize("family", ["LGF", "VGF", "CGF", "LGSF", "VGSF", "CGSF"])
+    def test_deterministic_families_never_draw(self, family):
+        process, obs = scalar_linear_model()
+        prior, ys = Gaussian([0.0], [[1.0]]), [1.0, -0.3, 0.7]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        without = run_filter(FilterKind(family), process, obs, prior, ys)
+        given = run_filter(FilterKind(family), process, obs, prior, ys, rng)
+        assert without.error is None and len(without.records) == 4
+        assert rng.bit_generator.state == state
+        assert np.array_equal(without.means(), given.means())
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_posterior_covariances_psd(self, family):

@@ -142,9 +142,9 @@ def frame_moves(kind, testbed, scale, offset_sd, seed, spec=None, steps=STEPS):
     moved_prior = Gaussian(scale * mean + shift, scale[:, None] * cov * scale)
     moved = run_filter(kind, moved_process, moved_obs, moved_prior, truth.observations)
     assert original.error is None and moved.error is None
-    sd = np.sqrt(np.diagonal(original.covariances(), axis1=1, axis2=2))
+    sd = np.sqrt([r.posterior.cov.diagonal() for r in original.records])
     mean_move = np.abs((moved.means() - shift) / scale - original.means()) / sd
-    var_back = np.diagonal(moved.covariances(), axis1=1, axis2=2) / scale ** 2
+    var_back = np.array([r.posterior.cov.diagonal() for r in moved.records]) / scale ** 2
     var_move = np.abs(var_back / sd ** 2 - 1.0)
     jitters = sum(r.diagnostics.jitters for r in original.records + moved.records)
     return float(mean_move.max()), float(var_move.max()), jitters

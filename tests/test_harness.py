@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussfilt import ExperimentConfig, FilterKind, VariationalSettings, rmse, run_experiment, write_results
-from gaussfilt.errors import ConfigError, LengthMismatch
+from gaussfilt import ExperimentConfig, FilterKind, RunResult, VariationalSettings, run_experiment, write_results
+from gaussfilt.errors import ConfigError
 from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.harness import _parse_filter, filter_stream_seed, replicate_seed, splitmix64
 
@@ -49,27 +49,39 @@ class TestSeeds:
         assert filter_stream_seed(rep, "LGF") != filter_stream_seed(rep, "CGF3")
 
 
-class TestRmse:
+def _one_filter_result(estimates, truths):
+    """A RunResult of one filter, "F", from estimates (replicates, steps, d)
+    and truths (replicates, steps + 1, d); nothing else is read."""
+    est, tru = (np.asarray(v, dtype=float) for v in (estimates, truths))
+    return RunResult(None, ["F"], 1.0, tru, {"F": est}, {})
+
+
+class TestTimeAveragedRmse:
     def test_equal_inputs(self):
-        assert rmse([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
+        result = _one_filter_result([[[1.0, 2.0]]], [[[9.0, 9.0], [1.0, 2.0]]])
+        assert result.time_averaged_rmse("F").tolist() == [0.0]
 
     def test_single_element(self):
-        assert rmse([[0.0]], [[2.0]]) == 2.0
+        assert _one_filter_result([[[0.0]]], [[[5.0], [2.0]]]).time_averaged_rmse("F").tolist() == [2.0]
 
     def test_hand_sum(self):
-        val = rmse([[0.0, 0.0], [0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]])
-        assert np.isclose(val, np.sqrt(25.0 / 2.0))
+        result = _one_filter_result([[[0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]]])
+        assert np.isclose(result.time_averaged_rmse("F")[0], np.sqrt(25.0 / 2.0))
 
     def test_scaling_and_permutation(self):
         rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
-        assert np.isclose(rmse(3.0 * a, 3.0 * b), 3.0 * rmse(a, b))
+        est, tru = rng.standard_normal((2, 10, 3)), rng.standard_normal((2, 11, 3))
+        base = _one_filter_result(est, tru).time_averaged_rmse("F")
+        scaled = _one_filter_result(3.0 * est, 3.0 * tru).time_averaged_rmse("F")
+        assert np.allclose(scaled, 3.0 * base)
         perm = rng.permutation(10)
-        assert np.isclose(rmse(a[perm], b[perm]), rmse(a, b))
+        permuted = _one_filter_result(est[:, perm], np.concatenate([tru[:, :1], tru[:, 1:][:, perm]], axis=1))
+        assert np.allclose(permuted.time_averaged_rmse("F"), base)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            rmse([[1.0]], [[1.0], [2.0]])
+    def test_window_and_components(self):
+        result = _one_filter_result([[[0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]]])
+        assert result.time_averaged_rmse("F", window=(2, 2)).tolist() == [1.0]
+        assert np.isclose(result.time_averaged_rmse("F", components=(1,))[0], np.sqrt(8.0))
 
 
 TIGHT = VariationalSettings(grad_tol=1e-8, max_iter=50)

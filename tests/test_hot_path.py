@@ -18,10 +18,7 @@ from gaussfilt import (
     TurnModelSpec,
     bistable_models,
     cubature,
-    cubature3,
-    cubature5,
     discretize_sde,
-    empirical,
     measurement_update_variational,
     run_filter,
     simulate_truth,
@@ -167,24 +164,24 @@ def test_variational_update_inverts_no_prior_factor(monkeypatch):
 def test_each_deterministic_rule_is_built_once(empty_rule_cache, monkeypatch):
     built = _counting(monkeypatch, DiscreteMeasure)
     for _ in range(3):
-        for kind in (cubature3(), cubature5()):
+        for degree in (3, 5):
             for k in (1, 4, 21):
-                assert standard_rule(kind, k) is standard_rule(kind, k)
+                assert standard_rule(k, degree) is standard_rule(k, degree)
     assert len(built) == 6
 
 
 def test_cached_rule_is_read_only():
-    mu = standard_rule(cubature5(), 3)
+    mu = standard_rule(3, degree=5)
     with pytest.raises(ValueError, match="read-only"):
         mu.points[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         mu.weights[0] = 1.0
 
 
-def test_empirical_draws_are_fresh():
+def test_sampled_draws_are_fresh():
     rng = np.random.default_rng(0)
-    a = standard_rule(empirical(10), 3, rng)
-    b = standard_rule(empirical(10), 3, rng)
+    a = standard_rule(3, samples=10, rng=rng)
+    b = standard_rule(3, samples=10, rng=rng)
     assert not np.array_equal(a.points, b.points)
 
 
@@ -192,7 +189,7 @@ def test_cached_degree5_rule_equals_a_fresh_stencil(empty_rule_cache):
     k = 21
     fresh = symmetric_stencil(np.sqrt(k + 2.0) * np.eye(k), np.sqrt((k + 2.0) / 2.0) * np.eye(k))
     for _ in range(2):  # built, then taken from the cache
-        assert standard_rule(cubature5(), k).points.tobytes() == fresh.tobytes()
+        assert standard_rule(k, degree=5).points.tobytes() == fresh.tobytes()
 
 
 def test_vgsf_runs_one_substep_pass_per_linearization_point():

@@ -339,7 +339,8 @@ class TestSimulateTruth:
             propagate=lambda n, x, xi: 1e100 * x + xi, noise_cov=[[1.0]], state_dim=1
         )
         obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]])
-        with pytest.raises(DivergedEvaluation, match="not finite"):
+        # x_n is about 1e100^n: the fourth step overflows
+        with pytest.raises(DivergedEvaluation, match="^truth rollout diverged at step 4: .*not finite"):
             simulate_truth(process, obs, np.array([1.0]), 5, np.random.default_rng(0))
 
 
@@ -412,7 +413,8 @@ class TestStackedTruth:
             vectorized=True,
         )
         obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[1.0]], vectorized=True)
-        with pytest.raises(DivergedEvaluation, match="not finite"):
+        # the row from 10 reaches about 1e301 at step 1 and overflows at step 2
+        with pytest.raises(DivergedEvaluation, match="^truth rollout diverged at step 2: .*not finite"):
             _stacked_run(process, obs, [[1.0], [10.0], [-1.0]], 5, (0, 1, 2))
 
     def test_run_experiment_truths_equal_a_per_replicate_loop(self):

@@ -14,9 +14,6 @@ from gaussfilt import (
     VariationalSettings,
     bfgs_minimize,
     bistable_models,
-    cubature3,
-    cubature5,
-    empirical,
     measurement_update_linear,
     measurement_update_points,
     measurement_update_variational,
@@ -297,8 +294,8 @@ class TestTimeUpdatePoints:
         prior = Gaussian([1.0, -1.0], [[1.0, 0.2], [0.2, 0.5]])
         aug = augment(prior, process, 0)
         lin = time_update_linear(aug, process, 0)
-        for kind in (cubature3(), cubature5()):
-            pts = time_update_points(aug, process, 0, kind)
+        for degree in (3, 5):
+            pts = time_update_points(aug, process, 0, standard_rule(aug.dim, degree))
             assert np.max(np.abs(pts.mean - lin.mean)) <= 1e-10
             assert np.max(np.abs(pts.cov - lin.cov)) <= 1e-10
 
@@ -311,16 +308,16 @@ class TestTimeUpdatePoints:
             state_dim=1,
         )
         aug = Gaussian([0.0], [[1.0]])
-        out = time_update_points(aug, process, 0, cubature5())
+        out = time_update_points(aug, process, 0, standard_rule(aug.dim, degree=5))
         assert np.isclose(out.mean[0], 1.0)
 
-    def test_empirical_matches_linear_within_mc_error(self):
+    def test_sampled_matches_linear_within_mc_error(self):
         a = np.array([[0.9]])
         process = linear_process(a, [[0.1]])
         aug = augment(Gaussian([1.0], [[1.0]]), process, 0)
         lin = time_update_linear(aug, process, 0)
         n = 10 ** 5
-        out = time_update_points(aug, process, 0, empirical(n), np.random.default_rng(0))
+        out = time_update_points(aug, process, 0, standard_rule(aug.dim, samples=n, rng=np.random.default_rng(0)))
         se_mean = np.sqrt(lin.cov[0, 0] / n)
         assert abs(out.mean[0] - lin.mean[0]) <= 4.0 * se_mean
         se_var = lin.cov[0, 0] * np.sqrt(2.0 / n)
@@ -357,14 +354,14 @@ class TestMeasurementUpdatePoints:
             obs = ObsFunction(fn=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h, out_dim=1)
             y, r = rng.standard_normal(1), [[0.5]]
             lin = measurement_update_linear(prior, obs, y, r)
-            pts = measurement_update_points(prior, obs, y, r, cubature3())
+            pts = measurement_update_points(prior, obs, y, r, standard_rule(d, degree=3))
             assert np.max(np.abs(pts.mean - lin.mean)) <= 1e-10
             assert np.max(np.abs(pts.cov - lin.cov)) <= 1e-10
 
     def test_constant_map_leaves_prior(self):
         prior = Gaussian([0.5], [[2.0]])
         obs = ObsFunction(fn=lambda x: np.array([3.0]), out_dim=1)
-        out = measurement_update_points(prior, obs, [10.0], [[1.0]], cubature3())
+        out = measurement_update_points(prior, obs, [10.0], [[1.0]], standard_rule(1, degree=3))
         assert np.allclose(out.mean, prior.mean)
         assert np.allclose(out.cov, prior.cov)
 
@@ -373,7 +370,7 @@ class TestMeasurementUpdatePoints:
         # vanishes, so the posterior equals the prior.
         prior = Gaussian([0.0], [[1.0]])
         obs = ObsFunction(fn=lambda x: np.atleast_1d(x) ** 2, out_dim=1)
-        out = measurement_update_points(prior, obs, [1.0], [[1.0]], cubature5())
+        out = measurement_update_points(prior, obs, [1.0], [[1.0]], standard_rule(1, degree=5))
         assert np.allclose(out.mean, [0.0])
         assert np.allclose(out.cov, [[1.0]])
 
@@ -388,7 +385,7 @@ class TestMeasurementUpdatePoints:
                 fn=lambda x, h=h: np.tanh(h @ np.atleast_1d(x)),
                 out_dim=1,
             )
-            out = measurement_update_points(prior, obs, rng.standard_normal(1), [[0.4]], cubature3())
+            out = measurement_update_points(prior, obs, rng.standard_normal(1), [[0.4]], standard_rule(d, degree=3))
             assert np.linalg.eigvalsh(out.cov)[0] >= -1e-9
 
 
@@ -443,8 +440,8 @@ class TestMeasurementUpdateVariational:
         y, r = [0.3], [[0.7]]
         lin = measurement_update_linear(prior, obs, y, r)
         for other in (
-            measurement_update_points(prior, obs, y, r, cubature3()),
-            measurement_update_points(prior, obs, y, r, cubature5()),
+            measurement_update_points(prior, obs, y, r, standard_rule(2, degree=3)),
+            measurement_update_points(prior, obs, y, r, standard_rule(2, degree=5)),
             measurement_update_variational(prior, obs, y, r),
         ):
             assert np.max(np.abs(other.mean - lin.mean)) <= 1e-6
@@ -464,19 +461,21 @@ def _stacked_points_update(prior, obs_map, y, r, mu):
 
 class TestPointMoments:
     @pytest.mark.parametrize(
-        "case,kind",
-        [("bistable", cubature5()), ("bistable", empirical(1000)), ("tracking", cubature3()),
-         ("tracking", cubature5())],
+        "case,degree",
+        [("bistable", 5), ("bistable", None), ("tracking", 3), ("tracking", 5)],
         ids=["degree5-k21", "empirical-1000-k21", "tracking-bearing-near-pi-degree3",
              "tracking-bearing-near-pi-degree5"],
     )
-    def test_matches_the_stacked_formula(self, case, kind):
+    def test_matches_the_stacked_formula(self, case, degree):
         if case == "bistable":
             prior, obs_map, y, r = _bistable_case()
         else:
             prior, obs_map, y, r = _tracking_case(py=3.0)
-        rule = standard_rule(kind, prior.dim, np.random.default_rng(8))
-        if kind.tag == "cubature5":
+        if degree is None:
+            rule = standard_rule(prior.dim, samples=1000, rng=np.random.default_rng(8))
+        else:
+            rule = standard_rule(prior.dim, degree)
+        if degree == 5:
             assert rule.size == 2 * prior.dim ** 2 + 1 and rule.weights.min() < 0.0
         mu = transform(rule, prior.mean, cholesky_factor(prior.cov))
         if case == "tracking":
@@ -485,7 +484,7 @@ class TestPointMoments:
         expected = _stacked_points_update(prior, obs_map, y, r, mu)
         saved = [a.copy() for a in (rule.weights, rule.points, prior.mean, prior.cov)]
         for _ in range(2):
-            post = measurement_update_points(prior, obs_map, y, r, kind, np.random.default_rng(8))
+            post = measurement_update_points(prior, obs_map, y, r, rule)
             # relative to the update itself, the shift of the mean and the shrink of the covariance
             for got, want, base in ((post.mean, expected.mean, prior.mean), (post.cov, expected.cov, prior.cov)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want - base))
@@ -591,7 +590,8 @@ class TestVectorizedFlag:
     def test_time_updates(self, nonlinear):
         (pv, _), (pl, _) = self.both(nonlinear)
         aug_v, aug_l = augment(self.prior, pv, 0), augment(self.prior, pl, 0)
-        for rule in (cubature3(), cubature5()):
+        for degree in (3, 5):
+            rule = standard_rule(aug_v.dim, degree)
             self.assert_same(time_update_points(aug_v, pv, 0, rule), time_update_points(aug_l, pl, 0, rule))
         self.assert_same(time_update_linear(aug_v, pv, 0), time_update_linear(aug_l, pl, 0))
 
@@ -610,7 +610,8 @@ class TestVectorizedFlag:
             (augment(self.prior, pv, 0), composed_observation(pv, ov, 0), composed_observation(pl, ol, 0)),
         ]
         for prior, map_v, map_l in cases:
-            for rule in (cubature3(), cubature5()):
+            for degree in (3, 5):
+                rule = standard_rule(prior.dim, degree)
                 self.assert_same(
                     measurement_update_points(prior, map_v, self.y, r, rule),
                     measurement_update_points(prior, map_l, self.y, r, rule),
