@@ -108,7 +108,8 @@ def standard_rule(
             raise ValueError("a sampled measure requires a random generator")
         return DiscreteMeasure._unchecked(np.full(samples, 1.0 / samples), rng.standard_normal((samples, k)))
     if degree == 3:
-        pts = np.vstack([np.sqrt(k) * np.eye(k), -np.sqrt(k) * np.eye(k)])
+        axes = np.sqrt(k) * np.eye(k)
+        pts = np.vstack([axes, 0.0 - axes])  # as symmetric_stencil: +0.0 off the axes
         rule = DiscreteMeasure(np.full(2 * k, 1.0 / (2 * k)), pts)
     elif degree == 5:
         pts = symmetric_stencil(np.sqrt(k + 2.0) * np.eye(k), np.sqrt((k + 2.0) / 2.0) * np.eye(k))
@@ -125,21 +126,21 @@ def standard_rule(
 def transform(mu: DiscreteMeasure, m: np.ndarray, s: np.ndarray) -> DiscreteMeasure:
     """Affine push-forward x -> m + S x; turns a standard-Gaussian measure
     into one for N(m, S S^T)."""
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    if s.shape != (mu.dim, mu.dim) or m.shape[0] != mu.dim:
-        raise DimensionMismatch(
-            f"transform of {mu.dim}-dim measure with m {m.shape}, S {s.shape}"
-        )
+    m = np.asarray(m, dtype=float)
+    s = np.asarray(s, dtype=float)
+    k = mu.dim
+    if s.shape != (k, k) or m.shape != (k,):
+        raise DimensionMismatch(f"transform of {k}-dim measure with m {m.shape}, S {s.shape}")
     pts = mu.points @ s.T
     pts += m  # in place: a wide point set allocates one (m, k) array, not two
     return DiscreteMeasure._unchecked(mu.weights, pts)
 
 
 def weighted_moments(weights: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and (symmetrized) covariance of stacked points (m, k) under m
-    weights that sum to one, without building a DiscreteMeasure."""
+    """Mean and covariance of stacked points (m, k) under m weights that sum
+    to one, without building a DiscreteMeasure.  The covariance is the
+    product as it rounds, symmetric only up to rounding; the caller
+    symmetrizes it once, where it is used."""
     mean = weights @ points
     dev = points - mean
-    cov = (weights * dev.T) @ dev
-    return mean, 0.5 * (cov + cov.T)
+    return mean, (weights * dev.T) @ dev

@@ -56,6 +56,26 @@ def _along(jac, basis: np.ndarray | None, out_dim: int, n: int) -> np.ndarray:
     return jac if basis is None else jac @ basis
 
 
+def _stacked_rows(fn: Callable, vectorized: bool, out_dim: int, xs: np.ndarray) -> np.ndarray:
+    """fn at stacked points xs (m, k) as an (m, out_dim) array: one call when
+    ``vectorized``, else one call per row.  The one path that acts on
+    ``vectorized``, for observation and process maps alike; raises
+    DimensionMismatch or, if not finite, DivergedEvaluation."""
+    m = xs.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if vectorized:
+            out = fn(xs)
+        else:
+            out = np.concatenate([np.ravel(fn(x)) for x in xs])
+        out = np.asarray(out, dtype=float)
+    if out.size != m * out_dim:
+        raise DimensionMismatch(f"map returned shape {out.shape}, not ({m}, {out_dim})")
+    out = out.reshape(m, out_dim)
+    if not np.isfinite(out).all():
+        raise DivergedEvaluation("pushed points are not finite")
+    return out
+
+
 @dataclass(frozen=True)
 class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
@@ -102,9 +122,12 @@ class ProcessModel:
 
     def forward(self, n: int, z: np.ndarray) -> np.ndarray:
         """Push stacked augmented rows z = [x, xi] of shape (m, d+D) through
-        the forward map; returns (m, d).  Raises DivergedEvaluation if any
-        output is not finite."""
-        return self.at_step(n).rows(z)
+        the forward map; returns (m, d).  Calls ``propagate`` through
+        ``_stacked_rows``, as ``at_step(n).rows`` does, without building the
+        map; raises DimensionMismatch or, if any output is not finite,
+        DivergedEvaluation."""
+        d = self.state_dim
+        return _stacked_rows(lambda zs: self.propagate(n, zs[..., :d], zs[..., d:]), self.vectorized, d, z)
 
     def value_and_jacobian(
         self, n: int, z: np.ndarray, basis: np.ndarray | None = None
@@ -157,9 +180,11 @@ class ObservationModel:
 @dataclass(frozen=True)
 class ObsFunction:
     """The one path by which a map's values, Jacobians and residuals reach the
-    kernels, and the one place their shapes are checked.  When ``vectorized``
-    is set, fn maps stacked points (m, k) to (m, out_dim); otherwise ``rows``
-    calls it once per row.
+    kernels, and the one place their shapes are checked, apart from
+    ``ProcessModel.forward``, which pushes points through the same
+    ``_stacked_rows`` without building an ObsFunction.  When
+    ``vectorized`` is set, fn maps stacked points (m, k) to (m, out_dim);
+    otherwise ``rows`` calls it once per row.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -170,24 +195,9 @@ class ObsFunction:
     linearize: Callable | None = None  # (x, basis) -> (value, Jacobian @ basis) from one evaluation
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
-        """The map at stacked points (m, k); returns (m, out_dim).
-
-        The one path that acts on ``vectorized``, for observation and process
-        maps alike; raises DimensionMismatch or, if not finite, DivergedEvaluation.
-        """
-        m = xs.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.vectorized:
-                out = self.fn(xs)
-            else:
-                out = np.concatenate([np.ravel(self.fn(x)) for x in xs])
-            out = np.asarray(out, dtype=float)
-        if out.size != m * self.out_dim:
-            raise DimensionMismatch(f"map returned shape {out.shape}, not ({m}, {self.out_dim})")
-        out = out.reshape(m, self.out_dim)
-        if not np.isfinite(out).all():
-            raise DivergedEvaluation("pushed points are not finite")
-        return out
+        """The map at stacked points (m, k); returns (m, out_dim), from
+        ``_stacked_rows``, the one path that acts on ``vectorized``."""
+        return _stacked_rows(self.fn, self.vectorized, self.out_dim, xs)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.rows(np.asarray(x, dtype=float)[None])[0]
@@ -307,16 +317,15 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
 def augment(prior: Gaussian, model: ProcessModel, n: int) -> Gaussian:
     """The joint belief over z = [x, xi]: the state belief stacked with the
     (zero-mean) driving noise for step n."""
-    if prior.dim != model.state_dim:
-        raise DimensionMismatch(
-            f"prior dim {prior.dim} does not match model state dim {model.state_dim}"
-        )
-    dd = model.noise_dim
-    mean = np.concatenate([prior.mean, np.zeros(dd)])
-    cov = np.zeros((prior.dim + dd, prior.dim + dd))
-    cov[:prior.dim, :prior.dim] = prior.cov
+    d, dd = prior.dim, model.noise_dim
+    if d != model.state_dim:
+        raise DimensionMismatch(f"prior dim {d} does not match model state dim {model.state_dim}")
+    mean = np.zeros(d + dd)
+    mean[:d] = prior.mean
+    cov = np.zeros((d + dd, d + dd))
+    cov[:d, :d] = prior.cov
     if dd:
-        cov[prior.dim:, prior.dim:] = model.noise_cov
+        cov[d:, d:] = model.noise_cov
     return Gaussian._unchecked(mean, cov)
 
 

@@ -141,8 +141,6 @@ def _kalman_update(mean, p_xx, obs_map, y, r, z, p_xz, p_zz, diag):
     predicted observation z, P_xz and the observation covariance P_zz, which
     every non-variational family supplies in its own way.  A posterior that
     does not factor is repaired on the scale of P_xx's diagonal."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
     shift, shrink = _conditioning_terms(symmetrize(p_zz + r), p_xz, obs_map.residual(y, z))
     return _settled(mean + shift, p_xx - shrink, diag, p_xx.diagonal())
 
@@ -155,7 +153,8 @@ def time_update_linear(
     along the columns of the joint's Cholesky factor L.  Valid for any joint
     covariance, including the full one left by conditioning on y_{n+1}."""
     mean, b = process.value_and_jacobian(n, joint.mean, _factor_of(joint, diag))
-    return _settled(mean, b @ b.T, diag)
+    # a copy: a linearization memo hands out its own value, read-only
+    return _settled(mean.copy(), b @ b.T, diag)
 
 
 def time_update_points(
@@ -168,7 +167,7 @@ def time_update_points(
     """Transport ``mu``, a discrete measure for the joint's dimension from
     ``cubature.standard_rule``, to the joint belief, push it through the
     forward map and return the Gaussian with the push-forward's first two
-    moments."""
+    moments; ``_settled`` symmetrizes the covariance."""
     s = _factor_of(joint, diag)
     mu = transform(mu, joint.mean, s)
     mean, cov = weighted_moments(mu.weights, process.forward(n, mu.points))
@@ -211,6 +210,7 @@ def measurement_update_points(
     # map's residual, so an angle averages across its wrap at +-pi.
     zpts = zpts[0] + obs_map.residual(zpts, zpts[0])
     z_mean, p_zz = weighted_moments(mu.weights, zpts)
+    p_zz = symmetrize(p_zz)  # symmetric before R is added; _kalman_update symmetrizes the sum
     xs = mu.points  # transform's own array, centred in place; a cached rule's is read-only
     x_mean = mu.weights @ xs
     xs -= x_mean

@@ -63,8 +63,9 @@ R2 = "1.4142135623730951"  # repr(sqrt(2))
 @pytest.mark.parametrize(
     "degree,rows",
     [
-        # +-sqrt(2) e_i; the negated identity's off-axis zeros print as -0.0
-        (3, [f"0.25,{R2},0.0", f"0.25,0.0,{R2}", f"0.25,-{R2},-0.0", f"0.25,-0.0,-{R2}"]),
+        # +-sqrt(2) e_i; the negative points are formed by subtraction from
+        # +0.0, as symmetric_stencil forms them, so their off-axis zeros print as 0.0
+        (3, [f"0.25,{R2},0.0", f"0.25,0.0,{R2}", f"0.25,-{R2},0.0", f"0.25,0.0,-{R2}"]),
         # the origin, +-2 e_i, then (+-sqrt(2), +-sqrt(2)) in the order ++, +-, -+, --
         (5, ["0.5,0.0,0.0", "0.0625,2.0,0.0", "0.0625,-2.0,0.0", "0.0625,0.0,2.0", "0.0625,0.0,-2.0",
              f"0.0625,{R2},{R2}", f"0.0625,{R2},-{R2}", f"0.0625,-{R2},{R2}", f"0.0625,-{R2},-{R2}"]),

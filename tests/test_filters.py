@@ -266,6 +266,20 @@ class TestRunFilter:
         for rec in traj.records:
             assert np.linalg.eigvalsh(rec.posterior.cov)[0] >= -1e-9
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_last_posterior_mean_is_writable(self, family):
+        # LGSF and VGSF end a step in the linear time update, whose value
+        # comes from the bistable model's read-only linearization memo.
+        process, obs = bistable_models(BistableSpec())
+        prior = Gaussian([0.8], [[0.02]])
+        truth = simulate_truth(process, obs, prior.mean, 3, np.random.default_rng(5))
+        kind = FilterKind(family, sample_count=200) if family in ("PGF", "PGSF") else FilterKind(family)
+        traj = run_filter(kind, process, obs, prior, truth.observations, np.random.default_rng(0))
+        assert traj.error is None and len(traj.records) == 4
+        mean = traj.records[-1].posterior.mean
+        assert mean.flags.writeable
+        mean[0] += 1.0
+
     @pytest.mark.parametrize("family", ["PGF", "PGSF"])
     def test_sampling_filters_complete_a_diffuse_linear_walk(self, family):
         # A random walk observed directly, Q = R = 1, from N(0, 100): with the

@@ -27,7 +27,7 @@ from gaussfilt import (
 )
 from gaussfilt.cubature import symmetric_stencil
 from gaussfilt.filters import conventional_step, smoothing_step
-from gaussfilt.models import augment, composed_observation
+from gaussfilt.models import ObsFunction, augment, composed_observation
 
 
 def _counting(monkeypatch, cls):
@@ -74,12 +74,9 @@ def _counting_linalg(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("family", ["CGF", "CGSF"])
-def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
-    # Per step: the augmented joint's factor, the innovation covariance's, and
-    # one for each of the two covariances the kernels return; the second
-    # kernel takes the first kernel's factor instead of factoring it again.
-    # No eigvalsh: only repair_covariance's abort message reads an eigenvalue.
+def _tracking_cubature_run(family):
+    """A 20-step degree-3 run on the coordinated-turn testbed: its
+    observations, its trajectory and the step from record n on observation y."""
     process, obs = turn_models(TurnModelSpec())
     prior = Gaussian(
         [1e3, 3e2, 1e3, 0.0, -3.0 * math.pi / 180.0], np.diag([100.0, 10.0, 100.0, 10.0, 1e-4])
@@ -89,14 +86,56 @@ def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
     traj = run_filter(kind, process, obs, prior, truth.observations)
     assert traj.error is None and len(traj.records) == 21
     step = smoothing_step if kind.is_smoothing else conventional_step
+    return truth.observations, traj, lambda n, y: step(kind, traj.records[n].posterior, process, obs, y, n)
+
+
+@pytest.mark.parametrize("family", ["CGF", "CGSF"])
+def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
+    # Per step: the augmented joint's factor, the innovation covariance's, and
+    # one for each of the two covariances the kernels return; the second
+    # kernel takes the first kernel's factor instead of factoring it again.
+    # No eigvalsh: only repair_covariance's abort message reads an eigenvalue.
+    observations, traj, step = _tracking_cubature_run(family)
     cholesky = _counting_linalg(monkeypatch, "cholesky")
     eigvalsh = _counting_linalg(monkeypatch, "eigvalsh")
-    for n, y in enumerate(truth.observations):
+    for n, y in enumerate(observations):
         cholesky.clear()
         eigvalsh.clear()
-        posterior = step(kind, traj.records[n].posterior, process, obs, y, n)
+        posterior = step(n, y)
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
         assert (len(cholesky), len(eigvalsh)) == (4, 0)
+
+
+@pytest.mark.parametrize("family, maps", [("CGF", 1), ("CGSF", 2)])
+def test_tracking_step_builds_few_maps_and_converts_no_kernel_array(family, maps, monkeypatch):
+    # Per step: the observation map at n + 1, and for CGSF the composed map
+    # around it; a push through the forward map builds none.  The one
+    # conversion is cholesky_factor's, of the augmented joint, which carries
+    # no factor; the kernels' own arrays are not converted again.
+    observations, traj, step = _tracking_cubature_run(family)
+    built, converted = [], []
+    original_init = ObsFunction.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    def counting(convert):
+        def counted(*args):
+            converted.append(convert.__name__)
+            return convert(*args)
+
+        return counted
+
+    monkeypatch.setattr(ObsFunction, "__init__", counted_init)
+    for name in ("atleast_1d", "atleast_2d"):
+        monkeypatch.setattr(np, name, counting(getattr(np, name)))
+    for n, y in enumerate(observations):
+        built.clear()
+        converted.clear()
+        posterior = step(n, y)
+        assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
+        assert (len(built), converted) == (maps, ["atleast_2d"])
 
 
 @pytest.mark.parametrize(
