@@ -30,6 +30,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "points", p)
         if w.shape[0] != p.shape[0] or w.shape[0] < 1:
             raise ValueError("weights and points must have equal positive length")
+        if not (np.isfinite(w).all() and np.isfinite(p).all()):
+            raise ValueError("weights and points must be finite")
         if abs(w.sum() - 1.0) > 1e-12 * max(1.0, np.abs(w).sum()):
             raise ValueError("weights must sum to one")
 
@@ -104,8 +106,8 @@ def standard_rule(
     if k < 1:
         raise InvalidDimension(f"dimension must be >= 1, got {k}")
     if samples is not None:
-        if rng is None:
-            raise ValueError("a sampled measure requires a random generator")
+        if rng is None or degree is not None or samples < 1:
+            raise ValueError("a sampled measure takes a random generator and samples >= 1, not a degree")
         return DiscreteMeasure._unchecked(np.full(samples, 1.0 / samples), rng.standard_normal((samples, k)))
     if degree == 3:
         axes = np.sqrt(k) * np.eye(k)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergedEvaluation
+from .errors import DimensionMismatch, DivergedEvaluation, as_integer
 from .gaussian import Gaussian, as_covariance
 
 _EPS = np.finfo(float).eps
@@ -59,8 +59,8 @@ def _along(jac, basis: np.ndarray | None, out_dim: int, n: int) -> np.ndarray:
 def _stacked_rows(fn: Callable, vectorized: bool, out_dim: int, xs: np.ndarray) -> np.ndarray:
     """fn at stacked points xs (m, k) as an (m, out_dim) array: one call when
     ``vectorized``, else one call per row.  The one path that acts on
-    ``vectorized``, for observation and process maps alike; raises
-    DimensionMismatch or, if not finite, DivergedEvaluation."""
+    ``vectorized``, for ``ObsFunction.rows`` and ``ProcessModel.forward``
+    alike; raises DimensionMismatch or, if not finite, DivergedEvaluation."""
     m = xs.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if vectorized:
@@ -76,13 +76,37 @@ def _stacked_rows(fn: Callable, vectorized: bool, out_dim: int, xs: np.ndarray) 
     return out
 
 
+def _linearized(rows, out_dim, x, basis, jacobian, linearize) -> tuple[np.ndarray, np.ndarray]:
+    """A map at one point x and J @ basis, its Jacobian along the columns of
+    ``basis`` (n x k; the identity when None): from one ``linearize(x, basis)``
+    call when that is given, else ``rows`` at x and the analytic
+    ``jacobian(x)`` (checked by ``_along``) or, when None, ``central_difference``
+    of ``rows``.  The one linearization of observation and process maps alike;
+    raises DimensionMismatch unless the value is (out_dim,), DivergedEvaluation
+    if either is not finite."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if linearize is not None:
+            value, jac = linearize(x, basis)
+        elif jacobian is not None:
+            value, jac = rows(x[None])[0], _along(jacobian(x), basis, out_dim, len(x))
+        else:
+            value, jac = rows(x[None])[0], central_difference(rows, x, basis)
+        value = np.asarray(value, dtype=float)
+    if value.shape != (out_dim,):
+        raise DimensionMismatch(f"value {value.shape}, not {(out_dim,)}")
+    if not (np.isfinite(value).all() and np.isfinite(jac).all()):
+        raise DivergedEvaluation("value or Jacobian is not finite")
+    return value, jac
+
+
 @dataclass(frozen=True)
 class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
 
     ``noise_cov`` is checked once, here, with the tolerances of ``Gaussian``;
     ``augment`` stacks it into the joint belief unchecked.  Its shape gives
-    ``noise_dim``.
+    ``noise_dim``.  ``state_dim`` must be an integer >= 1 (``as_integer``).
 
     When ``vectorized`` is set, propagate also accepts stacked inputs of
     shape (m, d) / (m, D) and returns (m, d); otherwise ``forward`` calls it
@@ -97,35 +121,20 @@ class ProcessModel:
     linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
 
     def __post_init__(self):
+        object.__setattr__(self, "state_dim", as_integer(self.state_dim, "state_dim"))
+        if self.state_dim < 1:
+            raise ValueError("state_dim must be >= 1")
         object.__setattr__(self, "noise_cov", as_covariance(self.noise_cov, what="noise_cov"))
 
     @property
     def noise_dim(self) -> int:
         return self.noise_cov.shape[0]
 
-    def at_step(self, n: int) -> "ObsFunction":
-        """The forward map at step n as a map of augmented points z = [x, xi]."""
-        d = self.state_dim
-        split = lambda f: None if f is None else (lambda z: f(n, z[..., :d], z[..., d:]))
-
-        def linearize(z, basis):  # the user's one-pass hook, taken along basis
-            value, jac = self.linearize(n, z[:d], z[d:])
-            return value, _along(jac, basis, d, z.shape[0])
-
-        return ObsFunction(
-            fn=split(self.propagate),
-            out_dim=d,
-            jacobian=split(self.jacobian),
-            vectorized=self.vectorized,
-            linearize=None if self.linearize is None else linearize,
-        )
-
     def forward(self, n: int, z: np.ndarray) -> np.ndarray:
         """Push stacked augmented rows z = [x, xi] of shape (m, d+D) through
         the forward map; returns (m, d).  Calls ``propagate`` through
-        ``_stacked_rows``, as ``at_step(n).rows`` does, without building the
-        map; raises DimensionMismatch or, if any output is not finite,
-        DivergedEvaluation."""
+        ``_stacked_rows``, as ``ObsFunction.rows`` calls its map; raises
+        DimensionMismatch or, if any output is not finite, DivergedEvaluation."""
         d = self.state_dim
         return _stacked_rows(lambda zs: self.propagate(n, zs[..., :d], zs[..., d:]), self.vectorized, d, z)
 
@@ -133,8 +142,17 @@ class ProcessModel:
         self, n: int, z: np.ndarray, basis: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The forward map at one point z = [x, xi] and its d x (d+D) Jacobian
-        times ``basis`` (the identity when None), as ``ObsFunction`` gives them."""
-        return self.at_step(n).value_and_jacobian(z, basis)
+        times ``basis`` (the identity when None), from ``_linearized`` with rows
+        ``forward(n, .)`` and the user's hooks bound to n, as ObsFunction's are."""
+        d = self.state_dim
+        jacobian = None if self.jacobian is None else (lambda z: self.jacobian(n, z[:d], z[d:]))
+
+        def linearize(z, basis):  # one pass gives the value and the raw Jacobian
+            value, jac = self.linearize(n, z[:d], z[d:])
+            return value, _along(jac, basis, d, len(z))
+
+        rows = lambda zs: self.forward(n, zs)
+        return _linearized(rows, d, z, basis, jacobian, None if self.linearize is None else linearize)
 
     def full_jacobian(self, n: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The Jacobian from ``value_and_jacobian``; kept only because the
@@ -179,12 +197,11 @@ class ObservationModel:
 
 @dataclass(frozen=True)
 class ObsFunction:
-    """The one path by which a map's values, Jacobians and residuals reach the
-    kernels, and the one place their shapes are checked, apart from
-    ``ProcessModel.forward``, which pushes points through the same
-    ``_stacked_rows`` without building an ObsFunction.  When
-    ``vectorized`` is set, fn maps stacked points (m, k) to (m, out_dim);
-    otherwise ``rows`` calls it once per row.
+    """An observation map, or the composed map, as the kernels take it.  Its
+    rows and linearizations come from ``_stacked_rows`` and ``_linearized``,
+    which check every shape and also serve ``ProcessModel``'s forward map,
+    without an ObsFunction.  When ``vectorized`` is set, fn maps stacked
+    points (m, k) to (m, out_dim); otherwise ``rows`` calls it once per row.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -210,25 +227,8 @@ class ObsFunction:
     def value_and_jacobian(
         self, x: np.ndarray, basis: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The map at one point x and J @ basis, its Jacobian along the columns
-        of ``basis`` (n x k; the identity when None): from one ``linearize``
-        call when that is given, else ``self(x)`` and the analytic ``jacobian``
-        (checked by ``_along``) or, when None, ``central_difference``.  Raises
-        DimensionMismatch unless the value is (out_dim,), DivergedEvaluation
-        if either is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.linearize is not None:
-                value, jac = self.linearize(x, basis)
-            elif self.jacobian is not None:
-                value, jac = self(x), _along(self.jacobian(x), basis, self.out_dim, len(x))
-            else:
-                value, jac = self(x), central_difference(self.rows, x, basis)
-            value = np.asarray(value, dtype=float)
-        if value.shape != (self.out_dim,):
-            raise DimensionMismatch(f"value {value.shape}, not {(self.out_dim,)}")
-        if not (np.isfinite(value).all() and np.isfinite(jac).all()):
-            raise DivergedEvaluation("value or Jacobian is not finite")
-        return value, jac
+        """``_linearized`` at x along ``basis``, from this map's rows and hooks."""
+        return _linearized(self.rows, self.out_dim, x, basis, self.jacobian, self.linearize)
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,7 @@ class TruthRun:
 
 def wrap_angle(theta):
     """Wrap angles into (-pi, pi]."""
-    out = np.asarray(theta, dtype=float)
-    out = -((-out + np.pi) % (2.0 * np.pi) - np.pi)
-    return out
+    return -((-np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def bistable_models(spec: BistableSpec) -> tuple[ProcessModel, ObservationModel]:

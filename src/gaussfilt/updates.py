@@ -41,8 +41,8 @@ class VariationalSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if self.grad_tol is not None and not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -21,6 +21,15 @@ class TestDiscreteMeasure:
     def test_negative_weights_allowed(self):
         DiscreteMeasure([1.5, -0.5], [[0.0], [1.0]])
 
+    @pytest.mark.parametrize(
+        "weights, points",
+        [([np.nan, 0.5], [[0.0], [1.0]]), ([0.5, 0.5], [[0.0], [np.inf]]), ([0.5, 0.5], [[np.nan], [1.0]])],
+        ids=["nan-weight", "infinite-point", "nan-point"],
+    )
+    def test_non_finite_rejected(self, weights, points):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(weights, points)
+
 
 class TestStandardRule:
     def test_degree3_k1(self):
@@ -63,6 +72,15 @@ class TestStandardRule:
     def test_sampled_requires_rng(self):
         with pytest.raises(ValueError, match="random generator"):
             standard_rule(2, samples=10)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_requires_a_positive_count(self, samples):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            standard_rule(2, samples=samples, rng=np.random.default_rng(0))
+
+    def test_sampled_takes_no_degree(self):
+        with pytest.raises(ValueError, match="not a degree"):
+            standard_rule(2, 3, samples=4, rng=np.random.default_rng(0))
 
     def test_sampled_moments_converge(self):
         rng = np.random.default_rng(0)

@@ -218,6 +218,8 @@ class TestExperimentConfig:
         "overrides",
         [
             {"filters": [{"family": "VGF", "variational": {"grad_tol": -1}}]},
+            {"filters": [{"family": "VGF", "variational": {"grad_tol": float("nan")}}]},
+            {"filters": [{"family": "VGF", "variational": {"grad_tol": float("inf")}}]},
             {"filters": [{"family": "VGF", "variational": {"bogus": 1}}]},
             {"filters": [{"family": "CGF", "rule_degree": "x"}]},
             {"window": [1]},
@@ -226,8 +228,8 @@ class TestExperimentConfig:
             {"truth_x0": [0.1, 0.2]},
             {"truth_x0": [float("nan")]},
         ],
-        ids=["negative-grad-tol", "unknown-variational-field", "non-integer-degree",
-             "short-window", "negative-prior-cov", "unknown-truth-x0", "truth-x0-wrong-dim",
+        ids=["negative-grad-tol", "nan-grad-tol", "infinite-grad-tol", "unknown-variational-field",
+             "non-integer-degree", "short-window", "negative-prior-cov", "unknown-truth-x0", "truth-x0-wrong-dim",
              "truth-x0-not-finite"],
     )
     def test_malformed_fields_raise_config_error(self, overrides):

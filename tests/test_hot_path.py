@@ -139,6 +139,37 @@ def test_tracking_step_builds_few_maps_and_converts_no_kernel_array(family, maps
 
 
 @pytest.mark.parametrize(
+    "family, maps",
+    [("LGF", 1), ("LGSF", 2), ("VGF", 1), ("VGSF", 2), ("CGF", 1), ("CGSF", 2), ("PGF", 1), ("PGSF", 2)],
+)
+def test_bistable_step_builds_one_observation_map(family, maps, monkeypatch):
+    # Per step: the observation map at n + 1, and for an SF family the
+    # composed map around it.  Linearizing or pushing points through the
+    # forward map builds none, in any kernel.  The sampling families replay
+    # the run's draws from a generator seeded alike.
+    process, obs = bistable_models(BistableSpec())
+    prior = Gaussian([0.8], [[0.02]])
+    truth = simulate_truth(process, obs, prior.mean, 20, np.random.default_rng(5))
+    kind = FilterKind(family)
+    traj = run_filter(kind, process, obs, prior, truth.observations, np.random.default_rng(7))
+    assert traj.error is None and len(traj.records) == 21
+    step = smoothing_step if kind.is_smoothing else conventional_step
+    rng, built = np.random.default_rng(7), []
+    original_init = ObsFunction.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ObsFunction, "__init__", counted_init)
+    for n, y in enumerate(truth.observations):
+        built.clear()
+        posterior = step(kind, traj.records[n].posterior, process, obs, y, n, rng)
+        assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
+        assert len(built) == maps
+
+
+@pytest.mark.parametrize(
     "family, factored, inverted",
     [("LGF", 4, 1), ("LGSF", 4, 1), ("VGF", 5, 2), ("VGSF", 5, 2)],
 )

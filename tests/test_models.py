@@ -29,10 +29,10 @@ def _analytic_maps():
     Lorenz-63 forward map and range observation, and the radar."""
     process, lorenz_obs = lorenz63_models(Lorenz63Spec())
     _, radar = turn_models(TurnModelSpec())
-    forward = process.at_step(0)
+    forward = ObsFunction(lambda z: process.forward(0, z), out_dim=3, vectorized=True)
     return {
         "lorenz63-forward": (
-            forward, lambda z: forward.value_and_jacobian(z)[1], np.zeros(6), np.array([10.0] * 3 + [0.1] * 3)
+            forward, lambda z: process.value_and_jacobian(0, z)[1], np.zeros(6), np.array([10.0] * 3 + [0.1] * 3)
         ),
         "lorenz63-range": (lorenz_obs.at_step(0), lambda x: lorenz_obs.jacobian(0, x), np.zeros(3), np.full(3, 10.0)),
         "radar": (
@@ -164,7 +164,7 @@ class TestDiscretizeSde:
         for _ in range(20):
             x, xi = rng.standard_normal(1), 0.1 * rng.standard_normal(3)
             analytic = model.full_jacobian(0, x, xi)
-            numeric = central_difference(model.at_step(0).rows, np.concatenate([x, xi]))
+            numeric = central_difference(lambda z: model.forward(0, z), np.concatenate([x, xi]))
             assert np.max(np.abs(analytic - numeric)) <= 1e-5 * (1 + np.max(np.abs(analytic)))
 
     def test_invalid_spec(self):
@@ -232,6 +232,17 @@ class TestProcessModelNoiseCov:
     def test_noise_dim_is_the_covariance_size(self, noise_cov):
         model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=noise_cov, state_dim=1)
         assert model.noise_dim == np.shape(noise_cov)[0]
+
+    @pytest.mark.parametrize(
+        "state_dim", [True, 1.5, "1", 0, -1], ids=["bool", "fraction", "string", "zero", "negative"]
+    )
+    def test_bad_state_dim_rejected_at_construction(self, state_dim):
+        with pytest.raises(ValueError, match="state_dim"):
+            ProcessModel(propagate=lambda n, x, xi: x, noise_cov=[[0.5]], state_dim=state_dim)
+
+    def test_integral_state_dim_is_stored_as_int(self):
+        model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=[[0.5]], state_dim=1.0)
+        assert type(model.state_dim) is int and model.state_dim == 1
 
     def test_replace_keeps_covariance_and_dimensions(self):
         model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=np.eye(3), state_dim=2)

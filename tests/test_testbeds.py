@@ -75,7 +75,7 @@ class TestBistable:
             x = rng.uniform(-1.5, 1.5, 1)
             xi = 0.05 * rng.standard_normal(3)
             analytic = process.full_jacobian(0, x, xi)
-            numeric = central_difference(process.at_step(0).rows, np.concatenate([x, xi]))
+            numeric = central_difference(lambda z: process.forward(0, z), np.concatenate([x, xi]))
             assert np.max(np.abs(analytic - numeric)) <= 1e-5 * (1 + np.max(np.abs(analytic)))
 
 
@@ -118,7 +118,7 @@ class TestLorenz63:
             x = rng.uniform(-20, 20, 3)
             xi = 0.01 * rng.standard_normal(3)
             analytic = process.full_jacobian(0, x, xi)
-            numeric = central_difference(process.at_step(0).rows, np.concatenate([x, xi]))
+            numeric = central_difference(lambda z: process.forward(0, z), np.concatenate([x, xi]))
             assert np.max(np.abs(analytic - numeric)) <= 1e-5 * (1 + np.max(np.abs(analytic)))
             jo = obs.jacobian(0, x)
             jo_num = central_difference(obs.at_step(0).rows, x)
