@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .cubature import standard_rule
-from .errors import ConfigError, GaussFiltError, InvalidDimension
+from .errors import ConfigError, GaussFiltError
 from .harness import ExperimentConfig, run_experiment, write_results
 
 
@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     if args.command == "rules":
         try:
             mu = standard_rule(args.dim, args.degree)
-        except InvalidDimension as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         header = "weight," + ",".join(f"x{i + 1}" for i in range(mu.dim))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension
+from .errors import DimensionMismatch, as_integer
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,9 @@ def standard_rule(
     if rule is not None:
         return rule
     if k < 1:
-        raise InvalidDimension(f"dimension must be >= 1, got {k}")
+        raise ValueError(f"dimension must be >= 1, got {k}")
     if samples is not None:
+        samples = as_integer(samples, "samples")
         if rng is None or degree is not None or samples < 1:
             raise ValueError("a sampled measure takes a random generator and samples >= 1, not a degree")
         return DiscreteMeasure._unchecked(np.full(samples, 1.0 / samples), rng.standard_normal((samples, k)))

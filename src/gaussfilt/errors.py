@@ -17,17 +17,8 @@ class NotPositiveDefinite(GaussFiltError):
     """Factorization failed even after maximal jitter."""
 
 
-class SingularInnovationCov(GaussFiltError):
-    """Innovation covariance is numerically singular."""
-
-
 class SingularMatrix(GaussFiltError):
-    """Matrix required to be invertible is numerically singular."""
-
-
-class SingularHessian(GaussFiltError):
-    """Misfit Hessian at the minimizer, or the observation covariance that
-    weights the misfit, could not be inverted."""
+    """A matrix the package must invert is not finite or is singular."""
 
 
 class DivergedEvaluation(GaussFiltError):
@@ -38,24 +29,12 @@ class DimensionMismatch(GaussFiltError):
     """Operands have incompatible dimensions."""
 
 
-class InvalidDimension(GaussFiltError):
-    """Requested dimension is out of range."""
-
-
-class _OptimizerStopped(GaussFiltError):
+class OptimizerStopped(GaussFiltError):
     """An optimizer gave up; ``iterations`` counts the iterations it ran."""
 
     def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)
         self.iterations = iterations
-
-
-class OptimizerDidNotConverge(_OptimizerStopped):
-    """Gradient norm still above tolerance after the iteration budget."""
-
-
-class LineSearchFailed(_OptimizerStopped):
-    """Backtracking line search could not find an acceptable step."""
 
 
 class ConfigError(GaussFiltError):

@@ -12,13 +12,7 @@ import numpy as np
 
 from .cubature import DiscreteMeasure, standard_rule
 from .diagnostics import Diagnostics
-from .errors import (
-    GaussFiltError,
-    LineSearchFailed,
-    OptimizerDidNotConverge,
-    SingularHessian,
-    as_integer,
-)
+from .errors import GaussFiltError, OptimizerStopped, SingularMatrix, as_integer
 from .gaussian import Gaussian
 from .models import ObservationModel, ProcessModel, augment, composed_observation
 from .updates import (
@@ -58,6 +52,8 @@ class FilterKind:
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown filter family {self.family!r}")
+        if not isinstance(self.variational, (VariationalSettings, type(None))):
+            raise ValueError(f"variational must be VariationalSettings or None, got {self.variational!r}")
         for f in fields(self)[1:]:
             if f.name != self.parameter and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.family} does not read {f.name}")
@@ -120,9 +116,6 @@ class FilterTrajectory:
         return np.array([r.posterior.mean for r in self.records])
 
 
-_VARIATIONAL_FALLBACK = (OptimizerDidNotConverge, LineSearchFailed, SingularHessian)
-
-
 def _standard_measure(kind, k, rng) -> DiscreteMeasure:
     """The kind's cubature rule, or its fresh draws from ``rng``, in dimension k."""
     if kind.kernel == "CG":
@@ -140,9 +133,11 @@ def _measurement_update(kind, prior, obs_map, y, r, rng, diag):
     if kind.kernel == "LG":
         return measurement_update_linear(prior, obs_map, y, r, diag)
     if kind.kernel == "VG":
+        # The variational kernel inverts only R and I + H_d, so a SingularMatrix
+        # it raises means the misfit has no finite Hessian, not a broken belief.
         try:
             return measurement_update_variational(prior, obs_map, y, r, kind.variational, diag)
-        except _VARIATIONAL_FALLBACK:
+        except (OptimizerStopped, SingularMatrix):
             diag.fallbacks += 1
             return measurement_update_linear(prior, obs_map, y, r, diag)
     return measurement_update_points(prior, obs_map, y, r, _standard_measure(kind, prior.dim, rng), diag)

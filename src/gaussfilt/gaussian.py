@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics
-from .errors import NotPositiveDefinite, SingularInnovationCov, SingularMatrix
+from .errors import NotPositiveDefinite, SingularMatrix
 
 # Escalating jitter scales: a covariance C that does not factor is taken as
 # C + eps * diag(scale) for the least eps that factors, where ``scale`` holds
@@ -155,23 +155,22 @@ def _factor_of(g: Gaussian, diag: Diagnostics | None = None) -> np.ndarray:
     return g._factor if g._factor is not None else cholesky_factor(g.cov, diag)
 
 
-def _inverse_factor(s, error, what):
+def _inverse_factor(s, what):
     """W = L^-1 for the Cholesky factor L of ``s``, with no jitter; raises
-    ``error`` if s is not finite or not positive definite."""
+    SingularMatrix if s is not finite or not positive definite."""
     if not np.isfinite(s).all():
-        raise error(f"{what} is not finite")
+        raise SingularMatrix(f"{what} is not finite")
     try:
         return np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError as exc:
-        raise error(f"{what} is singular") from exc
+        raise SingularMatrix(f"{what} is singular") from exc
 
 
 def _conditioning_terms(s, cross, innovation):
     """The shift C S^-1 v and the shrink C S^-1 C^T of conditioning on an
     observed block of covariance S, cross covariance C and innovation v, from
-    C W^T and W v; SingularInnovationCov unless S is finite and positive
-    definite."""
-    w = _inverse_factor(s, SingularInnovationCov, "innovation covariance")
+    C W^T and W v; SingularMatrix unless S is finite and positive definite."""
+    w = _inverse_factor(s, "innovation covariance")
     a = cross @ w.T
     return a @ (w @ innovation), a @ a.T
 
@@ -193,6 +192,6 @@ def quadratic_form(v: np.ndarray, sigma: np.ndarray) -> float:
     """v^T Sigma^{-1} v as |L^-1 v|^2 for the Cholesky factor L of Sigma;
     SingularMatrix unless Sigma is finite and positive definite."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    w = _inverse_factor(sigma, SingularMatrix, "quadratic form matrix")
+    w = _inverse_factor(sigma, "quadratic form matrix")
     w = w @ np.atleast_1d(np.asarray(v, dtype=float))
     return float(w @ w)

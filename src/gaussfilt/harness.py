@@ -133,6 +133,8 @@ class ExperimentConfig:
                 object.__setattr__(self, "window", (lo, hi))
                 if not 1 <= lo <= hi <= self.steps:
                     raise ConfigError(f"window {[lo, hi]} outside 1..{self.steps}")
+            if not all(isinstance(f, FilterKind) for f in self.filters):
+                raise ConfigError(f"filters must be FilterKind entries, got {self.filters!r}")
             labels = [f.label() for f in self.filters]
             if not labels:
                 raise ConfigError("at least one filter required")

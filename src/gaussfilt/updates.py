@@ -8,19 +8,13 @@ and the map is the observation composed with one forward step.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
-from .errors import (
-    DivergedEvaluation,
-    LineSearchFailed,
-    NotPositiveDefinite,
-    OptimizerDidNotConverge,
-    SingularHessian,
-    as_integer,
-)
+from .errors import DivergedEvaluation, NotPositiveDefinite, OptimizerStopped, SingularMatrix, as_integer
 from .gaussian import Gaussian, _conditioning_terms, _factor_of, _settled, cholesky_factor, symmetrize
 from .models import ObsFunction, ProcessModel, central_difference, difference_step
 
@@ -41,7 +35,7 @@ class VariationalSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
-        if self.grad_tol is not None and not 0 < self.grad_tol < np.inf:
+        if self.grad_tol is not None and not (isinstance(self.grad_tol, Real) and 0 < self.grad_tol < np.inf):
             raise ValueError("grad_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -77,12 +71,12 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
     ``f`` maps one point to a float.  ``grad``, when given, maps one point to
     the gradient of ``f``; otherwise ``central_difference`` supplies it.
     Returns (minimizer, iteration count); a non-finite f at x0 raises
-    DivergedEvaluation, and a LineSearchFailed or OptimizerDidNotConverge
-    carries the count in ``iterations``.  The inverse-Hessian approximation
-    starts at the identity; the line search tries steps 1, 1/2, 1/4, ... (at
-    most 40 halvings) and accepts the first that meets the Armijo condition
-    with c = 1e-4 and strictly lowers f.  A decrease lost in f's rounding
-    thus fails the search instead of passing it vacuously.
+    DivergedEvaluation, and the OptimizerStopped of a failed line search or
+    a spent budget carries the count in ``iterations``.  The inverse-Hessian
+    approximation starts at the identity; the line search tries steps 1,
+    1/2, 1/4, ... (at most 40 halvings) and accepts the first that meets the
+    Armijo condition with c = 1e-4 and strictly lowers f.  A decrease lost in
+    f's rounding thus fails the search instead of passing it vacuously.
     """
     settings = settings or DEFAULT_VARIATIONAL
     if grad is None:
@@ -115,9 +109,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
                 break
             alpha *= 0.5
         if not ok:
-            raise LineSearchFailed(
-                f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})", it
-            )
+            raise OptimizerStopped(f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})", it)
         g_new = grad(x_new)
         s = x_new - x
         yv = g_new - g
@@ -130,7 +122,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
         x, fx, g = x_new, f_new, g_new
     if np.linalg.norm(g) <= tol:
         return x, settings.max_iter
-    raise OptimizerDidNotConverge(
+    raise OptimizerStopped(
         f"gradient norm {np.linalg.norm(g):.3e} > {tol:.3e} after {settings.max_iter} iterations",
         settings.max_iter,
     )
@@ -220,14 +212,14 @@ def measurement_update_points(
 
 
 def _inverted_factor(c, what, diag):
-    """L^-1 for L = cholesky_factor(c, diag); SingularHessian if c does not
+    """L^-1 for L = cholesky_factor(c, diag); SingularMatrix if c does not
     factor or L has a zero row, as it has where c has one."""
     try:
         factor = cholesky_factor(c, diag)
     except NotPositiveDefinite as exc:
-        raise SingularHessian(f"{what} not invertible") from exc
+        raise SingularMatrix(f"{what} not invertible") from exc
     if not np.diagonal(factor).all():
-        raise SingularHessian(f"{what} has a zero row")
+        raise SingularMatrix(f"{what} has a zero row")
     return np.linalg.inv(factor)
 
 
@@ -242,7 +234,7 @@ class WhitenedMisfit:
     map's value and H L, its Jacobian along the columns of L, from one joint
     call, for ``gradient``.  L_R^-1 is formed once, so every evaluation is a
     matrix product; an R with an exact component (a zero row) raises
-    SingularHessian, as the misfit then has no finite Hessian.
+    SingularMatrix, as the misfit then has no finite Hessian.
     """
 
     def __init__(self, prior, obs_map, y, r, diag=None):
@@ -318,7 +310,7 @@ def measurement_update_variational(
     misfit = WhitenedMisfit(prior, obs_map, y, r, diag)
     try:
         u_min, iters = bfgs_minimize(misfit, np.zeros(prior.dim), settings, grad=misfit.gradient)
-    except (LineSearchFailed, OptimizerDidNotConverge) as exc:
+    except OptimizerStopped as exc:
         if diag is not None:
             diag.bfgs_iterations += exc.iterations
         raise

@@ -5,7 +5,7 @@ import pytest
 
 from gaussfilt import DiscreteMeasure
 from gaussfilt.cubature import standard_rule, symmetric_stencil, transform, weighted_moments
-from gaussfilt.errors import DimensionMismatch, InvalidDimension
+from gaussfilt.errors import DimensionMismatch
 from moments import moment_defect
 
 
@@ -59,9 +59,9 @@ class TestStandardRule:
         assert np.min(mu.weights) < 0.0
 
     def test_invalid_dimension(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
             standard_rule(0, degree=3)
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
             standard_rule(0, samples=10, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("degree", [None, 1, 4, 7])
@@ -77,6 +77,15 @@ class TestStandardRule:
     def test_sampled_requires_a_positive_count(self, samples):
         with pytest.raises(ValueError, match="samples >= 1"):
             standard_rule(2, samples=samples, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("samples", [2.5, True, "3"])
+    def test_sampled_count_must_be_an_integer(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            standard_rule(2, samples=samples, rng=np.random.default_rng(0))
+
+    def test_sampled_count_may_be_an_integral_float(self):
+        mu = standard_rule(2, samples=3.0, rng=np.random.default_rng(0))
+        assert mu.size == 3 and np.array_equal(mu.weights, np.full(3, 1.0 / 3.0))
 
     def test_sampled_takes_no_degree(self):
         with pytest.raises(ValueError, match="not a degree"):

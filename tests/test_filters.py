@@ -18,7 +18,7 @@ from gaussfilt import (
     simulate_truth,
     smoothing_step,
 )
-from gaussfilt.errors import DimensionMismatch, DivergedEvaluation, SingularInnovationCov
+from gaussfilt.errors import DimensionMismatch, DivergedEvaluation, SingularMatrix
 from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.models import ObsFunction, ProcessModel, augment, composed_observation
 from gaussfilt.updates import measurement_update_linear
@@ -94,6 +94,16 @@ class TestFilterKind:
             FilterKind("LGF", sample_count=10)
         with pytest.raises(ValueError, match="PGF does not read variational"):
             FilterKind("PGF", variational=VariationalSettings())
+
+    @pytest.mark.parametrize("variational", [{"grad_tol": 1e-3}, 5])
+    def test_variational_must_be_settings_or_none(self, variational):
+        with pytest.raises(ValueError, match="variational must be VariationalSettings or None"):
+            FilterKind("VGF", variational=variational)
+
+    @pytest.mark.parametrize("grad_tol", ["1e-6", [1e-6]])
+    def test_grad_tol_must_be_a_number(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+            VariationalSettings(grad_tol=grad_tol)
 
     def test_family_partitions(self):
         assert FilterKind("LGSF").is_smoothing
@@ -384,7 +394,8 @@ class TestRunFilter:
         obs = ObservationModel(observe=lambda n, x: 1e200 * x, obs_cov=[[1.0]])
         rng = np.random.default_rng(0)
         traj = run_filter(FilterKind(family), walk, obs, Gaussian([0.0], [[1.0]]), [1.0, 2.0], rng)
-        assert isinstance(traj.error, SingularInnovationCov)
+        assert isinstance(traj.error, SingularMatrix)
+        assert str(traj.error).startswith("innovation covariance")
         assert len(traj.records) == 1
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -12,7 +12,7 @@ import pytest
 import gaussfilt
 from gaussfilt import Gaussian, cholesky_factor, condition, quadratic_form
 from gaussfilt.diagnostics import Diagnostics
-from gaussfilt.errors import NotPositiveDefinite, SingularInnovationCov, SingularMatrix
+from gaussfilt.errors import NotPositiveDefinite, SingularMatrix
 from gaussfilt.gaussian import _factor_of, _settled, repair_covariance, symmetrize
 
 
@@ -301,7 +301,7 @@ class TestCondition:
 
     def test_singular_y_block_raises(self):
         j = Gaussian([0.0, 0.0], np.diag([1.0, 0.0]))
-        with pytest.raises(SingularInnovationCov):
+        with pytest.raises(SingularMatrix, match="innovation covariance is singular"):
             condition(j, [1.0])
 
     def test_never_increases_covariance(self):

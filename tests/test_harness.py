@@ -200,6 +200,12 @@ class TestExperimentConfig:
         assert explicit.to_dict() == omitted.to_dict()
         assert explicit.to_dict()["filters"] == [{"family": "VGF"}]
 
+    @pytest.mark.parametrize("entry", [{"family": "LGF"}, "LGF"])
+    def test_a_direct_build_takes_only_filter_kinds(self, entry):
+        cfg = ExperimentConfig.from_dict(bistable_config())
+        with pytest.raises(ConfigError, match="filters must be FilterKind entries"):
+            dataclasses.replace(cfg, filters=[FilterKind("VGF"), entry])
+
     def test_prior_dimension_checked(self):
         with pytest.raises(ConfigError, match="dim"):
             ExperimentConfig.from_dict(

@@ -23,12 +23,7 @@ from gaussfilt import (
     time_update_points,
     turn_models,
 )
-from gaussfilt.errors import (
-    DivergedEvaluation,
-    LineSearchFailed,
-    OptimizerDidNotConverge,
-    SingularMatrix,
-)
+from gaussfilt.errors import DivergedEvaluation, OptimizerStopped
 from gaussfilt.gaussian import _conditioning_terms, _inverse_factor
 from gaussfilt.models import (
     ObservationModel,
@@ -178,7 +173,7 @@ class TestSolveLower:
         s = lower @ lower.T
         if cholesky:
             return _conditioning_terms(s, np.eye(s.shape[0]), b)[0]
-        return _inverse_factor(s, SingularMatrix, "L L^T") @ b
+        return _inverse_factor(s, "L L^T") @ b
 
     @pytest.mark.parametrize("k", [1, 2, 21])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -232,8 +227,9 @@ class TestBfgsMinimize:
         def rosen(v):
             return 100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2
 
-        with pytest.raises(OptimizerDidNotConverge):
+        with pytest.raises(OptimizerStopped, match="after 3 iterations") as raised:
             bfgs_minimize(rosen, np.array([-1.2, 1.0]), VariationalSettings(grad_tol=1e-10, max_iter=3))
+        assert raised.value.iterations == 3
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(DivergedEvaluation):
@@ -254,7 +250,7 @@ class TestBfgsMinimize:
         # The Armijo bound fx + 1e-4 * alpha * slope rounds to fx here, so a
         # step that leaves f unchanged would pass it; it must not count as
         # a decrease.
-        with pytest.raises(LineSearchFailed):
+        with pytest.raises(OptimizerStopped, match="no Armijo step after 40 halvings"):
             bfgs_minimize(
                 lambda v: 1.0,
                 np.array([0.0]),
