@@ -100,6 +100,7 @@ def standard_rule(
     Both are built once per (degree, k) and returned, read-only, on every
     later call.
     """
+    k = as_integer(k, "dimension")  # before the lookup: (3, True) would find the k = 1 rule
     rule = _RULES.get((degree, k)) if samples is None else None
     if rule is not None:
         return rule

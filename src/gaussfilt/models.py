@@ -234,7 +234,8 @@ class ObsFunction:
 @dataclass(frozen=True)
 class SdeSpec:
     """Ito SDE dx = b(t,x) dt + s(t,x) dB with simulation step dt and
-    ``substeps`` integration steps per observation interval."""
+    ``substeps`` integration steps per observation interval.  The three counts
+    follow the integer rule (``as_integer``); dt must be positive and finite."""
 
     drift: Callable[[float, np.ndarray], np.ndarray]
     volatility: Callable[[float, np.ndarray], np.ndarray]  # (t, x) -> d x N
@@ -247,10 +248,12 @@ class SdeSpec:
     vectorized: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+        for name in ("brownian_dim", "substeps", "state_dim"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if self.substeps < 1 or self.brownian_dim < 0:
+            raise ValueError("substeps must be >= 1 and brownian_dim >= 0")
 
 
 def discretize_sde(spec: SdeSpec) -> ProcessModel:

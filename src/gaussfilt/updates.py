@@ -16,7 +16,7 @@ from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_mo
 from .diagnostics import Diagnostics
 from .errors import DivergedEvaluation, NotPositiveDefinite, OptimizerStopped, SingularMatrix, as_integer
 from .gaussian import Gaussian, _conditioning_terms, _factor_of, _settled, cholesky_factor, symmetrize
-from .models import ObsFunction, ProcessModel, central_difference, difference_step
+from .models import ObsFunction, ProcessModel, difference_step
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class VariationalSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
-        if self.grad_tol is not None and not (isinstance(self.grad_tol, Real) and 0 < self.grad_tol < np.inf):
+        tol = self.grad_tol
+        if tol is not None and (isinstance(tol, bool) or not (isinstance(tol, Real) and 0 < tol < np.inf)):
             raise ValueError("grad_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -65,31 +66,28 @@ def numerical_hessian(rows, x, basis):
     return hess
 
 
-def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None):
+def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
     """BFGS with Armijo backtracking.
 
-    ``f`` maps one point to a float.  ``grad``, when given, maps one point to
-    the gradient of ``f``; otherwise ``central_difference`` supplies it.
-    Returns (minimizer, iteration count); a non-finite f at x0 raises
-    DivergedEvaluation, and the OptimizerStopped of a failed line search or
-    a spent budget carries the count in ``iterations``.  The inverse-Hessian
-    approximation starts at the identity; the line search tries steps 1,
-    1/2, 1/4, ... (at most 40 halvings) and accepts the first that meets the
-    Armijo condition with c = 1e-4 and strictly lowers f.  A decrease lost in
-    f's rounding thus fails the search instead of passing it vacuously.
+    ``f`` maps one point to (value, gradient), both from one call; where the
+    value is not finite the gradient is not read.  Returns (minimizer,
+    iteration count); a non-finite f at x0 raises DivergedEvaluation, and the
+    OptimizerStopped of a failed line search or a spent budget carries the
+    count in ``iterations``.  The inverse-Hessian approximation starts at the
+    identity; the line search tries steps 1, 1/2, 1/4, ... (at most 40
+    halvings) and accepts the first that meets the Armijo condition with
+    c = 1e-4 and strictly lowers f.  A decrease lost in f's rounding thus
+    fails the search instead of passing it vacuously.
     """
     settings = settings or DEFAULT_VARIATIONAL
-    if grad is None:
-        rows = lambda vs: np.array([f(v) for v in vs], dtype=float)
-        grad = lambda v: central_difference(rows, v)[0]
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    fx = float(f(x))
+    fx, g = f(x)
+    fx = float(fx)
     if not np.isfinite(fx):
         raise DivergedEvaluation("objective not finite at the starting point")
     tol = settings.grad_tol
     if tol is None:
         tol = 1e-6 * (1.0 + abs(fx))
-    g = grad(x)
     h_inv = np.eye(x.shape[0])
     for it in range(settings.max_iter):
         if np.linalg.norm(g) <= tol:
@@ -103,14 +101,14 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None, grad=None)
         alpha, ok = 1.0, False
         for _ in range(41):
             x_new = x + alpha * p
-            f_new = float(f(x_new))
+            f_new, g_new = f(x_new)
+            f_new = float(f_new)
             if np.isfinite(f_new) and f_new < fx and f_new <= fx + 1e-4 * alpha * slope:
                 ok = True
                 break
             alpha *= 0.5
         if not ok:
             raise OptimizerStopped(f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})", it)
-        g_new = grad(x_new)
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
@@ -229,12 +227,10 @@ class WhitenedMisfit:
 
         J(u) = 1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2,
 
-    with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T.  A point where
-    the map leaves its domain scores inf.  Called at one u, it keeps the
-    map's value and H L, its Jacobian along the columns of L, from one joint
-    call, for ``gradient``.  L_R^-1 is formed once, so every evaluation is a
-    matrix product; an R with an exact component (a zero row) raises
-    SingularMatrix, as the misfit then has no finite Hessian.
+    with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T.  L_R^-1 is
+    formed once, so every evaluation is a matrix product; an R with an exact
+    component (a zero row) raises SingularMatrix, as the misfit then has no
+    finite Hessian.
     """
 
     def __init__(self, prior, obs_map, y, r, diag=None):
@@ -243,15 +239,15 @@ class WhitenedMisfit:
         self.w_obs = _inverted_factor(r, "observation covariance", diag)
         self.obs_map = obs_map
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
-        self._last = None
 
     def to_x(self, us):
         """x = m + L u, for one u or stacked rows."""
         return self.mean + us @ self.l_prior.T
 
-    def _data_term(self, xs, preds=None):
+    def _data_term(self, xs):
+        """1/2 |L_R^-1 r(x)|^2 at stacked points (m, n); inf where the map leaves its domain."""
         try:
-            preds = self.obs_map.rows(xs) if preds is None else preds
+            preds = self.obs_map.rows(xs)
         except DivergedEvaluation:
             return np.full(xs.shape[0], np.inf)  # a probe left the map's domain
         dr = self.w_obs @ self.obs_map.residual(self.y, preds).T
@@ -260,28 +256,20 @@ class WhitenedMisfit:
             # resulting inf makes the line search back off, as intended
             return 0.5 * np.sum(dr * dr, axis=0)
 
-    def at_u(self, us, preds=None):
-        """J at stacked whitened points (m, k); ``preds``: the map's values there, if known."""
-        with np.errstate(over="ignore"):
-            return 0.5 * np.sum(us * us, axis=1) + self._data_term(self.to_x(us), preds)
-
     def __call__(self, u):
-        """J at one whitened point u, as ``at_u(u[None])[0]``."""
+        """J at one whitened point u and its exact gradient
+        u - (L_R^-1 B)^T L_R^-1 r, with B = H L the map's Jacobian at
+        x = m + L u along the columns of L, both from one
+        ``value_and_jacobian`` call; (inf, None) where the map's value or
+        Jacobian is not finite."""
         try:
-            self._last = (u.copy(), *self.obs_map.value_and_jacobian(self.to_x(u), self.l_prior))
-            return self.at_u(u[None], self._last[1][None])[0]
-        except DivergedEvaluation:
-            return self.at_u(u[None])[0]  # inf unless only the Jacobian is not finite
-
-    def gradient(self, u):
-        """Exact whitened gradient u - (L_R^-1 B)^T L_R^-1 r at one u, with
-        B = H L the map's Jacobian at x = m + L u along the columns of L."""
-        if self._last is not None and np.array_equal(self._last[0], u):
-            _, pred, b = self._last  # the point just scored, as every accepted one is
-        else:
             pred, b = self.obs_map.value_and_jacobian(self.to_x(u), self.l_prior)
+        except DivergedEvaluation:
+            return np.inf, None
         w = self.w_obs @ self.obs_map.residual(self.y, pred)
-        return u - (self.w_obs @ b).T @ w
+        with np.errstate(over="ignore"):  # an overflow scores inf, as in ``_data_term``
+            value = 0.5 * np.sum(u * u) + 0.5 * np.sum(w * w)
+        return value, u - (self.w_obs @ b).T @ w
 
     def hessian(self, x):
         """The whitened Hessian I + H_d of J at x = m + L u: the prior term's
@@ -309,7 +297,7 @@ def measurement_update_variational(
     settings = settings or DEFAULT_VARIATIONAL
     misfit = WhitenedMisfit(prior, obs_map, y, r, diag)
     try:
-        u_min, iters = bfgs_minimize(misfit, np.zeros(prior.dim), settings, grad=misfit.gradient)
+        u_min, iters = bfgs_minimize(misfit, np.zeros(prior.dim), settings)
     except OptimizerStopped as exc:
         if diag is not None:
             diag.bfgs_iterations += exc.iterations

@@ -38,6 +38,7 @@ from gaussfilt.models import (
 )
 from gaussfilt.testbeds import TruthRun
 from moments import moment_defect
+from objectives import with_difference_gradient
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -457,15 +458,15 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_optimizer_oracle():
     quad, _ = bfgs_minimize(
-        lambda v: float(v @ v), np.array([3.0, -4.0]), VariationalSettings(grad_tol=1e-6)
+        with_difference_gradient(lambda v: float(v @ v)), np.array([3.0, -4.0]), VariationalSettings(grad_tol=1e-6)
     )
     quart, _ = bfgs_minimize(
-        lambda v: (v[0] - 2.0) ** 4 + 1.0,
+        with_difference_gradient(lambda v: (v[0] - 2.0) ** 4 + 1.0),
         np.array([0.0]),
         VariationalSettings(grad_tol=1e-9, max_iter=500),
     )
     rosen, _ = bfgs_minimize(
-        lambda v: 100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2,
+        with_difference_gradient(lambda v: 100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2),
         np.array([-1.2, 1.0]),
         VariationalSettings(grad_tol=1e-8, max_iter=500),
     )

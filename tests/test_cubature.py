@@ -87,6 +87,19 @@ class TestStandardRule:
         mu = standard_rule(2, samples=3.0, rng=np.random.default_rng(0))
         assert mu.size == 3 and np.array_equal(mu.weights, np.full(3, 1.0 / 3.0))
 
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    @pytest.mark.parametrize("samples", [None, 4])
+    def test_dimension_must_be_an_integer(self, k, samples):
+        # True must not find the cached k = 1 rule either
+        standard_rule(1, degree=3)
+        rng = None if samples is None else np.random.default_rng(0)
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            standard_rule(k, None if samples else 3, samples=samples, rng=rng)
+
+    def test_dimension_may_be_an_integral_float(self):
+        assert standard_rule(2.0, 3) is standard_rule(2, 3)
+        assert standard_rule(2.0, samples=3, rng=np.random.default_rng(0)).dim == 2
+
     def test_sampled_takes_no_degree(self):
         with pytest.raises(ValueError, match="not a degree"):
             standard_rule(2, 3, samples=4, rng=np.random.default_rng(0))

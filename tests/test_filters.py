@@ -105,6 +105,11 @@ class TestFilterKind:
         with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
             VariationalSettings(grad_tol=grad_tol)
 
+    def test_grad_tol_must_not_be_a_bool(self):
+        # a bool is a numbers.Real: True would run as tolerance 1
+        with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+            VariationalSettings(grad_tol=True)
+
     def test_family_partitions(self):
         assert FilterKind("LGSF").is_smoothing
         assert not FilterKind("LGF").is_smoothing

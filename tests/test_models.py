@@ -171,6 +171,31 @@ class TestDiscretizeSde:
         with pytest.raises(ValueError):
             SdeSpec(drift=None, volatility=None, brownian_dim=1, dt=-1.0)
 
+    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            SdeSpec(drift=None, volatility=None, brownian_dim=1, dt=dt)
+
+    @pytest.mark.parametrize("counts", [{"substeps": 0}, {"brownian_dim": -1}])
+    def test_counts_must_be_in_range(self, counts):
+        with pytest.raises(ValueError, match="substeps must be >= 1 and brownian_dim >= 0"):
+            SdeSpec(drift=None, volatility=None, **{"brownian_dim": 1, "dt": 0.1, **counts})
+
+    @pytest.mark.parametrize("name", ["brownian_dim", "substeps", "state_dim"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_counts_must_be_integers(self, name, value):
+        counts = {"brownian_dim": 1, "substeps": 1, "state_dim": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SdeSpec(drift=None, volatility=None, dt=0.1, **counts)
+
+    def test_integral_float_counts_are_stored_as_ints(self):
+        spec = SdeSpec(
+            drift=lambda t, x: -x, volatility=lambda t, x: np.eye(1), brownian_dim=1.0, dt=0.1, substeps=2.0
+        )
+        assert (spec.brownian_dim, spec.substeps) == (1, 2)
+        assert all(type(v) is int for v in (spec.brownian_dim, spec.substeps, spec.state_dim))
+        assert discretize_sde(spec).noise_dim == 2
+
 
 class TestAugment:
     def test_block_structure(self):

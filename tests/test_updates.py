@@ -36,6 +36,7 @@ from gaussfilt.models import (
 from gaussfilt.cubature import standard_rule, symmetric_stencil, transform, weighted_moments
 from gaussfilt.gaussian import cholesky_factor
 from gaussfilt.updates import WhitenedMisfit, _kalman_update, numerical_hessian
+from objectives import with_difference_gradient
 
 
 def linear_process(a, gamma):
@@ -208,11 +209,11 @@ class TestSolveLower:
 
 class TestBfgsMinimize:
     def test_convex_quadratic(self):
-        x, _ = bfgs_minimize(lambda v: float(v @ v), np.array([3.0, -4.0]))
+        x, _ = bfgs_minimize(with_difference_gradient(lambda v: float(v @ v)), np.array([3.0, -4.0]))
         assert np.max(np.abs(x)) <= 1e-6
 
     def test_flat_quartic(self):
-        x, _ = bfgs_minimize(lambda v: (v[0] - 2.0) ** 4 + 1.0, np.array([0.0]))
+        x, _ = bfgs_minimize(with_difference_gradient(lambda v: (v[0] - 2.0) ** 4 + 1.0), np.array([0.0]))
         assert abs(x[0] - 2.0) <= 1e-3
 
     def test_rosenbrock(self):
@@ -220,7 +221,7 @@ class TestBfgsMinimize:
             return 100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2
 
         settings = VariationalSettings(grad_tol=1e-8, max_iter=500)
-        x, _ = bfgs_minimize(rosen, np.array([-1.2, 1.0]), settings)
+        x, _ = bfgs_minimize(with_difference_gradient(rosen), np.array([-1.2, 1.0]), settings)
         assert np.max(np.abs(x - 1.0)) <= 1e-4
 
     def test_iteration_budget_enforced(self):
@@ -228,35 +229,21 @@ class TestBfgsMinimize:
             return 100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2
 
         with pytest.raises(OptimizerStopped, match="after 3 iterations") as raised:
-            bfgs_minimize(rosen, np.array([-1.2, 1.0]), VariationalSettings(grad_tol=1e-10, max_iter=3))
+            bfgs_minimize(
+                with_difference_gradient(rosen), np.array([-1.2, 1.0]), VariationalSettings(grad_tol=1e-10, max_iter=3)
+            )
         assert raised.value.iterations == 3
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(DivergedEvaluation):
-            bfgs_minimize(lambda v: np.inf, np.array([0.0]))
-
-    def test_analytic_gradient_agrees(self):
-        def f(v):
-            return float(v @ v) + float(np.sin(v[0]))
-
-        def grad(v):
-            return 2.0 * v + np.array([np.cos(v[0]), 0.0])
-
-        xa, _ = bfgs_minimize(f, np.array([2.0, -1.0]))
-        xb, _ = bfgs_minimize(f, np.array([2.0, -1.0]), grad=grad)
-        assert np.allclose(xa, xb, atol=1e-6)
+            bfgs_minimize(lambda v: (np.inf, None), np.array([0.0]))
 
     def test_step_lost_in_rounding_is_rejected(self):
         # The Armijo bound fx + 1e-4 * alpha * slope rounds to fx here, so a
         # step that leaves f unchanged would pass it; it must not count as
         # a decrease.
         with pytest.raises(OptimizerStopped, match="no Armijo step after 40 halvings"):
-            bfgs_minimize(
-                lambda v: 1.0,
-                np.array([0.0]),
-                VariationalSettings(grad_tol=1e-12),
-                grad=lambda v: np.array([1e-10]),
-            )
+            bfgs_minimize(lambda v: (1.0, np.array([1e-10])), np.array([0.0]), VariationalSettings(grad_tol=1e-12))
 
 
 class TestTimeUpdateLinear:
@@ -509,9 +496,37 @@ class TestWhitenedVariational:
         misfit = WhitenedMisfit(prior, obs_map, y, r)
         rng = np.random.default_rng(3)
         for u in (np.zeros(prior.dim), 0.5 * rng.standard_normal(prior.dim)):
-            expected = central_difference(misfit.at_u, u)[0]
-            got = misfit.gradient(u)
+            expected = central_difference(lambda us: [misfit(v)[0] for v in us], u)[0]
+            got = misfit(u)[1]
             assert np.linalg.norm(got - expected) <= 1e-5 * np.linalg.norm(expected)
+
+    def test_non_finite_jacobian_scores_inf(self):
+        # The value is finite there, but a point without a gradient cannot be
+        # accepted, so the line search must back off from it.
+        obs_map = ObsFunction(fn=lambda x: x, out_dim=1, jacobian=lambda x: [[np.nan if x[0] > 1.0 else 1.0]])
+        misfit = WhitenedMisfit(Gaussian([0.0], [[1.0]]), obs_map, [0.5], [[1.0]])
+        assert misfit(np.array([2.0])) == (np.inf, None)
+        assert np.isfinite(misfit(np.array([0.5]))[0])
+
+    @pytest.mark.parametrize("obs_kind", ["identity", "shifted_quadratic"])
+    def test_one_linearization_per_bfgs_point(self, obs_kind):
+        # Every line search here takes its full first step, so BFGS scores
+        # iterations + 1 points per step; each must cost one Jacobian call,
+        # the gradient reading the linearization its value came from.
+        process, obs = bistable_models(BistableSpec(obs_kind=obs_kind))
+        truth = simulate_truth(process, obs, np.array([0.8]), 20, np.random.default_rng(5))
+        calls = [0] * 21
+
+        def jacobian(n, x):
+            calls[n] += 1
+            return obs.jacobian(n, x)
+
+        counted = dataclasses.replace(obs, jacobian=jacobian)
+        traj = run_filter(FilterKind("VGF"), process, counted, Gaussian([0.8], [[0.02]]), truth.observations)
+        assert traj.error is None
+        iterations = [rec.diagnostics.bfgs_iterations for rec in traj.records[1:]]
+        assert min(iterations) >= 2
+        assert calls[1:] == [it + 1 for it in iterations]
 
     def test_bistable_vgsf_needs_few_iterations(self):
         # In whitened coordinates the prior's noise block (precision 100)
