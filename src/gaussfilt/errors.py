@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer rule of config counts."""
+"""Exception types shared across the package, and the rules of config counts and numbers."""
+
+import numpy as np
 
 
 def as_integer(value, name: str) -> int:
@@ -7,6 +9,11 @@ def as_integer(value, name: str) -> int:
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def holds_bool(value) -> bool:
+    """Whether ``value``, a number or nested sequence, holds a bool, which NumPy reads as 0 or 1."""
+    return any(isinstance(v, (bool, np.bool_)) for v in np.ravel(np.asarray(value, dtype=object)))
 
 
 class GaussFiltError(Exception):

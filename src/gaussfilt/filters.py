@@ -134,7 +134,7 @@ def _measurement_update(kind, prior, obs_map, y, r, rng, diag):
         return measurement_update_linear(prior, obs_map, y, r, diag)
     if kind.kernel == "VG":
         # The variational kernel inverts only R and I + H_d, so a SingularMatrix
-        # it raises means the misfit has no finite Hessian, not a broken belief.
+        # it raises means R or I + H_d does not factor, not a broken belief.
         try:
             return measurement_update_variational(prior, obs_map, y, r, kind.variational, diag)
         except (OptimizerStopped, SingularMatrix):

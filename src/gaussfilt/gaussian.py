@@ -17,7 +17,8 @@ from .errors import NotPositiveDefinite, SingularMatrix
 # C + eps * diag(scale) for the least eps that factors, where ``scale`` holds
 # per-coordinate variances.  Augmented covariances become rank-deficient after
 # conditioning on an observation, so a zero-tolerance factorization would be
-# unusable there.
+# unusable there.  Only beliefs are repaired: a matrix a step inverts goes to
+# ``_inverse_factor`` as given.
 JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)
 
 

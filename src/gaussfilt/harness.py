@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import Diagnostics
-from .errors import ConfigError, as_integer
+from .errors import ConfigError, as_integer, holds_bool
 from .filters import FilterKind, run_filter
 from .gaussian import Gaussian
 from .testbeds import (
@@ -140,6 +140,8 @@ class ExperimentConfig:
                 raise ConfigError("at least one filter required")
             if len(set(labels)) != len(labels):
                 raise ConfigError(f"duplicate filter labels: {labels}")
+            if any(holds_bool(v) for v in (self.prior_mean, self.prior_cov, self.truth_x0)):
+                raise ConfigError("prior and truth_x0 must hold numbers, not bools")
             d = self.build_models()[0].state_dim  # checks the testbed params and the prior's dimension
             if isinstance(self.truth_x0, str):
                 if self.truth_x0 != "prior-sample":

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergedEvaluation, as_integer
+from .errors import DimensionMismatch, DivergedEvaluation, as_integer, holds_bool
 from .gaussian import Gaussian, as_covariance
 
 _EPS = np.finfo(float).eps
@@ -235,7 +235,7 @@ class ObsFunction:
 class SdeSpec:
     """Ito SDE dx = b(t,x) dt + s(t,x) dB with simulation step dt and
     ``substeps`` integration steps per observation interval.  The three counts
-    follow the integer rule (``as_integer``); dt must be positive and finite."""
+    follow the integer rule (``as_integer``); dt must be positive and finite, not a bool."""
 
     drift: Callable[[float, np.ndarray], np.ndarray]
     volatility: Callable[[float, np.ndarray], np.ndarray]  # (t, x) -> d x N
@@ -250,7 +250,7 @@ class SdeSpec:
     def __post_init__(self):
         for name in ("brownian_dim", "substeps", "state_dim"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if not 0 < self.dt < np.inf:
+        if holds_bool(self.dt) or not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
         if self.substeps < 1 or self.brownian_dim < 0:
             raise ValueError("substeps must be >= 1 and brownian_dim >= 0")

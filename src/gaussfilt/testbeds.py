@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DivergedEvaluation, as_integer
+from .errors import DivergedEvaluation, as_integer, holds_bool
 from .models import ObservationModel, ProcessModel, SdeSpec, discretize_sde
 
 IDENTITY_OBS = "identity"
@@ -18,12 +18,12 @@ QUADRATIC_SHIFT = 0.05
 
 def _check_finite(spec) -> None:
     """ValueError unless every field of ``spec`` not declared ``str`` holds
-    finite numbers: a string, like a NaN, is not one."""
+    finite numbers: a string or a bool, like a NaN, is not one."""
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if f.type is not str and not (
+        if f.type is not str and (holds_bool(value) or not (
             np.issubdtype(np.asarray(value).dtype, np.number) and np.isfinite(value).all()
-        ):
+        )):
             raise ValueError(f"{f.name} must be numeric and finite, got {value!r}")
 
 

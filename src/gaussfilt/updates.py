@@ -14,8 +14,9 @@ import numpy as np
 
 from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
-from .errors import DivergedEvaluation, NotPositiveDefinite, OptimizerStopped, SingularMatrix, as_integer
-from .gaussian import Gaussian, _conditioning_terms, _factor_of, _settled, cholesky_factor, symmetrize
+from .errors import DivergedEvaluation, OptimizerStopped, as_integer
+from .gaussian import Gaussian, _conditioning_terms, _factor_of, _inverse_factor, _settled, symmetrize
+from .gaussian import cholesky_factor  # unused here; bench/test_bench.py asserts this binding
 from .models import ObsFunction, ProcessModel, difference_step
 
 
@@ -209,18 +210,6 @@ def measurement_update_points(
     return _kalman_update(x_mean, p_xx, obs_map, y, r, z_mean, p_xz, p_zz, diag)
 
 
-def _inverted_factor(c, what, diag):
-    """L^-1 for L = cholesky_factor(c, diag); SingularMatrix if c does not
-    factor or L has a zero row, as it has where c has one."""
-    try:
-        factor = cholesky_factor(c, diag)
-    except NotPositiveDefinite as exc:
-        raise SingularMatrix(f"{what} not invertible") from exc
-    if not np.diagonal(factor).all():
-        raise SingularMatrix(f"{what} has a zero row")
-    return np.linalg.inv(factor)
-
-
 class WhitenedMisfit:
     """The variational misfit of a prior N(m, L L^T) and an observation y in
     the whitened coordinates u = L^-1 (x - m):
@@ -228,15 +217,15 @@ class WhitenedMisfit:
         J(u) = 1/2 |u|^2 + 1/2 |L_R^-1 r(m + L u)|^2,
 
     with r(x) = obs_map.residual(y, h(x)) and R = L_R L_R^T.  L_R^-1 is
-    formed once, so every evaluation is a matrix product; an R with an exact
-    component (a zero row) raises SingularMatrix, as the misfit then has no
-    finite Hessian.
+    formed once, so every evaluation is a matrix product; an R that does not
+    factor as given, as where it observes a combination of states exactly,
+    raises SingularMatrix, as the misfit then has no finite Hessian.
     """
 
     def __init__(self, prior, obs_map, y, r, diag=None):
         self.mean = prior.mean
         self.l_prior = _factor_of(prior, diag)
-        self.w_obs = _inverted_factor(r, "observation covariance", diag)
+        self.w_obs = _inverse_factor(r, "observation covariance")
         self.obs_map = obs_map
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
 
@@ -291,8 +280,8 @@ def measurement_update_variational(
 
     BFGS runs in whitened coordinates from u = 0 (the prior mean), where the
     prior term's Hessian is the identity BFGS starts from, and takes the
-    misfit's chain-rule gradient.  With G G^T the Cholesky factorization of
-    I + H_d, the covariance is F F^T for F = L G^-T.
+    misfit's chain-rule gradient.  With G G^T the unjittered Cholesky factorization
+    of I + H_d (SingularMatrix if none), the covariance is F F^T for F = L G^-T.
     """
     settings = settings or DEFAULT_VARIATIONAL
     misfit = WhitenedMisfit(prior, obs_map, y, r, diag)
@@ -305,5 +294,5 @@ def measurement_update_variational(
     if diag is not None:
         diag.bfgs_iterations += iters
     minimizer = misfit.to_x(u_min)
-    f = misfit.l_prior @ _inverted_factor(misfit.hessian(minimizer), "misfit Hessian", diag).T
+    f = misfit.l_prior @ _inverse_factor(misfit.hessian(minimizer), "misfit Hessian").T
     return _settled(minimizer, f @ f.T, diag)

@@ -405,22 +405,29 @@ class TestRunFilter:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_observation_noise_with_an_exact_component(self, family):
-        # R = diag(1, 0) observes the second coordinate exactly.  R's factor
-        # has a zero row, which the variational misfit cannot invert, so VGF
-        # and VGSF fall back to the linear update at every step; no family
-        # lets an exception escape, and each puts the exactly observed
-        # coordinate at its observation.
+        # R = diag(1, 0) observes the second coordinate exactly, and
+        # R = [[1, 1], [1, 1]] the difference x_1 - x_2.  Neither R factors,
+        # so the variational misfit, which must invert it, raises and VGF and
+        # VGSF fall back to the linear update at every step: their posteriors
+        # are LGF's and LGSF's to the byte.  No family lets an exception
+        # escape, and each puts the exactly observed quantity at its
+        # observation.
         walk = ProcessModel(propagate=lambda n, x, xi: x + xi, noise_cov=np.eye(2), state_dim=2, vectorized=True)
-        obs = ObservationModel(
-            observe=lambda n, x: np.asarray(x, dtype=float), obs_cov=np.diag([1.0, 0.0]), vectorized=True
-        )
         ys = [np.array([1.0, 0.5]), np.array([0.2, -0.3]), np.array([0.4, 0.1])]
         kind = FilterKind(family, sample_count=200) if family.startswith("PG") else FilterKind(family)
-        traj = run_filter(kind, walk, obs, Gaussian([0.0, 0.0], np.eye(2)), ys, np.random.default_rng(0))
-        assert traj.error is None
-        for rec, y in zip(traj.records[1:], ys):
-            assert rec.diagnostics.fallbacks == (kind.kernel == "VG")
-            assert abs(rec.posterior.mean[1] - y[1]) <= 1e-6
+        for r, exact in ((np.diag([1.0, 0.0]), [0.0, 1.0]), (np.ones((2, 2)), [1.0, -1.0])):
+            obs = ObservationModel(observe=lambda n, x: np.asarray(x, dtype=float), obs_cov=r, vectorized=True)
+            prior = Gaussian([0.0, 0.0], np.eye(2))
+            traj = run_filter(kind, walk, obs, prior, ys, np.random.default_rng(0))
+            assert traj.error is None
+            for rec, y in zip(traj.records[1:], ys):
+                assert rec.diagnostics.fallbacks == (kind.kernel == "VG")
+                assert abs(rec.posterior.mean @ exact - y @ exact) <= 1e-6
+            if kind.kernel == "VG":
+                linear = run_filter(FilterKind("LG" + family[2:]), walk, obs, prior, ys)
+                for rec, lin in zip(traj.records, linear.records):
+                    assert rec.posterior.mean.tobytes() == lin.posterior.mean.tobytes()
+                    assert rec.posterior.cov.tobytes() == lin.posterior.cov.tobytes()
 
     @pytest.mark.parametrize(
         "output,family",

@@ -233,10 +233,17 @@ class TestExperimentConfig:
             {"truth_x0": "prior_sample"},
             {"truth_x0": [0.1, 0.2]},
             {"truth_x0": [float("nan")]},
+            {"truth_x0": True},
+            {"truth_x0": [True]},
+            {"prior": {"mean": [True], "cov": [[0.02]]}},
+            {"prior": {"mean": [0.8], "cov": [[True]]}},
+            {"testbed": "lorenz63", "params": {"g": [True, 0.0, 0.0]}, "truth_x0": "prior-sample",
+             "prior": {"mean": [1.0, 1.0, 1.0], "cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
         ],
         ids=["negative-grad-tol", "nan-grad-tol", "infinite-grad-tol", "unknown-variational-field",
              "non-integer-degree", "short-window", "negative-prior-cov", "unknown-truth-x0", "truth-x0-wrong-dim",
-             "truth-x0-not-finite"],
+             "truth-x0-not-finite", "boolean-truth-x0", "boolean-truth-x0-entry", "boolean-prior-mean",
+             "boolean-prior-cov", "boolean-lorenz-g"],
     )
     def test_malformed_fields_raise_config_error(self, overrides):
         with pytest.raises(ConfigError):

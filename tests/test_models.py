@@ -171,7 +171,7 @@ class TestDiscretizeSde:
         with pytest.raises(ValueError):
             SdeSpec(drift=None, volatility=None, brownian_dim=1, dt=-1.0)
 
-    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, True])
     def test_dt_must_be_positive_and_finite(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             SdeSpec(drift=None, volatility=None, brownian_dim=1, dt=dt)
