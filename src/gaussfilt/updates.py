@@ -78,7 +78,13 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
     identity; the line search tries steps 1, 1/2, 1/4, ... (at most 40
     halvings) and accepts the first that meets the Armijo condition with
     c = 1e-4 and strictly lowers f.  A decrease lost in f's rounding thus
-    fails the search instead of passing it vacuously.
+    fails the search instead of passing it vacuously.  Near a minimum f's
+    rounding can hide every decrease, as where the map's input is far from
+    the origin; the search then falls back to the first step that meets
+    Hager and Zhang's approximate Wolfe conditions, which read the slope
+    along p rather than f: f rises by at most 1e-6 |f| and the slope lies in
+    [0.9, -0.8] times the slope at the start.  Only where no step meets
+    either test does the search fail.
     """
     settings = settings or DEFAULT_VARIATIONAL
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -99,7 +105,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
             h_inv = np.eye(x.shape[0])
             p = -g
             slope = float(g @ p)
-        alpha, ok = 1.0, False
+        alpha, ok, approximate = 1.0, False, None
         for _ in range(41):
             x_new = x + alpha * p
             f_new, g_new = f(x_new)
@@ -107,9 +113,17 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
             if np.isfinite(f_new) and f_new < fx and f_new <= fx + 1e-4 * alpha * slope:
                 ok = True
                 break
+            if (
+                approximate is None
+                and f_new <= fx + 1e-6 * abs(fx)  # False for nan
+                and 0.9 * slope <= float(g_new @ p) <= -0.8 * slope
+            ):
+                approximate = x_new, f_new, g_new
             alpha *= 0.5
         if not ok:
-            raise OptimizerStopped(f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})", it)
+            if approximate is None:
+                raise OptimizerStopped(f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})", it)
+            x_new, f_new, g_new = approximate
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussfilt import (
@@ -175,6 +175,9 @@ KINDS = [FilterKind(f) for f in ("LGF", "LGSF", "VGF", "VGSF")] + [
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
 @settings(max_examples=60, deadline=None)
 @given(frames())
+# Rounding in the state, 1e4 sd from the origin, hid VGSF's last BFGS decrease
+# at step 2 here; its failed line search sent the step to the linear update.
+@example(("lorenz63", np.array([33.770630848670365, 10**0.5, 1.018151721718182]), np.array([7762.0, 5181.0, 9187.25]), 1))
 def test_estimates_map_through_a_change_of_units_and_origin(kind, frame):
     assert_within_tolerance(kind, frame[0], frame_moves(kind, *frame))
 

@@ -245,6 +245,16 @@ class TestBfgsMinimize:
         with pytest.raises(OptimizerStopped, match="no Armijo step after 40 halvings"):
             bfgs_minimize(lambda v: (1.0, np.array([1e-10])), np.array([0.0]), VariationalSettings(grad_tol=1e-12))
 
+    def test_decrease_hidden_by_rounding_takes_an_approximate_wolfe_step(self):
+        # f is 1/2 v^2 rounded to multiples of 1e-10, so from v = 1e-6 no
+        # step strictly lowers it; the full step lands on the minimum, where
+        # the slope along p is zero, and the search takes it.
+        def rounded(v):
+            return np.round(0.5 * float(v @ v) / 1e-10) * 1e-10, v.copy()
+
+        x, iterations = bfgs_minimize(rounded, np.array([1e-6]), VariationalSettings(grad_tol=1e-8))
+        assert x[0] == 0.0 and iterations == 1
+
 
 class TestTimeUpdateLinear:
     def test_linear_model_exact(self):
