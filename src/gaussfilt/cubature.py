@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, as_integer
+from .errors import as_integer, as_shape
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,9 @@ def standard_rule(
 
 def transform(mu: DiscreteMeasure, m: np.ndarray, s: np.ndarray) -> DiscreteMeasure:
     """Affine push-forward x -> m + S x; turns a standard-Gaussian measure
-    into one for N(m, S S^T)."""
-    m = np.asarray(m, dtype=float)
-    s = np.asarray(s, dtype=float)
-    k = mu.dim
-    if s.shape != (k, k) or m.shape != (k,):
-        raise DimensionMismatch(f"transform of {k}-dim measure with m {m.shape}, S {s.shape}")
+    into one for N(m, S S^T); m must be (k,) and S (k, k) (``as_shape``)."""
+    m = as_shape(m, (mu.dim,), "transform mean")
+    s = as_shape(s, (mu.dim, mu.dim), "transform factor")
     pts = mu.points @ s.T
     pts += m  # in place: a wide point set allocates one (m, k) array, not two
     return DiscreteMeasure._unchecked(mu.weights, pts)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rules of config counts and numbers."""
+"""Exception types shared across the package, and the rules of config counts, numbers and shapes."""
 
 import numpy as np
 
@@ -9,6 +9,14 @@ def as_integer(value, name: str) -> int:
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_shape(a, shape: tuple, what: str) -> np.ndarray:
+    """``a`` as a float array of exactly ``shape``, else DimensionMismatch naming both shapes."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{what} {a.shape}, not {shape}")
+    return a
 
 
 def holds_bool(value) -> bool:

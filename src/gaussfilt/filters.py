@@ -12,7 +12,7 @@ import numpy as np
 
 from .cubature import DiscreteMeasure, standard_rule
 from .diagnostics import Diagnostics
-from .errors import GaussFiltError, OptimizerStopped, SingularMatrix, as_integer
+from .errors import GaussFiltError, OptimizerStopped, SingularMatrix, as_integer, as_shape
 from .gaussian import Gaussian
 from .models import ObservationModel, ProcessModel, augment, composed_observation
 from .updates import (
@@ -195,13 +195,16 @@ def run_filter(
 ) -> FilterTrajectory:
     """Fold the per-step update over the observation sequence.
 
-    Deterministic families never touch the generator.  An unrecoverable
-    kernel error, a ``GaussFiltError``, terminates the trajectory; the
-    partial result is returned together with the error.
+    Deterministic families never touch the generator.  Every observation must be (obs_dim,),
+    a number being (1,), and finite before the first step.  An unrecoverable kernel error,
+    a ``GaussFiltError``, terminates the trajectory; the partial result is returned with it.
     """
-    observations = list(observations)
+    observations = [as_shape(np.atleast_1d(y), (obs.obs_dim,), f"observation {n + 1} has shape")
+                    for n, y in enumerate(observations)]
     if not observations:
         raise ValueError("observation list must be nonempty")
+    if not np.isfinite(observations).all():
+        raise ValueError(f"observation {np.isfinite(observations).all(axis=1).argmin() + 1} is not finite")
     step = smoothing_step if kind.is_smoothing else conventional_step
     records = [StepRecord(0, prior, Diagnostics())]
     posterior = prior
@@ -210,7 +213,6 @@ def run_filter(
     with np.errstate(over="ignore", invalid="ignore"):
         for n, y in enumerate(observations):
             diag = Diagnostics()
-            y = np.asarray(y, dtype=float)
             try:
                 posterior = step(kind, posterior, process, obs, y, n, rng, diag)
             except GaussFiltError as exc:

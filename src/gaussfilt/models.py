@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergedEvaluation, as_integer, holds_bool
+from .errors import DimensionMismatch, DivergedEvaluation, as_integer, as_shape, holds_bool
 from .gaussian import Gaussian, as_covariance
 
 _EPS = np.finfo(float).eps
@@ -48,29 +48,21 @@ def central_difference(rows: Callable, x: np.ndarray, basis: np.ndarray | None =
 
 
 def _along(jac, basis: np.ndarray | None, out_dim: int, n: int) -> np.ndarray:
-    """An analytic Jacobian, checked as (out_dim, n), times ``basis`` (the
-    identity when None); DimensionMismatch otherwise."""
-    jac = np.atleast_2d(jac)
-    if jac.shape != (out_dim, n):
-        raise DimensionMismatch(f"Jacobian {jac.shape}, not {(out_dim, n)}")
+    """An analytic Jacobian, checked as (out_dim, n), times ``basis`` (the identity when None)."""
+    jac = as_shape(jac, (out_dim, n), "Jacobian")
     return jac if basis is None else jac @ basis
 
 
 def _stacked_rows(fn: Callable, vectorized: bool, out_dim: int, xs: np.ndarray) -> np.ndarray:
-    """fn at stacked points xs (m, k) as an (m, out_dim) array: one call when
-    ``vectorized``, else one call per row.  The one path that acts on
-    ``vectorized``, for ``ObsFunction.rows`` and ``ProcessModel.forward``
-    alike; raises DimensionMismatch or, if not finite, DivergedEvaluation."""
-    m = xs.shape[0]
+    """fn at stacked points xs (m, k): exactly (m, out_dim) from one call when
+    ``vectorized``, else exactly out_dim values, raveled, from each row's call.
+    The one path that acts on ``vectorized``, for ``ObsFunction.rows`` and
+    ``ProcessModel.forward`` alike; raises DimensionMismatch, or DivergedEvaluation if not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         if vectorized:
-            out = fn(xs)
+            out = as_shape(fn(xs), (xs.shape[0], out_dim), "map returned shape")
         else:
-            out = np.concatenate([np.ravel(fn(x)) for x in xs])
-        out = np.asarray(out, dtype=float)
-    if out.size != m * out_dim:
-        raise DimensionMismatch(f"map returned shape {out.shape}, not ({m}, {out_dim})")
-    out = out.reshape(m, out_dim)
+            out = np.stack([as_shape(np.ravel(fn(x)), (out_dim,), "map returned shape") for x in xs])
     if not np.isfinite(out).all():
         raise DivergedEvaluation("pushed points are not finite")
     return out
@@ -82,8 +74,8 @@ def _linearized(rows, out_dim, x, basis, jacobian, linearize) -> tuple[np.ndarra
     call when that is given, else ``rows`` at x and the analytic
     ``jacobian(x)`` (checked by ``_along``) or, when None, ``central_difference``
     of ``rows``.  The one linearization of observation and process maps alike;
-    raises DimensionMismatch unless the value is (out_dim,), DivergedEvaluation
-    if either is not finite."""
+    on every branch raises DimensionMismatch unless the value is (out_dim,) and
+    J @ basis (out_dim, k), DivergedEvaluation if either is not finite."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         if linearize is not None:
@@ -92,9 +84,8 @@ def _linearized(rows, out_dim, x, basis, jacobian, linearize) -> tuple[np.ndarra
             value, jac = rows(x[None])[0], _along(jacobian(x), basis, out_dim, len(x))
         else:
             value, jac = rows(x[None])[0], central_difference(rows, x, basis)
-        value = np.asarray(value, dtype=float)
-    if value.shape != (out_dim,):
-        raise DimensionMismatch(f"value {value.shape}, not {(out_dim,)}")
+    value = as_shape(value, (out_dim,), "value")
+    jac = as_shape(jac, (out_dim, len(x) if basis is None else basis.shape[1]), "Jacobian")
     if not (np.isfinite(value).all() and np.isfinite(jac).all()):
         raise DivergedEvaluation("value or Jacobian is not finite")
     return value, jac

@@ -64,8 +64,8 @@ class Lorenz63Spec:
         if np.shape(self.g) != (3,):
             raise ValueError(f"g must hold 3 numbers, got {self.g!r}")
         object.__setattr__(self, "g", tuple(float(v) for v in self.g))
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt <= 0 or self.obs_var <= 0:
+            raise ValueError("dt and obs_var must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class TurnModelSpec:
 
     def __post_init__(self):
         _check_finite(self)
-        if self.q < 0 or self.range_var <= 0 or self.bearing_var <= 0:
-            raise ValueError("q must be >= 0 and observation variances positive")
+        if self.dt <= 0 or self.q < 0 or self.range_var <= 0 or self.bearing_var <= 0:
+            raise ValueError("dt, range_var and bearing_var must be positive and q >= 0")
 
 
 @dataclass(frozen=True)

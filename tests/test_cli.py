@@ -92,6 +92,27 @@ def test_run_with_a_diverging_truth_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_with_an_aborted_trajectory_warns_and_exits_0(tmp_path, capsys):
+    # At beta 150 the truth stays in its well, but a CGF point pushed far
+    # enough out leaves the Euler-Maruyama domain: the trajectory aborts with
+    # a warning, the run still writes its files.
+    path = write_config(tmp_path, params={"beta": 150}, filters=[{"family": "CGF"}])
+    assert main(["run", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: replicate 0 filter CGF3 aborted: pushed points are not finite\n"
+    assert len(captured.out.splitlines()) == 3
+    assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_run_into_a_path_under_a_regular_file_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(blocker / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("io error:") and captured.out == ""
+
+
 def test_validate_malformed_field_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, window=[1])
     assert main(["validate", "--config", str(path)]) == 1

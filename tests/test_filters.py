@@ -7,9 +7,11 @@ import pytest
 
 from gaussfilt import (
     BistableSpec,
+    Diagnostics,
     FilterKind,
     Gaussian,
     ObservationModel,
+    TurnModelSpec,
     VariationalSettings,
     bistable_models,
     condition,
@@ -17,6 +19,7 @@ from gaussfilt import (
     run_filter,
     simulate_truth,
     smoothing_step,
+    turn_models,
 )
 from gaussfilt.errors import DimensionMismatch, DivergedEvaluation, SingularMatrix
 from gaussfilt.filters import ALL_FAMILIES
@@ -462,6 +465,49 @@ class TestRunFilter:
         assert len(traj.records) == 1
         named = {"obs-jacobian": "(1, 2), not", "process-jacobian": "(1, 3), not"}
         assert named.get(output, "map returned shape (") in str(traj.error)
+
+    def test_transposed_stacked_observation_is_rejected(self):
+        # A vectorized radar map that stacks its two components without
+        # axis=-1 returns (2, m) for m points: the right size in the wrong
+        # layout.  The stacked paths, CGF's and PGF's point sets and the
+        # stacked truth rollout, must reject it with the shapes, not reshape it.
+        process, obs = turn_models(TurnModelSpec())
+        transposed = replace(obs, observe=lambda n, x: np.stack([np.hypot(x[..., 0], x[..., 2]),
+                                                                 np.arctan2(x[..., 2], x[..., 0])]))
+        x0 = np.array([1e3, 3e2, 1e3, 0.0, -0.05])
+        rngs = [np.random.default_rng(r) for r in range(3)]
+        with pytest.raises(DimensionMismatch, match=r"map returned shape \(2, 3\), not \(3, 2\)"):
+            simulate_truth(process, transposed, np.tile(x0, (3, 1)), 2, rngs)
+        ys = simulate_truth(process, obs, x0, 5, np.random.default_rng(0)).observations
+        prior = Gaussian(x0, np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]))
+        for kind, m in ((FilterKind("CGF"), 10), (FilterKind("PGF", sample_count=50), 50)):
+            traj = run_filter(kind, process, transposed, prior, ys, np.random.default_rng(0))
+            assert isinstance(traj.error, DimensionMismatch)
+            assert f"map returned shape (2, {m}), not ({m}, 2)" in str(traj.error)
+            assert len(traj.records) == 1
+
+    def test_linearize_hook_jacobian_is_checked(self):
+        # A one-component map whose hook returns a Jacobian with a row too
+        # many: the linearization must reject it along the basis, as it
+        # rejects an analytic Jacobian, before any matrix is inverted.
+        fn = ObsFunction(lambda x: x[:1], out_dim=1, linearize=lambda x, basis: (x[:1], np.eye(2) @ basis))
+        prior = Gaussian([0.0, 0.0], np.eye(2))
+        with pytest.raises(DimensionMismatch, match=r"Jacobian \(2, 2\), not \(1, 2\)"):
+            measurement_update_linear(prior, fn, np.array([0.5]), np.array([[R]]), Diagnostics())
+
+    @pytest.mark.parametrize(
+        "y,error,match",
+        [([1.0, 2.0], DimensionMismatch, r"observation 2 has shape \(2,\), not \(1,\)"),
+         (np.nan, ValueError, "observation 2 is not finite")],
+        ids=["wrong-length", "nan"],
+    )
+    def test_observations_are_checked_before_the_first_step(self, y, error, match):
+        process, obs = scalar_linear_model()
+        rows = []
+        process = replace(process, propagate=lambda n, x, xi: rows.append(n) or A * x + xi)
+        with pytest.raises(error, match=match):
+            run_filter(FilterKind("LGF"), process, obs, Gaussian([0.0], [[1.0]]), [1.0, y])
+        assert rows == []
 
     @pytest.mark.parametrize("family", ["VGF", "VGSF"])
     def test_non_finite_hessian_falls_back_without_warning(self, family):

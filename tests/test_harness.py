@@ -156,10 +156,11 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
-    def test_missing_field(self):
+    @pytest.mark.parametrize("key", ["seed", "prior", "filters"])
+    def test_missing_field(self, key):
         raw = bistable_config()
-        del raw["seed"]
-        with pytest.raises(ConfigError, match="seed"):
+        del raw[key]
+        with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(raw)
 
     def test_unknown_testbed(self):
@@ -239,11 +240,14 @@ class TestExperimentConfig:
             {"prior": {"mean": [0.8], "cov": [[True]]}},
             {"testbed": "lorenz63", "params": {"g": [True, 0.0, 0.0]}, "truth_x0": "prior-sample",
              "prior": {"mean": [1.0, 1.0, 1.0], "cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+            {"name": 3},
+            {"output_dir": ["out"]},
+            {"filters": [{"family": "VGF", "variational": {"max_iter": 0}}]},
         ],
         ids=["negative-grad-tol", "nan-grad-tol", "infinite-grad-tol", "unknown-variational-field",
              "non-integer-degree", "short-window", "negative-prior-cov", "unknown-truth-x0", "truth-x0-wrong-dim",
              "truth-x0-not-finite", "boolean-truth-x0", "boolean-truth-x0-entry", "boolean-prior-mean",
-             "boolean-prior-cov", "boolean-lorenz-g"],
+             "boolean-prior-cov", "boolean-lorenz-g", "non-string-name", "non-string-output-dir", "zero-max-iter"],
     )
     def test_malformed_fields_raise_config_error(self, overrides):
         with pytest.raises(ConfigError):

@@ -265,6 +265,22 @@ class TestTurnModel:
         assert np.all(bearings <= np.pi)
 
 
+@pytest.mark.parametrize(
+    "spec,fields",
+    [(BistableSpec, {"beta": 0.0}), (BistableSpec, {"obs_var": 0.0}),
+     (Lorenz63Spec, {"dt": 0.0}), (Lorenz63Spec, {"obs_var": 0.0}), (Lorenz63Spec, {"obs_var": -0.5}),
+     (TurnModelSpec, {"dt": 0.0}), (TurnModelSpec, {"dt": -1.0}), (TurnModelSpec, {"q": -1e-3}),
+     (TurnModelSpec, {"range_var": 0.0}), (TurnModelSpec, {"bearing_var": 0.0})],
+    ids=["bistable-beta", "bistable-obs-var", "lorenz-dt", "lorenz-obs-var", "lorenz-negative-obs-var",
+         "turn-dt", "turn-negative-dt", "turn-q", "turn-range-var", "turn-bearing-var"],
+)
+def test_specs_reject_non_positive_parameters(spec, fields):
+    # A zero step or observation variance is rejected where the spec is
+    # built, with the parameter's name, not later by the model it would give.
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        spec(**fields)
+
+
 class TestWrapAngle:
     def test_range(self):
         vals = wrap_angle(np.linspace(-10.0, 10.0, 1001))
