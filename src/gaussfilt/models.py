@@ -107,7 +107,6 @@ class ProcessModel:
     propagate: Callable
     noise_cov: np.ndarray
     state_dim: int
-    jacobian: Callable | None = None  # (n, x, xi) -> d x (d+D)
     vectorized: bool = False
     linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
 
@@ -134,16 +133,15 @@ class ProcessModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The forward map at one point z = [x, xi] and its d x (d+D) Jacobian
         times ``basis`` (the identity when None), from ``_linearized`` with rows
-        ``forward(n, .)`` and the user's hooks bound to n, as ObsFunction's are."""
+        ``forward(n, .)`` and ``linearize`` bound to n (without it, differences of ``forward``)."""
         d = self.state_dim
-        jacobian = None if self.jacobian is None else (lambda z: self.jacobian(n, z[:d], z[d:]))
 
         def linearize(z, basis):  # one pass gives the value and the raw Jacobian
             value, jac = self.linearize(n, z[:d], z[d:])
             return value, _along(jac, basis, d, len(z))
 
         rows = lambda zs: self.forward(n, zs)
-        return _linearized(rows, d, z, basis, jacobian, None if self.linearize is None else linearize)
+        return _linearized(rows, d, z, basis, None, None if self.linearize is None else linearize)
 
     def full_jacobian(self, n: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The Jacobian from ``value_and_jacobian``; kept only because the
@@ -207,9 +205,6 @@ class ObsFunction:
         ``_stacked_rows``, the one path that acts on ``vectorized``."""
         return _stacked_rows(self.fn, self.vectorized, self.out_dim, xs)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.rows(np.asarray(x, dtype=float)[None])[0]
-
     def residual(self, y: np.ndarray, predicted: np.ndarray) -> np.ndarray:
         """y - predicted, passed through ``wrap_observation`` when set."""
         r = np.subtract(y, predicted)
@@ -266,20 +261,30 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
         # rows (m, d).  Given [I, 0] as ``jac`` (one point only), also carries
         # the chain-rule Jacobian in [x, xi]: each substep has state Jacobian
         # A_m = I + dt * db/dx and injects s(t_m) into its own noise block.
+        # The first substep checks each callback's shape: b as x, s as (d, N)
+        # or, for stacked rows, (m, d, N), and db/dx as (d, d).
         x = np.asarray(x, dtype=float)
         for m in range(m_steps):
             t = (n * m_steps + m) * dt
             s = spec.volatility(t, x)
+            if m == 0 and np.shape(s) != (d, n_brown):
+                as_shape(s, x.shape + (n_brown,), "volatility returned shape")
             if jac is not None:
+                b_x = spec.drift_jacobian(t, x)
                 # a scalar or 1-D b' (d = 1) broadcasts as its 2-D form would
-                jac = (eye + np.multiply(dt, spec.drift_jacobian(t, x))) @ jac
+                if m == 0 and not (d == 1 and np.size(b_x) == 1):
+                    as_shape(b_x, (d, d), "drift_jacobian returned shape")
+                jac = (eye + np.multiply(dt, b_x)) @ jac
                 jac[:, jac_blocks[m]] = s
             w = xi[..., blocks[m]]
             if n_brown == 1:  # one product per component, rounded as the contraction rounds it
                 noise = np.asarray(s)[..., 0] * w
             else:
                 noise = np.einsum("...ij,...j->...i", s, w)
-            x = x + dt * spec.drift(t, x) + noise
+            b = spec.drift(t, x)
+            if m == 0:
+                as_shape(b, x.shape, "drift returned shape")
+            x = x + dt * b + noise
         return x, jac
 
     noise_dim = m_steps * n_brown

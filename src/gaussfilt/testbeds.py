@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DivergedEvaluation, as_integer, holds_bool
+from .errors import DimensionMismatch, DivergedEvaluation, as_integer, holds_bool
 from .models import ObservationModel, ProcessModel, SdeSpec, discretize_sde
 
 IDENTITY_OBS = "identity"
@@ -279,7 +279,8 @@ def simulate_truth(
 ) -> TruthRun:
     """Roll out the truth and synthetic observations for a twin experiment,
     evaluating the models as the filters do; a state or observation that is not
-    finite raises DivergedEvaluation naming the truth rollout and its step.
+    finite, or not of its shape, raises DivergedEvaluation, or DimensionMismatch,
+    naming the truth rollout and its step.
     Stacked x0 (R, d) with R generators, one per row, gives (R, ...) arrays
     from one model call per step; row r draws xi_n, then eta_n, from rng[r]."""
     if steps < 1:
@@ -296,8 +297,9 @@ def simulate_truth(
         try:
             x = process.forward(n, np.concatenate([x, draw(s_gamma)], axis=1))
             y = obs.at_step(n + 1).rows(x) + draw(s_r)
-        except DivergedEvaluation as exc:
-            raise DivergedEvaluation(f"truth rollout diverged at step {n + 1}: {exc}") from exc
+        except (DivergedEvaluation, DimensionMismatch) as exc:
+            failed = "diverged" if isinstance(exc, DivergedEvaluation) else "failed"
+            raise type(exc)(f"truth rollout {failed} at step {n + 1}: {exc}") from exc
         if obs.wrap_observation is not None:
             y = obs.wrap_observation(y)
         truth.append(x)

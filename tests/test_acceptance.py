@@ -62,11 +62,12 @@ def _random_linear_model(rng):
     h = rng.standard_normal((1, 2))
     r = np.array([[0.5 + rng.random()]])
     prior = Gaussian(rng.standard_normal(2), np.eye(2))
+    propagate = lambda n, x, xi: x @ a.T + xi if x.ndim > 1 else a @ x + xi
     process = ProcessModel(
-        propagate=lambda n, x, xi: x @ a.T + xi if x.ndim > 1 else a @ x + xi,
+        propagate=propagate,
         noise_cov=gamma,
         state_dim=2,
-        jacobian=lambda n, x, xi: np.hstack([a, np.eye(2)]),
+        linearize=lambda n, x, xi: (propagate(n, x, xi), np.hstack([a, np.eye(2)])),
         vectorized=True,
     )
     obs = ObservationModel(
@@ -197,11 +198,12 @@ def test_criterion_2_cubature_exactness():
 
 
 def test_criterion_3_smoothing_bias():
+    propagate = lambda n, x, xi: x + xi
     process = ProcessModel(
-        propagate=lambda n, x, xi: x + xi,
+        propagate=propagate,
         noise_cov=np.array([[1.0]]),
         state_dim=1,
-        jacobian=lambda n, x, xi: np.array([[1.0, 1.0]]),
+        linearize=lambda n, x, xi: (propagate(n, x, xi), np.array([[1.0, 1.0]])),
     )
     obs = ObservationModel(
         observe=lambda n, x: np.asarray(x, dtype=float),

@@ -30,11 +30,12 @@ A, GAMMA, R = 0.9, 0.1, 0.5
 
 
 def scalar_linear_model():
+    propagate = lambda n, x, xi: A * x + xi
     process = ProcessModel(
-        propagate=lambda n, x, xi: A * x + xi,
+        propagate=propagate,
         noise_cov=np.array([[GAMMA]]),
         state_dim=1,
-        jacobian=lambda n, x, xi: np.array([[A, 1.0]]),
+        linearize=lambda n, x, xi: (propagate(n, x, xi), np.array([[A, 1.0]])),
         vectorized=True,
     )
     obs = ObservationModel(
@@ -175,11 +176,12 @@ class TestSingleStep:
         # prior N(0,1), Gamma = R = 1, y = 3: the conditioned noise mean is
         # Gamma (C + Gamma + R)^{-1} (y - xbar) = 1.  Cross-checked against
         # exact conditioning of the joint (x, xi, y).
+        propagate = lambda n, x, xi: x + xi
         process = ProcessModel(
-            propagate=lambda n, x, xi: x + xi,
+            propagate=propagate,
             noise_cov=np.array([[1.0]]),
             state_dim=1,
-            jacobian=lambda n, x, xi: np.array([[1.0, 1.0]]),
+            linearize=lambda n, x, xi: (propagate(n, x, xi), np.array([[1.0, 1.0]])),
         )
         obs = ObservationModel(
             observe=lambda n, x: np.asarray(x, dtype=float),
@@ -366,7 +368,7 @@ class TestRunFilter:
             propagate=good.propagate,
             noise_cov=good.noise_cov,
             state_dim=1,
-            jacobian=lambda n, x, xi: np.array([[np.nan, 1.0]]),
+            linearize=lambda n, x, xi: (good.propagate(n, x, xi), np.array([[np.nan, 1.0]])),
             vectorized=True,
         )
         traj = run_filter(FilterKind(family), process, obs, Gaussian([0.0], [[1.0]]), [0.5, 0.2])
@@ -447,11 +449,13 @@ class TestRunFilter:
             wrong = output == "observation" or (output == "ragged-observation" and x[0] < 0)
             return np.concatenate([x, x]) if wrong else x
 
+        propagate = lambda n, x, xi: A * x + xi
+        jac = lambda n, x, xi: [[A, 1.0, 0.0]] if output == "process-jacobian" else [[A, 1.0]]
         process = ProcessModel(
-            propagate=lambda n, x, xi: A * x + xi,
+            propagate=propagate,
             noise_cov=[[GAMMA]],
             state_dim=1,
-            jacobian=lambda n, x, xi: [[A, 1.0, 0.0]] if output == "process-jacobian" else [[A, 1.0]],
+            linearize=lambda n, x, xi: (propagate(n, x, xi), jac(n, x, xi)),
         )
         obs = ObservationModel(
             observe=observe,

@@ -7,6 +7,7 @@ import pytest
 
 from gaussfilt import (
     BistableSpec,
+    FilterKind,
     Gaussian,
     Lorenz63Spec,
     ObservationModel,
@@ -18,6 +19,7 @@ from gaussfilt import (
     composed_observation,
     discretize_sde,
     lorenz63_models,
+    run_filter,
     turn_models,
 )
 from gaussfilt.errors import DimensionMismatch, DivergedEvaluation
@@ -319,7 +321,7 @@ class TestComposedObservation:
             obs_cov=np.eye(1),
         )
         psi = composed_observation(self._random_walk(), obs, 0)
-        assert np.allclose(psi(np.array([1.5, 0.25])), [1.75])
+        assert np.allclose(psi.rows(np.array([[1.5, 0.25]]))[0], [1.75])
 
     def test_cubic_dynamics_identity_obs(self):
         beta = 10.0
@@ -332,7 +334,7 @@ class TestComposedObservation:
         process = discretize_sde(spec)
         obs = ObservationModel(observe=lambda n, x: x, obs_cov=np.eye(1))
         psi = composed_observation(process, obs, 0)
-        assert np.isclose(psi(np.array([0.8, 0.0]))[0], 0.8288)
+        assert np.isclose(psi.rows(np.array([[0.8, 0.0]]))[0, 0], 0.8288)
 
     def test_static_dynamics_quadratic_obs(self):
         process = ProcessModel(
@@ -345,15 +347,16 @@ class TestComposedObservation:
             obs_cov=np.eye(1),
         )
         psi = composed_observation(process, obs, 0)
-        assert np.isclose(psi(np.array([0.3, 9.9]))[0], 0.0625)
+        assert np.isclose(psi.rows(np.array([[0.3, 9.9]]))[0, 0], 0.0625)
 
     def test_chain_rule_jacobian(self):
         a = np.array([[0.9, 0.1], [0.0, 0.8]])
+        propagate = lambda n, x, xi: a @ x + xi
         process = ProcessModel(
-            propagate=lambda n, x, xi: a @ x + xi,
+            propagate=propagate,
             noise_cov=np.eye(2),
             state_dim=2,
-            jacobian=lambda n, x, xi: np.hstack([a, np.eye(2)]),
+            linearize=lambda n, x, xi: (propagate(n, x, xi), np.hstack([a, np.eye(2)])),
         )
         h = np.array([[1.0, -1.0]])
         obs = ObservationModel(
@@ -486,6 +489,62 @@ def test_one_point_and_stacked_rows_agree_for_a_dense_volatility():
             assert ref_propagate(n, z[:3], z[3:]).tobytes() == row.tobytes()
 
 
+A2 = np.array([[-0.5, 0.3], [0.2, -0.4]])
+VOL2 = np.array([[0.4], [0.1]])
+
+
+def _linear_sde_2d():
+    """dx = A2 x dt + VOL2 dB: d = 2, one Brownian dimension, two substeps."""
+    return SdeSpec(
+        drift=lambda t, x: x @ A2.T,
+        volatility=lambda t, x: VOL2,
+        brownian_dim=1,
+        dt=0.1,
+        substeps=2,
+        state_dim=2,
+        drift_jacobian=lambda t, x: A2,
+        volatility_state_independent=True,
+        vectorized=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "callback,wrong,message",
+    [
+        ("drift", lambda t, x: (x @ A2.T)[..., :1], r"^drift returned shape \(1,\), not \(2,\)"),
+        ("volatility", lambda t, x: VOL2[:, 0], r"^volatility returned shape \(2,\), not \(2, 1\)"),
+        ("drift_jacobian", lambda t, x: np.diag(A2), r"^drift_jacobian returned shape \(2,\), not \(2, 2\)"),
+    ],
+    ids=["drift", "volatility", "drift_jacobian"],
+)
+def test_sde_callback_of_the_wrong_shape_is_rejected(callback, wrong, message):
+    # Each wrong form broadcasts: a (1,) drift moves both components by one
+    # value, a diagonal drift_jacobian gives a wrong Jacobian, and a (2,)
+    # volatility drives the wrong noise.  The integrator must reject each
+    # with the shapes, and a filter must end only the trajectory.
+    process = discretize_sde(dataclasses.replace(_linear_sde_2d(), **{callback: wrong}))
+    z = np.array([1.5, 2.0, 0.3, -0.2])
+    with pytest.raises(DimensionMismatch, match=message):
+        process.value_and_jacobian(0, z)
+    obs = ObservationModel(
+        observe=lambda n, x: x[..., :1], obs_cov=[[0.5]], jacobian=lambda n, x: [[1.0, 0.0]], vectorized=True
+    )
+    traj = run_filter(FilterKind("LGF"), process, obs, Gaussian([1.5, 2.0], np.eye(2)), [[0.5]])
+    assert isinstance(traj.error, DimensionMismatch) and str(traj.error).startswith(f"{callback} returned shape")
+    if callback != "drift_jacobian":  # the stacked rows check drift and volatility too
+        with pytest.raises(DimensionMismatch, match=f"^{callback} returned shape"):
+            process.forward(0, np.tile(z, (3, 1)))
+
+
+def test_volatility_per_stacked_row_equals_the_shared_form():
+    # For stacked rows (m, d) the volatility may return (m, d, N) or the one
+    # (d, N) that every row shares; both drive the same noise.
+    spec = _linear_sde_2d()
+    per_row = dataclasses.replace(spec, volatility=lambda t, x: np.broadcast_to(VOL2, x.shape + (1,)))
+    z = np.random.default_rng(6).standard_normal((4, 4))
+    assert discretize_sde(per_row).forward(1, z).tobytes() == discretize_sde(spec).forward(1, z).tobytes()
+
+
 def _pendulum_process(jacobian):
     """A non-vectorized user model: a damped pendulum step driven in velocity."""
     dt = 0.05
@@ -500,7 +559,7 @@ def _pendulum_process(jacobian):
         propagate=propagate,
         noise_cov=np.eye(1),
         state_dim=2,
-        jacobian=jac if jacobian else None,
+        linearize=(lambda n, x, xi: (propagate(n, x, xi), jac(n, x, xi))) if jacobian else None,
     )
 
 
@@ -568,11 +627,12 @@ class TestValueAndJacobian:
             assert jac.tobytes() == psi.value_and_jacobian(z)[1].tobytes()
 
     def test_non_finite_jacobian_raises_diverged(self):
+        propagate = lambda n, x, xi: x + xi
         process = ProcessModel(
-            propagate=lambda n, x, xi: x + xi,
+            propagate=propagate,
             noise_cov=np.eye(1),
             state_dim=1,
-            jacobian=lambda n, x, xi: np.array([[np.inf, 1.0]]),
+            linearize=lambda n, x, xi: (propagate(n, x, xi), np.array([[np.inf, 1.0]])),
         )
         obs = ObservationModel(
             observe=lambda n, x: x, obs_cov=np.eye(1), jacobian=lambda n, x: [[np.nan]]

@@ -75,11 +75,12 @@ def linear_time_cases(draw):
     d = draw(st.integers(1, 4))
     dd = draw(st.integers(1, 8 - d))
     a, b = draw(_matrix(d, d)), draw(_matrix(d, dd))
+    propagate = lambda n, x, xi: x @ a.T + xi @ b.T
     process = ProcessModel(
-        propagate=lambda n, x, xi: x @ a.T + xi @ b.T,
+        propagate=propagate,
         noise_cov=draw(psd(dd)),
         state_dim=d,
-        jacobian=lambda n, x, xi: np.hstack([a, b]),
+        linearize=lambda n, x, xi: (propagate(n, x, xi), np.hstack([a, b])),
         vectorized=True,
     )
     # A full joint covariance, as conditioning on the next observation leaves.

@@ -11,15 +11,18 @@ from gaussfilt import (
     Lorenz63Spec,
     ObservationModel,
     ProcessModel,
+    SdeSpec,
     TurnModelSpec,
     bistable_models,
+    discretize_sde,
     lorenz63_models,
     run_experiment,
     run_filter,
     simulate_truth,
     turn_models,
 )
-from gaussfilt.errors import DivergedEvaluation
+from gaussfilt.errors import DimensionMismatch, DivergedEvaluation
+from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.harness import _resolve_truth_x0, replicate_seed
 from gaussfilt.models import central_difference
 from gaussfilt.testbeds import wrap_angle
@@ -433,6 +436,21 @@ class TestStackedTruth:
         with pytest.raises(DivergedEvaluation, match="^truth rollout diverged at step 2: .*not finite"):
             _stacked_run(process, obs, [[1.0], [10.0], [-1.0]], 5, (0, 1, 2))
 
+    def test_wrong_shaped_output_names_the_truth_rollout(self):
+        # A shape failure in the rollout names the truth and its step, as a
+        # divergence does, so a run's error cannot be read as a filter's.
+        process, obs = bistable_models(BistableSpec())
+        doubled = ObservationModel(
+            observe=lambda n, x: x if n < 3 else np.concatenate([x, x], axis=1), obs_cov=[[0.1]], vectorized=True
+        )
+        with pytest.raises(DimensionMismatch, match=r"^truth rollout failed at step 3: map returned shape \(2, 2\)"):
+            _stacked_run(process, doubled, [[1.0], [-1.0]], 5, (0, 1))
+        sde = SdeSpec(drift=lambda t, x: x[..., :1], volatility=lambda t, x: np.eye(2), brownian_dim=2, dt=0.1,
+                      state_dim=2, vectorized=True)
+        plane = ObservationModel(observe=lambda n, x: x, obs_cov=np.eye(2), vectorized=True)
+        with pytest.raises(DimensionMismatch, match=r"^truth rollout failed at step 1: drift returned shape \(2, 1\)"):
+            _stacked_run(discretize_sde(sde), plane, [[1.0, 0.0], [0.0, 1.0]], 3, (0, 1))
+
     def test_run_experiment_truths_equal_a_per_replicate_loop(self):
         raw = {
             "name": "stacked-truth",
@@ -466,3 +484,34 @@ class TestTurnInnovation:
         assert res.tobytes() == obs.wrap_observation(y - p).tobytes()
         assert np.all(np.abs(res[:, 1]) <= np.pi)
         assert np.array_equal(res[:, 0], y[:, 0] - p[:, 0])
+
+
+def test_noise_free_sde_runs_truth_and_every_family():
+    # dx = -x dt with no Brownian motion (brownian_dim 0): three Euler
+    # substeps of 0.1 make the exact linear map x' = 0.729 x with Q = 0, so
+    # the truth needs the square root of an empty noise covariance, and
+    # every Gaussian family is the Kalman filter of that map.
+    sde = SdeSpec(drift=lambda t, x: -x, volatility=lambda t, x: np.zeros((1, 0)), brownian_dim=0, dt=0.1,
+                  substeps=3, drift_jacobian=lambda t, x: [[-1.0]], volatility_state_independent=True,
+                  vectorized=True)
+    process = discretize_sde(sde)
+    obs = ObservationModel(observe=lambda n, x: x, obs_cov=[[0.1]], jacobian=lambda n, x: [[1.0]], vectorized=True)
+    assert process.noise_dim == 0
+    run = simulate_truth(process, obs, np.array([1.0]), 5, np.random.default_rng(0))
+    assert np.allclose(run.truth[:, 0], 0.729 ** np.arange(6), rtol=1e-14, atol=0.0)
+    mean, var, kalman = 0.5, 0.4, []
+    for y in run.observations[:, 0]:
+        mean, var = 0.729 * mean, 0.729**2 * var
+        gain = var / (var + 0.1)
+        mean, var = mean + gain * (y - mean), (1.0 - gain) * var
+        kalman.append((mean, var))
+    kalman = np.array(kalman)
+    for family in ALL_FAMILIES:
+        kind = FilterKind(family, sample_count=100) if family.startswith("PG") else FilterKind(family)
+        traj = run_filter(kind, process, obs, Gaussian([0.5], [[0.4]]), run.observations, np.random.default_rng(1))
+        assert traj.error is None and len(traj.records) == 6, family
+        moments = np.array([(r.posterior.mean[0], r.posterior.cov[0, 0]) for r in traj.records[1:]])
+        if family.startswith(("LG", "CG")):
+            assert np.allclose(moments, kalman, rtol=1e-14, atol=0.0), family
+        elif family.startswith("VG"):  # BFGS's tolerance
+            assert np.allclose(moments, kalman, rtol=1e-8, atol=0.0), family

@@ -42,11 +42,12 @@ from objectives import with_difference_gradient
 def linear_process(a, gamma):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     d = a.shape[0]
+    propagate = lambda n, x, xi: a @ x + xi
     return ProcessModel(
-        propagate=lambda n, x, xi: a @ x + xi,
+        propagate=propagate,
         noise_cov=np.atleast_2d(np.asarray(gamma, dtype=float)),
         state_dim=d,
-        jacobian=lambda n, x, xi: np.hstack([a, np.eye(d)]),
+        linearize=lambda n, x, xi: (propagate(n, x, xi), np.hstack([a, np.eye(d)])),
     )
 
 
@@ -233,6 +234,13 @@ class TestBfgsMinimize:
                 with_difference_gradient(rosen), np.array([-1.2, 1.0]), VariationalSettings(grad_tol=1e-10, max_iter=3)
             )
         assert raised.value.iterations == 3
+
+    def test_minimum_reached_on_the_last_allowed_iteration_is_returned(self):
+        # The one allowed step lands on the minimum of 1/2 |v|^2: the budget
+        # is spent, but the gradient test after the loop accepts the point.
+        x, iterations = bfgs_minimize(lambda v: (0.5 * float(v @ v), v.copy()), np.array([1.0]),
+                                      VariationalSettings(max_iter=1))
+        assert x.tolist() == [0.0] and iterations == 1
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(DivergedEvaluation):
@@ -496,7 +504,7 @@ def _tracking_case(py=40.0):
     x0 = np.array([-1000.0, -10.0, py, -2.0, 0.01])
     prior = augment(Gaussian(x0, np.diag([100.0, 10.0, 100.0, 10.0, 1e-4])), process, 0)
     obs_map = composed_observation(process, obs, 0)
-    return prior, obs_map, obs_map(prior.mean) + np.array([15.0, 0.01]), obs.obs_cov
+    return prior, obs_map, obs_map.rows(prior.mean[None])[0] + np.array([15.0, 0.01]), obs.obs_cov
 
 
 class TestWhitenedVariational:
