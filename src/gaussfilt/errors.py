@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the rules of config counts, numbers and shapes."""
 
+from numbers import Real
+
 import numpy as np
 
 
@@ -9,6 +11,17 @@ def as_integer(value, name: str) -> int:
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str, positive: bool = False) -> float:
+    """float(value) of a finite real number, not a bool, and positive if ``positive``; else ValueError."""
+    try:
+        x = float(value) if isinstance(value, Real) and not isinstance(value, (bool, np.bool_)) else np.nan
+    except OverflowError:  # an int or a Fraction beyond the float range
+        x = np.inf
+    if not (np.isfinite(x) and (x > 0 or not positive)):
+        raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, got {value!r}")
+    return x
 
 
 def as_shape(a, shape: tuple, what: str) -> np.ndarray:

@@ -195,7 +195,8 @@ def run_filter(
 ) -> FilterTrajectory:
     """Fold the per-step update over the observation sequence.
 
-    Deterministic families never touch the generator.  Every observation must be (obs_dim,),
+    Deterministic families never touch the generator; a sampling one without it raises
+    ValueError before the first step.  Every observation must be (obs_dim,),
     a number being (1,), and finite before the first step.  An unrecoverable kernel error,
     a ``GaussFiltError``, terminates the trajectory; the partial result is returned with it.
     """
@@ -205,6 +206,8 @@ def run_filter(
         raise ValueError("observation list must be nonempty")
     if not np.isfinite(observations).all():
         raise ValueError(f"observation {np.isfinite(observations).all(axis=1).argmin() + 1} is not finite")
+    if kind.kernel == "PG" and rng is None:
+        raise ValueError(f"{kind.label()} draws its points from a random generator, and rng is None")
     step = smoothing_step if kind.is_smoothing else conventional_step
     records = [StepRecord(0, prior, Diagnostics())]
     posterior = prior

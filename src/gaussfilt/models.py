@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergedEvaluation, as_integer, as_shape, holds_bool
+from .errors import DimensionMismatch, DivergedEvaluation, as_integer, as_real, as_shape
 from .gaussian import Gaussian, as_covariance
 
 _EPS = np.finfo(float).eps
@@ -206,9 +206,11 @@ class ObsFunction:
         return _stacked_rows(self.fn, self.vectorized, self.out_dim, xs)
 
     def residual(self, y: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-        """y - predicted, passed through ``wrap_observation`` when set."""
+        """y - predicted, passed through ``wrap_observation`` when set, which must keep its shape."""
         r = np.subtract(y, predicted)
-        return r if self.wrap_observation is None else self.wrap_observation(r)
+        if self.wrap_observation is None:
+            return r
+        return as_shape(self.wrap_observation(r), r.shape, "wrap_observation returned shape")
 
     def value_and_jacobian(
         self, x: np.ndarray, basis: np.ndarray | None = None
@@ -221,7 +223,7 @@ class ObsFunction:
 class SdeSpec:
     """Ito SDE dx = b(t,x) dt + s(t,x) dB with simulation step dt and
     ``substeps`` integration steps per observation interval.  The three counts
-    follow the integer rule (``as_integer``); dt must be positive and finite, not a bool."""
+    follow the integer rule (``as_integer``), and dt the real-number rule (``as_real``), positive."""
 
     drift: Callable[[float, np.ndarray], np.ndarray]
     volatility: Callable[[float, np.ndarray], np.ndarray]  # (t, x) -> d x N
@@ -236,8 +238,7 @@ class SdeSpec:
     def __post_init__(self):
         for name in ("brownian_dim", "substeps", "state_dim"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if holds_bool(self.dt) or not 0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
+        object.__setattr__(self, "dt", as_real(self.dt, "dt", positive=True))
         if self.substeps < 1 or self.brownian_dim < 0:
             raise ValueError("substeps must be >= 1 and brownian_dim >= 0")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergedEvaluation, as_integer, holds_bool
+from .errors import DimensionMismatch, DivergedEvaluation, as_integer, as_real, as_shape
 from .models import ObservationModel, ProcessModel, SdeSpec, discretize_sde
 
 IDENTITY_OBS = "identity"
@@ -16,15 +16,12 @@ SHIFTED_QUADRATIC_OBS = "shifted_quadratic"
 QUADRATIC_SHIFT = 0.05
 
 
-def _check_finite(spec) -> None:
-    """ValueError unless every field of ``spec`` not declared ``str`` holds
-    finite numbers: a string or a bool, like a NaN, is not one."""
+def _check_reals(spec, positive: tuple) -> None:
+    """Store every ``float`` field of ``spec`` as ``as_real`` returns it, the
+    fields named in ``positive`` checked as positive too."""
     for f in fields(spec):
-        value = getattr(spec, f.name)
-        if f.type is not str and (holds_bool(value) or not (
-            np.issubdtype(np.asarray(value).dtype, np.number) and np.isfinite(value).all()
-        )):
-            raise ValueError(f"{f.name} must be numeric and finite, got {value!r}")
+        if f.type is float:
+            object.__setattr__(spec, f.name, as_real(getattr(spec, f.name), f.name, f.name in positive))
 
 
 @dataclass(frozen=True)
@@ -40,9 +37,7 @@ class BistableSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "substeps", as_integer(self.substeps, "substeps"))
-        _check_finite(self)
-        if self.beta <= 0 or self.obs_var <= 0:
-            raise ValueError("beta and obs_var must be positive")
+        _check_reals(self, ("beta", "dt", "obs_var"))
         if self.obs_kind not in (IDENTITY_OBS, SHIFTED_QUADRATIC_OBS):
             raise ValueError(f"unknown obs_kind {self.obs_kind!r}")
 
@@ -60,12 +55,10 @@ class Lorenz63Spec:
     obs_var: float = 0.5
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_reals(self, ("dt", "obs_var"))
         if np.shape(self.g) != (3,):
             raise ValueError(f"g must hold 3 numbers, got {self.g!r}")
-        object.__setattr__(self, "g", tuple(float(v) for v in self.g))
-        if self.dt <= 0 or self.obs_var <= 0:
-            raise ValueError("dt and obs_var must be positive")
+        object.__setattr__(self, "g", tuple(as_real(v, "g") for v in self.g))
 
 
 @dataclass(frozen=True)
@@ -78,9 +71,9 @@ class TurnModelSpec:
     bearing_var: float = 1e-5
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.dt <= 0 or self.q < 0 or self.range_var <= 0 or self.bearing_var <= 0:
-            raise ValueError("dt, range_var and bearing_var must be positive and q >= 0")
+        _check_reals(self, ("dt", "range_var", "bearing_var"))
+        if self.q < 0:
+            raise ValueError(f"q must be >= 0, got {self.q!r}")
 
 
 @dataclass(frozen=True)
@@ -283,6 +276,7 @@ def simulate_truth(
     naming the truth rollout and its step.
     Stacked x0 (R, d) with R generators, one per row, gives (R, ...) arrays
     from one model call per step; row r draws xi_n, then eta_n, from rng[r]."""
+    steps = as_integer(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     s_gamma = psd_sqrt(process.noise_cov)
@@ -297,11 +291,11 @@ def simulate_truth(
         try:
             x = process.forward(n, np.concatenate([x, draw(s_gamma)], axis=1))
             y = obs.at_step(n + 1).rows(x) + draw(s_r)
+            if obs.wrap_observation is not None:
+                y = as_shape(obs.wrap_observation(y), y.shape, "wrap_observation returned shape")
         except (DivergedEvaluation, DimensionMismatch) as exc:
             failed = "diverged" if isinstance(exc, DivergedEvaluation) else "failed"
             raise type(exc)(f"truth rollout {failed} at step {n + 1}: {exc}") from exc
-        if obs.wrap_observation is not None:
-            y = obs.wrap_observation(y)
         truth.append(x)
         ys.append(y)
     truth, ys = np.stack(truth, axis=1), np.stack(ys, axis=1)

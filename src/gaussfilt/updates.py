@@ -8,13 +8,12 @@ and the map is the observation composed with one forward step.
 """
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
-from .errors import DivergedEvaluation, OptimizerStopped, as_integer
+from .errors import DivergedEvaluation, OptimizerStopped, as_integer, as_real
 from .gaussian import Gaussian, _conditioning_terms, _factor_of, _inverse_factor, _settled, symmetrize
 from .gaussian import cholesky_factor  # unused here; bench/test_bench.py asserts this binding
 from .models import ObsFunction, ProcessModel, difference_step
@@ -36,9 +35,8 @@ class VariationalSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
-        tol = self.grad_tol
-        if tol is not None and (isinstance(tol, bool) or not (isinstance(tol, Real) and 0 < tol < np.inf)):
-            raise ValueError("grad_tol must be positive and finite")
+        if self.grad_tol is not None:
+            object.__setattr__(self, "grad_tol", as_real(self.grad_tol, "grad_tol", positive=True))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

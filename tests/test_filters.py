@@ -114,6 +114,15 @@ class TestFilterKind:
         with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
             VariationalSettings(grad_tol=True)
 
+    def test_a_numpy_grad_tol_labels_as_a_float_does(self):
+        # Labels key the estimates, the CSV rows and the duplicate check, so
+        # two kinds that compare equal must share one.
+        numpy_kind = FilterKind("VGF", variational=VariationalSettings(grad_tol=np.float64(1e-6)))
+        float_kind = FilterKind("VGF", variational=VariationalSettings(grad_tol=1e-6))
+        assert numpy_kind == float_kind
+        assert numpy_kind.label() == float_kind.label() == "VGF[grad_tol=1e-06]"
+        assert type(numpy_kind.variational.grad_tol) is float
+
     def test_family_partitions(self):
         assert FilterKind("LGSF").is_smoothing
         assert not FilterKind("LGF").is_smoothing
@@ -258,6 +267,28 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="random generator"):
             run_filter(FilterKind(family), process, obs, Gaussian([0.0], [[1.0]]), [1.0, -0.3])
         assert rows == []
+
+    @pytest.mark.parametrize("family", ["PGF", "PGSF"])
+    def test_a_sampling_family_without_a_generator_is_named_before_the_first_step(self, family):
+        process, obs = scalar_linear_model()
+        kind = FilterKind(family, sample_count=50)
+        with pytest.raises(ValueError, match=f"^{kind.label()} draws its points from a random generator"):
+            run_filter(kind, process, obs, Gaussian([0.0], [[1.0]]), [1.0, -0.3])
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_a_wrap_that_changes_the_residual_shape_aborts_the_trajectory(self, family):
+        # The wrap drops the range: every residual it returns has the wrong
+        # shape, which must end the trajectory with the shape rule's error,
+        # not escape as NumPy's.
+        process, obs = turn_models(TurnModelSpec())
+        x0 = np.array([1000.0, 300.0, 1000.0, 0.0, -3 * np.pi / 180])
+        ys = simulate_truth(process, obs, x0, 3, np.random.default_rng(0)).observations
+        bearing_only = replace(obs, wrap_observation=lambda y: np.asarray(y)[..., 1])
+        prior = Gaussian(x0, np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]))
+        traj = run_filter(FilterKind(family), process, bearing_only, prior, ys, np.random.default_rng(1))
+        assert isinstance(traj.error, DimensionMismatch)
+        assert str(traj.error).startswith("wrap_observation returned shape")
+        assert len(traj.records) == 1
 
     @pytest.mark.parametrize("family", ["LGF", "VGF", "CGF", "LGSF", "VGSF", "CGSF"])
     def test_deterministic_families_never_draw(self, family):

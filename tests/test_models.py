@@ -178,6 +178,15 @@ class TestDiscretizeSde:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             SdeSpec(drift=None, volatility=None, brownian_dim=1, dt=dt)
 
+    @pytest.mark.parametrize("dt", ["0.1", [0.1], np.array([0.1]), np.array(0.1)])
+    def test_dt_must_be_one_real_number(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            SdeSpec(drift=None, volatility=None, brownian_dim=1, dt=dt)
+
+    def test_dt_is_stored_as_a_float(self):
+        spec = SdeSpec(drift=None, volatility=None, brownian_dim=1, dt=np.float32(0.5))
+        assert type(spec.dt) is float and spec.dt == 0.5
+
     @pytest.mark.parametrize("counts", [{"substeps": 0}, {"brownian_dim": -1}])
     def test_counts_must_be_in_range(self, counts):
         with pytest.raises(ValueError, match="substeps must be >= 1 and brownian_dim >= 0"):

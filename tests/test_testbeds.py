@@ -270,11 +270,11 @@ class TestTurnModel:
 
 @pytest.mark.parametrize(
     "spec,fields",
-    [(BistableSpec, {"beta": 0.0}), (BistableSpec, {"obs_var": 0.0}),
+    [(BistableSpec, {"beta": 0.0}), (BistableSpec, {"obs_var": 0.0}), (BistableSpec, {"dt": 0.0}),
      (Lorenz63Spec, {"dt": 0.0}), (Lorenz63Spec, {"obs_var": 0.0}), (Lorenz63Spec, {"obs_var": -0.5}),
      (TurnModelSpec, {"dt": 0.0}), (TurnModelSpec, {"dt": -1.0}), (TurnModelSpec, {"q": -1e-3}),
      (TurnModelSpec, {"range_var": 0.0}), (TurnModelSpec, {"bearing_var": 0.0})],
-    ids=["bistable-beta", "bistable-obs-var", "lorenz-dt", "lorenz-obs-var", "lorenz-negative-obs-var",
+    ids=["bistable-beta", "bistable-obs-var", "bistable-dt", "lorenz-dt", "lorenz-obs-var", "lorenz-negative-obs-var",
          "turn-dt", "turn-negative-dt", "turn-q", "turn-range-var", "turn-bearing-var"],
 )
 def test_specs_reject_non_positive_parameters(spec, fields):
@@ -282,6 +282,27 @@ def test_specs_reject_non_positive_parameters(spec, fields):
     # built, with the parameter's name, not later by the model it would give.
     with pytest.raises(ValueError, match=next(iter(fields))):
         spec(**fields)
+
+
+@pytest.mark.parametrize(
+    "spec,fields",
+    [(BistableSpec, {"beta": [10.0, 5.0]}), (TurnModelSpec, {"q": np.array([1e-3, 2e-3])}),
+     (BistableSpec, {"obs_var": np.array(0.03)}), (Lorenz63Spec, {"g": (0.0, 0.0, "0.5")}),
+     (Lorenz63Spec, {"g": (0.0, np.nan, 0.5)})],
+    ids=["list-beta", "array-q", "zero-d-array-obs-var", "string-in-g", "nan-in-g"],
+)
+def test_specs_take_one_real_number_per_parameter(spec, fields):
+    # A sequence or an array is not a number, even when NumPy would compare
+    # or broadcast it; the parameter is named, not left to fail downstream.
+    name = next(iter(fields))
+    with pytest.raises(ValueError, match=f"^{name} must be (positive and )?finite, got"):
+        spec(**fields)
+
+
+def test_spec_parameters_are_stored_as_floats():
+    spec = TurnModelSpec(dt=np.float64(2.0), q=0, range_var=np.float32(50.0))
+    assert [type(v) for v in (spec.dt, spec.q, spec.range_var, spec.bearing_var)] == [float] * 4
+    assert Lorenz63Spec(g=np.array([0, 0, 1])).g == (0.0, 0.0, 1.0)
 
 
 class TestWrapAngle:
@@ -330,6 +351,29 @@ class TestSimulateTruth:
         process, obs = bistable_models(BistableSpec())
         with pytest.raises(ValueError):
             simulate_truth(process, obs, np.array([0.8]), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("steps", [True, "2", 2.5])
+    def test_steps_follow_the_integer_rule(self, steps):
+        process, obs = bistable_models(BistableSpec())
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            simulate_truth(process, obs, np.array([0.8]), steps, np.random.default_rng(0))
+
+    def test_integral_float_steps_run_that_many_steps(self):
+        process, obs = bistable_models(BistableSpec())
+        run = simulate_truth(process, obs, np.array([0.8]), 2.0, np.random.default_rng(0))
+        assert run.truth.shape == (3, 1)
+        assert run.observations.shape == (2, 1)
+
+    def test_wrap_that_changes_the_shape_names_the_truth_rollout(self):
+        process, obs = turn_models(TurnModelSpec())
+        bearing_only = ObservationModel(
+            observe=obs.observe, obs_cov=obs.obs_cov, wrap_observation=lambda y: np.asarray(y)[..., 1],
+            vectorized=True,
+        )
+        x0 = np.array([1000.0, 300.0, 1000.0, 0.0, 0.0])
+        message = r"^truth rollout failed at step 1: wrap_observation returned shape \(1,\), not \(1, 2\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            simulate_truth(process, bearing_only, x0, 3, np.random.default_rng(0))
 
     def test_vectorized_model_sees_stacked_rows(self):
         # Vectorized callables may index stacked rows; the truth must reach
