@@ -131,3 +131,26 @@ def test_every_family_stays_near_the_exact_posterior(exact, family):
         ratio = variances / exact_var
         assert 0.6 <= ratio.min() and ratio.max() <= 1.6
         assert 0.85 <= np.exp(np.mean(np.log(ratio))) <= 1.15
+
+
+def _mean_error(exact, family):
+    """Mean |filter mean - exact mean| in exact-posterior sd over the truths' steps."""
+    process, obs = bistable_models(SPEC)
+    errors = []
+    for seed in TRUTH_SEEDS:
+        traj = run_filter(FilterKind(family), process, obs, Gaussian([PRIOR_MEAN], [[PRIOR_VAR]]),
+                          _bistable_truth(seed), np.random.default_rng(100 + seed))
+        assert traj.error is None
+        exact_mean, exact_var = exact[seed].T
+        errors.append(np.abs(traj.means()[1:, 0] - exact_mean) / np.sqrt(exact_var))
+    return np.mean(errors)
+
+
+@pytest.mark.parametrize("kernel", ["LG", "VG", "CG"])
+def test_conditioning_on_the_next_observation_brings_the_mean_closer(exact, kernel):
+    # The paper's claim, on the narrow prior: each smoothing family's mean is
+    # nearer the exact posterior mean than its conventional twin's.  Measured
+    # (F against SF): LG 0.1116 / 0.1061, VG 0.1116 / 0.0983, CG 0.0189 /
+    # 0.0124.  The PG pair is not asserted: on these truths PGSF reads 0.0414
+    # against PGF's 0.0410, and on 16 truths of 10 steps 0.0407 against 0.0463.
+    assert _mean_error(exact, kernel + "SF") <= _mean_error(exact, kernel + "F")
