@@ -22,6 +22,7 @@ class DiscreteMeasure:
 
     weights: np.ndarray
     points: np.ndarray
+    standard = False  # moments (0, I) by construction, as a cubature rule's; not a field
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
@@ -123,6 +124,7 @@ def standard_rule(
         raise ValueError(f"rule degree must be 3 or 5, got {degree!r}")
     rule.weights.flags.writeable = False
     rule.points.flags.writeable = False
+    object.__setattr__(rule, "standard", True)
     _RULES[(degree, k)] = rule
     return rule
 

@@ -1,14 +1,21 @@
 """Exception types shared across the package, and the rules of config counts, numbers and shapes."""
 
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 
 def as_integer(value, name: str) -> int:
-    """int(value); a bool, a string or a fraction, which int would take, parse or
-    truncate, raises ValueError."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
+    """int(value) of an integer: an Integral other than a bool, exactly, or a
+    real number that ``as_real`` takes and that is whole; anything else, which
+    int would take, parse or truncate, raises ValueError."""
+    whole = isinstance(value, Integral) and not isinstance(value, (bool, np.bool_))
+    if not whole:
+        try:
+            whole = as_real(value, name).is_integer()
+        except ValueError:
+            pass
+    if not whole:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

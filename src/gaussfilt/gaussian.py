@@ -46,7 +46,8 @@ def as_covariance(cov, dim: int | None = None, what: str = "covariance") -> np.n
 
 @dataclass(frozen=True)
 class Gaussian:
-    """Gaussian belief, fully determined by mean vector and covariance."""
+    """Gaussian belief, fully determined by mean vector and covariance; a
+    scalar mean is a vector of one."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -54,6 +55,8 @@ class Gaussian:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
         if not np.isfinite(mean).all():
             raise ValueError("mean is not finite")
         object.__setattr__(self, "mean", mean)

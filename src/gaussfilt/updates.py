@@ -13,9 +13,8 @@ import numpy as np
 
 from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
-from .errors import DivergedEvaluation, OptimizerStopped, as_integer, as_real
-from .gaussian import Gaussian, _conditioning_terms, _factor_of, _inverse_factor, _settled, symmetrize
-from .gaussian import cholesky_factor  # unused here; bench/test_bench.py asserts this binding
+from .errors import DivergedEvaluation, OptimizerStopped, SingularMatrix, as_integer, as_real
+from .gaussian import Gaussian, _factor_of, _inverse_factor, _settled, cholesky_factor
 from .models import ObsFunction, ProcessModel, difference_step
 
 
@@ -139,13 +138,44 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
     )
 
 
-def _kalman_update(mean, p_xx, obs_map, y, r, z, p_xz, p_zz, diag):
-    """The Gaussian measurement update of a prior with this mean from P_xx, the
-    predicted observation z, P_xz and the observation covariance P_zz, which
-    every non-variational family supplies in its own way.  A posterior that
-    does not factor is repaired on the scale of P_xx's diagonal."""
-    shift, shrink = _conditioning_terms(symmetrize(p_zz + r), p_xz, obs_map.residual(y, z))
-    return _settled(mean + shift, p_xx - shrink, diag, p_xx.diagonal())
+def _square_root_update(mean, factor, innovation, a, n, diag, scale):
+    """The update of the prior N(mean, L L^T), L = ``factor``, by the
+    regression z = z̄ + Â u + e, e ~ N(0, Ω), of the predicted observation on
+    the whitened state u = L^-1 (x - mean), given v = y - z̄ (``innovation``),
+    Â (p x k) and N = R + Ω.
+
+    The QR of [[Â^T, I], [N^½^T, 0]] leaves [[S^½^T, S^-½ Â], [0, Π^½^T]],
+    with S = Â Â^T + N and Π = I - Â^T S^-1 Â the covariance of u given y,
+    so the posterior, mean + L Â^T S^-1 v with covariance (L Π^½)(L Π^½)^T,
+    subtracts no covariance from another.  The [Â^T, I] rows come first, so
+    Householder keeps Π^½ where Â is large, as under a diffuse prior.  An N
+    that does not factor enters as N₊, its negative eigenvalues set to zero,
+    and counts a jitter.  A non-finite N or S, which the array never forms,
+    or a singular S^½ raises SingularMatrix; a posterior that does not
+    factor is repaired on ``scale``, the prior's variances."""
+    p, k = a.shape
+    try:
+        n_half = np.linalg.cholesky(n)  # an infinite N may factor; S then is not finite
+    except np.linalg.LinAlgError:
+        if not np.isfinite(n).all():
+            raise SingularMatrix("innovation covariance is not finite") from None
+        lam, vec = np.linalg.eigh(n)
+        n_half = vec * np.sqrt(np.maximum(lam, 0.0))
+        if diag is not None:
+            diag.jitters += 1
+    array = np.eye(k + p, p + k, p)  # [[0, I], [0, 0]]
+    array[:k, :p] = a.T
+    array[k:, :p] = n_half.T
+    upper = np.linalg.qr(array, mode="r")
+    s_half = upper[:p, :p].T
+    if not np.isfinite(np.vdot(s_half, s_half)):  # trace(S), finite where S is
+        raise SingularMatrix("innovation covariance is not finite")
+    try:
+        w = np.linalg.solve(s_half, innovation)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("innovation covariance is singular") from exc
+    f = factor @ upper[p:, p:].T
+    return _settled(mean + factor @ (upper[:p, p:].T @ w), f @ f.T, diag, scale)
 
 
 def time_update_linear(
@@ -185,11 +215,11 @@ def measurement_update_linear(
     diag: Diagnostics | None = None,
 ) -> Gaussian:
     """Kalman-style update with the observation map linearized at the mean:
-    with L the prior's Cholesky factor and B = H L the Jacobian along its
-    columns, P_xz = L B^T and P_zz = B B^T."""
+    with L the prior's Cholesky factor, the regression on the whitened state
+    is z = h(m) + B u, with B = H L the Jacobian along L's columns, exactly."""
     s = _factor_of(prior, diag)
     z, b = obs_map.value_and_jacobian(prior.mean, s)
-    return _kalman_update(prior.mean, prior.cov, obs_map, y, r, z, s @ b.T, b @ b.T, diag)
+    return _square_root_update(prior.mean, s, obs_map.residual(y, z), b, r, diag, prior.cov.diagonal())
 
 
 def measurement_update_points(
@@ -200,26 +230,36 @@ def measurement_update_points(
     mu: DiscreteMeasure,
     diag: Diagnostics | None = None,
 ) -> Gaussian:
-    """Update using the state, cross and observation covariances of ``mu``, a
-    discrete measure for the prior's dimension from ``cubature.standard_rule``,
-    transported to the prior and pushed through the observation map, all three
-    from its points, so that P_xx - P_xz S^-1 P_zx is a Schur complement,
-    whatever the sample.  The update is centred on the points' mean, the one
-    P_xz is taken about."""
+    """Update by the statistical linear regression of the observation on
+    ``mu``, a measure for the prior's dimension from ``cubature.standard_rule``,
+    transported to the prior and pushed through the map: Â = Σ w_i dz_i η_i^T
+    over the centred observations dz_i, and Ω = Σ w_i e_i e_i^T over the
+    residuals e_i = dz_i - Â η_i, never P_zz - Â Â^T, which cancels under a
+    diffuse prior.  A cubature rule's points are η themselves, their moments
+    being (0, I) by construction (``DiscreteMeasure.standard``).  A sample
+    keeps its own mean ξ̄ and covariance L_ξ L_ξ^T: η = L_ξ^-1 (ξ - ξ̄), on
+    the prior N(m + L ξ̄, (L L_ξ)(L L_ξ)^T), so the update is the Schur
+    complement of the points' own joint covariance, whatever the sample."""
     s = _factor_of(prior, diag)
-    mu = transform(mu, prior.mean, s)
-    zpts = obs_map.rows(mu.points)
+    zpts = obs_map.rows(transform(mu, prior.mean, s).points)
     # Express every pushed observation relative to one of them through the
     # map's residual, so an angle averages across its wrap at +-pi.
     zpts = zpts[0] + obs_map.residual(zpts, zpts[0])
-    z_mean, p_zz = weighted_moments(mu.weights, zpts)
-    p_zz = symmetrize(p_zz)  # symmetric before R is added; _kalman_update symmetrizes the sum
-    xs = mu.points  # transform's own array, centred in place; a cached rule's is read-only
-    x_mean = mu.weights @ xs
-    xs -= x_mean
-    p_xx = xs.T @ (mu.weights[:, None] * xs)  # symmetrized by _settled
-    p_xz = xs.T @ (mu.weights[:, None] * (zpts - z_mean))
-    return _kalman_update(x_mean, p_xx, obs_map, y, r, z_mean, p_xz, p_zz, diag)
+    z_mean = mu.weights @ zpts
+    dz = zpts - z_mean
+    mean, xi = prior.mean, mu.points
+    a = b = (mu.weights * dz.T) @ xi  # about ξ̄ too: dz has weighted mean zero
+    if not mu.standard:
+        xi_mean = mu.weights @ xi
+        xi = xi - xi_mean
+        l_xi = cholesky_factor(xi.T @ (mu.weights[:, None] * xi), diag)
+        w_xi = np.linalg.inv(l_xi)
+        a = a @ w_xi.T
+        b = a @ w_xi  # the regression on ξ - ξ̄ rather than on η
+        mean, s = mean + s @ xi_mean, s @ l_xi
+    e = dz - xi @ b.T
+    omega = (mu.weights * e.T) @ e
+    return _square_root_update(mean, s, obs_map.residual(y, z_mean), a, r + omega, diag, prior.cov.diagonal())
 
 
 class WhitenedMisfit:

@@ -50,6 +50,11 @@ class TestGaussianInvariants:
         with pytest.raises(ValueError, match=match):
             Gaussian(mean, cov)
 
+    @pytest.mark.parametrize("mean", [[[0.8, 0.1]], [[0.8]], np.zeros((1, 1, 1))])
+    def test_rejects_a_mean_that_is_not_a_vector(self, mean):
+        with pytest.raises(ValueError, match="mean must be a vector"):
+            Gaussian(mean, [[0.02]])
+
     def test_scalar_inputs_promoted(self):
         g = Gaussian(0.8, 0.02)
         assert g.mean.shape == (1,)

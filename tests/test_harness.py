@@ -238,6 +238,7 @@ class TestExperimentConfig:
             {"truth_x0": [True]},
             {"prior": {"mean": [True], "cov": [[0.02]]}},
             {"prior": {"mean": [0.8], "cov": [[True]]}},
+            {"prior": {"mean": [[0.8, 0.1]], "cov": [[0.02]]}},
             {"testbed": "lorenz63", "params": {"g": [True, 0.0, 0.0]}, "truth_x0": "prior-sample",
              "prior": {"mean": [1.0, 1.0, 1.0], "cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
             {"name": 3},
@@ -247,7 +248,8 @@ class TestExperimentConfig:
         ids=["negative-grad-tol", "nan-grad-tol", "infinite-grad-tol", "unknown-variational-field",
              "non-integer-degree", "short-window", "negative-prior-cov", "unknown-truth-x0", "truth-x0-wrong-dim",
              "truth-x0-not-finite", "boolean-truth-x0", "boolean-truth-x0-entry", "boolean-prior-mean",
-             "boolean-prior-cov", "boolean-lorenz-g", "non-string-name", "non-string-output-dir", "zero-max-iter"],
+             "boolean-prior-cov", "matrix-prior-mean", "boolean-lorenz-g", "non-string-name",
+             "non-string-output-dir", "zero-max-iter"],
     )
     def test_malformed_fields_raise_config_error(self, overrides):
         with pytest.raises(ConfigError):
@@ -479,11 +481,11 @@ class TestRunExperiment:
         assert np.allclose(result.time_averaged_rmse("LGF", window=cfg.window), expected)
 
     def test_aborted_trajectory_is_recorded_and_back_filled(self):
-        # A prior straddling both wells: the degree-5 rule's negative weights
-        # (augmented dim 21 > 4) make CGSF5 abort at its first step, so every
-        # step keeps the last mean, the prior's.
+        # A prior straddling both wells at beta 150: a CGSF5 point pushed far
+        # enough out leaves the Euler-Maruyama domain at the first step, so
+        # every step keeps the last mean, the prior's.
         raw = bistable_config(
-            params={},
+            params={"beta": 150},
             filters=[{"family": "CGSF", "rule_degree": 5}, {"family": "LGF"}],
             replicates=1,
             steps=3,
@@ -492,7 +494,7 @@ class TestRunExperiment:
         )
         result = run_experiment(ExperimentConfig.from_dict(raw))
         assert [(r, lab) for r, lab, _ in result.failures] == [(0, "CGSF5")]
-        assert "beyond repair" in result.failures[0][2]
+        assert result.failures[0][2] == "pushed points are not finite"
         assert np.array_equal(result.estimates["CGSF5"], np.full((1, 3, 1), 0.1))
         assert np.array_equal(result.diagnostics["CGSF5"], np.zeros((1, 3, 3)))
         assert np.all(result.estimates["LGF"] != 0.1)

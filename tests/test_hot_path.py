@@ -91,19 +91,19 @@ def _tracking_cubature_run(family):
 
 @pytest.mark.parametrize("family", ["CGF", "CGSF"])
 def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
-    # Per step: the augmented joint's factor, the innovation covariance's, and
-    # one for each of the two covariances the kernels return; the second
+    # Per step: the augmented joint's factor, the factor of N = R + Omega,
+    # and one for each of the two covariances the kernels return; the second
     # kernel takes the first kernel's factor instead of factoring it again.
-    # No eigvalsh: only repair_covariance's abort message reads an eigenvalue.
+    # One QR, of the measurement update's square-root array.  No eigvalsh:
+    # only repair_covariance's abort message reads an eigenvalue.
     observations, traj, step = _tracking_cubature_run(family)
-    cholesky = _counting_linalg(monkeypatch, "cholesky")
-    eigvalsh = _counting_linalg(monkeypatch, "eigvalsh")
+    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "qr", "eigvalsh")}
     for n, y in enumerate(observations):
-        cholesky.clear()
-        eigvalsh.clear()
+        for calls in counted.values():
+            calls.clear()
         posterior = step(n, y)
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
-        assert (len(cholesky), len(eigvalsh)) == (4, 0)
+        assert {name: len(calls) for name, calls in counted.items()} == {"cholesky": 4, "qr": 1, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("family, maps", [("CGF", 1), ("CGSF", 2)])
@@ -170,16 +170,17 @@ def test_bistable_step_builds_one_observation_map(family, maps, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family, factored, inverted",
-    [("LGF", 4, 1), ("LGSF", 4, 1), ("VGF", 5, 2), ("VGSF", 5, 2)],
+    "family, factored, inverted, square_root",
+    [("LGF", 4, 0, 1), ("LGSF", 4, 0, 1), ("VGF", 5, 2, 0), ("VGSF", 5, 2, 0)],
+    ids=["LGF-4-1", "LGSF-4-1", "VGF-5-2", "VGSF-5-2"],  # the ids these cases had before square_root
 )
-def test_bistable_linearized_step_factors_each_covariance_once(family, factored, inverted, monkeypatch):
+def test_bistable_linearized_step_factors_each_covariance_once(family, factored, inverted, square_root, monkeypatch):
     # Per step: the augmented joint's factor, which the linearizations take
-    # as their basis, and one for each covariance the kernels return; the
-    # innovation covariance's factor and its inverse (LGF, LGSF), or the
-    # factors of R and I + H_d and their inverses (VGF, VGSF).  The second
-    # kernel takes the first kernel's factor instead of factoring it again,
-    # and nothing is solved.
+    # as their basis, and one for each covariance the kernels return; R's
+    # factor, one QR of the square-root array and one solve against S^1/2
+    # (LGF, LGSF), or the factors of R and I + H_d and their inverses (VGF,
+    # VGSF).  The second kernel takes the first kernel's factor instead of
+    # factoring it again.
     process, obs = bistable_models(BistableSpec())
     prior = Gaussian([0.8], [[0.02]])
     truth = simulate_truth(process, obs, prior.mean, 5, np.random.default_rng(5))
@@ -187,7 +188,7 @@ def test_bistable_linearized_step_factors_each_covariance_once(family, factored,
     traj = run_filter(kind, process, obs, prior, truth.observations)
     assert traj.error is None
     step = smoothing_step if kind.is_smoothing else conventional_step
-    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve")}
+    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve", "qr")}
     for n, y in enumerate(truth.observations):
         for calls in counted.values():
             calls.clear()
@@ -195,24 +196,25 @@ def test_bistable_linearized_step_factors_each_covariance_once(family, factored,
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
         assert traj.records[n + 1].diagnostics.fallbacks == 0
         assert {name: len(calls) for name, calls in counted.items()} == {
-            "cholesky": factored, "inv": inverted, "solve": 0
+            "cholesky": factored, "inv": inverted, "solve": square_root, "qr": square_root
         }
 
 
 @pytest.mark.parametrize("family", ["PGF", "PGSF"])
 def test_bistable_sampling_step_factors_each_covariance_once(family, monkeypatch):
     # One step from the bistable prior: the augmented joint's factor, the
-    # innovation covariance's factor and its inverse, and one factor for each
-    # of the two covariances the kernels return.  The point update's state
-    # covariance comes from its points as a product, not a factorization.
+    # sample covariance's factor and its inverse, the factor of N = R + Omega,
+    # one QR of the square-root array and one solve against S^1/2, and one
+    # factor for each of the two covariances the kernels return.
     process, obs = bistable_models(BistableSpec())
     prior, kind = Gaussian([0.8], [[0.02]]), FilterKind(family)
     step = smoothing_step if kind.is_smoothing else conventional_step
-    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve", "eigvalsh")}
+    names = ("cholesky", "inv", "solve", "qr", "eigvalsh")
+    counted = {name: _counting_linalg(monkeypatch, name) for name in names}
     posterior = step(kind, prior, process, obs, np.array([0.95]), 0, np.random.default_rng(5))
     assert posterior.dim == 1
     assert {name: len(calls) for name, calls in counted.items()} == {
-        "cholesky": 4, "inv": 1, "solve": 0, "eigvalsh": 0
+        "cholesky": 5, "inv": 1, "solve": 1, "qr": 1, "eigvalsh": 0
     }
 
 

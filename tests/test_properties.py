@@ -4,24 +4,29 @@ kernel returns a Gaussian that passes the public ``Gaussian`` check, which
 the kernels themselves skip.
 
 Dimensions run over k = 1..8, so the degree-5 rule also meets its negative
-axis weights (k > 4).
+axis weights (k > 4).  Whole runs on linear-Gaussian models from diffuse
+priors, up to 10^300 times the observation noise, match the closed-form
+Kalman filter.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaussfilt import (
     Diagnostics,
+    FilterKind,
     Gaussian,
+    ObservationModel,
     ProcessModel,
     augment,
     cholesky_factor,
     condition,
     measurement_update_linear,
     measurement_update_points,
+    run_filter,
     standard_rule,
     time_update_linear,
     time_update_points,
@@ -252,3 +257,94 @@ def test_repair_does_not_depend_on_units(case, exponents):
     for cov, factor in ((cov, factor), (moved, moved_factor)):
         assert factor.tobytes() == cholesky_factor(cov).tobytes()
         Gaussian(np.zeros(len(scale)), cov)
+
+
+# Per family, the largest prior scale 10^e it is held to.  The linear update
+# is exact; VGF's BFGS fails on a diffuse prior and its linear fallback is
+# exact too.  VGSF's covariance comes from a central-difference Hessian along
+# the joint's factor, whose state columns are sqrt(P0) long and whose noise
+# columns are not: where BFGS does not fail (y at its prediction) the noise
+# block is lost to rounding from about 1e28, a 20% variance excess at 1e32.
+# The point families evaluate the map at points sqrt(P0) from the mean, so
+# their regression carries an error of about eps sqrt(P0): O(1) sd from 1e30.
+DIFFUSE_REACH = {"LGF": 300, "LGSF": 300, "VGF": 300, "VGSF": 24, "CGF3": 20, "CGSF3": 20, "CGF5": 20, "CGSF5": 20}
+
+
+def diffuse_tolerance(family, scale):
+    """The largest error allowed in a posterior mean or covariance, in
+    posterior sd: rounding for LG; BFGS's stop and the central-difference
+    Hessian for VG (measured up to 2.3e-3); and 1e-14 sqrt(P0) above
+    rounding for CG (measured up to 3.7e-6 at 1e20)."""
+    return {"LG": 1e-9, "VG": 1e-2, "CG": 1e-9 + 1e-14 * np.sqrt(scale)}[family[:2]]
+
+
+def kalman_filter(f, g, q, h, r, m, p, ys):
+    """The closed-form posteriors (mean, covariance) of x' = F x + G xi,
+    y = H x + eta, with the update in information form, which cancels
+    nothing when the prior is diffuse and H has full column rank."""
+    posteriors = []
+    for y in ys:
+        m, p = f @ m, f @ p @ f.T + g @ q @ g.T
+        info = np.linalg.inv(p)
+        p = np.linalg.inv(info + h.T @ np.linalg.solve(r, h))
+        m = p @ (info @ m + h.T @ np.linalg.solve(r, y))
+        posteriors.append((m, 0.5 * (p + p.T)))
+    return posteriors
+
+
+@st.composite
+def diffuse_linear_runs(draw):
+    """A linear-Gaussian model with state dimension 1..3, noise dimension 1..2
+    and observation dimension d..3; a prior N(m0, 10^e C0) with e in 0..300;
+    and three observations.  F and the leading block of H are the identity
+    plus at most 0.3 per entry, so both are invertible."""
+    d, dd = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    out = draw(st.integers(d, 3))
+
+    def near_identity(rows):
+        return np.eye(rows, d) + draw(arrays(float, (rows, d), elements=st.floats(-0.3, 0.3)))
+
+    f, h = near_identity(d), near_identity(out)
+    g = draw(_matrix(d, dd))
+    q, r, c0 = draw(psd(dd)), draw(psd(out)), draw(psd(d))
+    m0 = draw(arrays(float, d, elements=st.floats(-5.0, 5.0)))
+    ys = draw(st.lists(arrays(float, out, elements=st.floats(-10.0, 10.0)), min_size=3, max_size=3))
+    return (f, g, q, h, r, m0, c0, ys), draw(st.integers(0, 300))
+
+
+# The 1-D random walk with unit noises, observed at 1, from P0 = 1e20 and 1e300.
+WALK = tuple(np.eye(1) for _ in range(5)) + (np.zeros(1), np.eye(1), [np.ones(1)] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(diffuse_linear_runs())
+@example((WALK, 20))
+@example((WALK, 300))
+def test_runs_from_diffuse_priors_are_the_kalman_filter(case):
+    # Each deterministic family, up to its reach; the degree-5 rule only
+    # where the joint's dimension is at most 4, as its axis weights are
+    # negative above that.
+    (f, g, q, h, r, m0, c0, ys), exponent = case
+    d, dd = g.shape
+    process = ProcessModel(
+        propagate=lambda n, x, xi: x @ f.T + xi @ g.T,
+        noise_cov=q,
+        state_dim=d,
+        linearize=lambda n, x, xi: (x @ f.T + xi @ g.T, np.hstack([f, g])),
+        vectorized=True,
+    )
+    obs = ObservationModel(observe=lambda n, x: x @ h.T, obs_cov=r, jacobian=lambda n, x: h, vectorized=True)
+    scale = 10.0 ** exponent
+    exact = kalman_filter(f, g, q, h, r, m0, scale * c0, ys)
+    for family, reach in DIFFUSE_REACH.items():
+        if exponent > reach or (family.endswith("5") and d + dd > 4):
+            continue
+        kind = FilterKind(family.rstrip("35"), rule_degree=int(family[-1])) if family[:2] == "CG" else FilterKind(family)
+        traj = run_filter(kind, process, obs, Gaussian(m0, scale * c0), ys)
+        assert traj.error is None, family
+        tol = diffuse_tolerance(family, scale)
+        for rec, (m, p) in zip(traj.records[1:], exact):
+            sd = np.sqrt(np.diagonal(p))
+            assert rec.diagnostics.jitters == 0, family
+            assert np.max(np.abs(rec.posterior.mean - m) / sd) <= tol, family
+            assert np.max(np.abs(rec.posterior.cov - p) / np.outer(sd, sd)) <= tol, family

@@ -8,6 +8,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from gaussfilt import (
     BistableSpec,
+    Diagnostics,
     FilterKind,
     Gaussian,
     TurnModelSpec,
@@ -35,7 +36,7 @@ from gaussfilt.models import (
 )
 from gaussfilt.cubature import standard_rule, symmetric_stencil, transform, weighted_moments
 from gaussfilt.gaussian import cholesky_factor
-from gaussfilt.updates import WhitenedMisfit, _kalman_update, numerical_hessian
+from gaussfilt.updates import WhitenedMisfit, numerical_hessian
 from objectives import with_difference_gradient
 
 
@@ -375,6 +376,27 @@ class TestMeasurementUpdatePoints:
         assert np.allclose(out.mean, [0.0])
         assert np.allclose(out.cov, [[1.0]])
 
+    def test_an_indefinite_noise_block_enters_clipped_and_counts_a_jitter(self, monkeypatch):
+        # The degree-5 rule's negative axis weights at k = 21 leave N = R + Omega
+        # indefinite on the bistable joint from the broad prior N(0, 0.5).  N
+        # enters as N+ through one eigendecomposition and one jitter, and the
+        # posterior is a valid Gaussian, mirrored by a mirrored observation.
+        process, obs = bistable_models(BistableSpec())
+        prior = augment(Gaussian([0.0], [[0.5]]), process, 0)
+        psi = composed_observation(process, obs, 0)
+        eigh = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh.append(a) or original(a))
+        posts = []
+        for y in (0.9, -0.9):
+            diag = Diagnostics()
+            posts.append(measurement_update_points(prior, psi, np.array([y]), obs.obs_cov, standard_rule(21, 5), diag))
+            assert diag.jitters == 1
+            Gaussian(posts[-1].mean, posts[-1].cov)
+        assert len(eigh) == 2 and np.linalg.eigvalsh(eigh[0])[0] < 0.0
+        assert np.max(np.abs(posts[0].mean + posts[1].mean)) <= 1e-12
+        assert np.max(np.abs(posts[0].cov - posts[1].cov)) <= 1e-12
+
     def test_psd_posterior_on_random_instances(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -450,14 +472,17 @@ class TestMeasurementUpdateVariational:
 
 
 def _stacked_points_update(prior, obs_map, y, r, mu):
-    # The stacked formula the kernel replaced: the full (k + p)^2 covariance
-    # of [x, z], whose state, cross and observation blocks all enter the
-    # update, centred on the points' mean [x̄, z̄].
+    # The stacked formula: the full (k + p)^2 covariance of [x, z], whose
+    # state, cross and observation blocks all enter the Kalman update,
+    # centred on the points' mean [x̄, z̄]; returns the posterior mean and
+    # covariance.
     zpts = obs_map.rows(mu.points)
     zpts = zpts[0] + obs_map.residual(zpts, zpts[0])
     mean, cov = weighted_moments(mu.weights, np.hstack([mu.points, zpts]))
     k = prior.dim
-    return _kalman_update(mean[:k], cov[:k, :k], obs_map, y, r, mean[k:], cov[:k, k:], cov[k:, k:], None)
+    s = 0.5 * (cov[k:, k:] + cov[k:, k:].T) + r
+    shift, shrink = _conditioning_terms(s, cov[:k, k:], obs_map.residual(y, mean[k:]))
+    return mean[:k] + shift, cov[:k, :k] - shrink
 
 
 class TestPointMoments:
@@ -487,7 +512,7 @@ class TestPointMoments:
         for _ in range(2):
             post = measurement_update_points(prior, obs_map, y, r, rule)
             # relative to the update itself, the shift of the mean and the shrink of the covariance
-            for got, want, base in ((post.mean, expected.mean, prior.mean), (post.cov, expected.cov, prior.cov)):
+            for got, want, base in ((post.mean, expected[0], prior.mean), (post.cov, expected[1], prior.cov)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want - base))
         for before, after in zip(saved, (rule.weights, rule.points, prior.mean, prior.cov)):
             assert before.tobytes() == after.tobytes()
