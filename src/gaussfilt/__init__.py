@@ -4,7 +4,7 @@ noise-conditioning ("smoothing") variants, with benchmark testbeds."""
 from .cubature import DiscreteMeasure, standard_rule, transform
 from .diagnostics import Diagnostics
 from .filters import FilterKind, FilterTrajectory, conventional_step, run_filter, smoothing_step
-from .gaussian import Gaussian, cholesky_factor, condition, quadratic_form
+from .gaussian import Gaussian, cholesky_factor, quadratic_form
 from .harness import ExperimentConfig, RunResult, run_experiment, write_results
 from .models import (
     ObservationModel,

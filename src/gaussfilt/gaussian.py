@@ -1,9 +1,11 @@
-"""Dense Gaussian algebra: factorization, conditioning, quadratic forms.
+"""Dense Gaussian algebra: factorization, repair, quadratic forms.
 
-Every covariance handled here is symmetrized explicitly before use; the
-conditioning formula loses symmetry in floating point otherwise.  Solves
-against a covariance S = L L^T go through W = L^-1, never S^-1, applied
-to every operand as a matrix product.  The algebra runs on ``numpy.linalg``.
+Every belief a kernel returns is symmetrized and factored here, and repaired
+on its per-coordinate variances when it does not factor.  Conditioning is not
+here: every measurement update conditions by one square-root step in
+``updates``.  A matrix a step inverts, S = L L^T, goes through W = L^-1,
+never S^-1, unjittered and applied to every operand as a matrix product.
+The algebra runs on ``numpy.linalg``.
 """
 
 from dataclasses import dataclass
@@ -168,28 +170,6 @@ def _inverse_factor(s, what):
         return np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"{what} is singular") from exc
-
-
-def _conditioning_terms(s, cross, innovation):
-    """The shift C S^-1 v and the shrink C S^-1 C^T of conditioning on an
-    observed block of covariance S, cross covariance C and innovation v, from
-    C W^T and W v; SingularMatrix unless S is finite and positive definite."""
-    w = _inverse_factor(s, "innovation covariance")
-    a = cross @ w.T
-    return a @ (w @ innovation), a @ a.T
-
-
-def condition(joint: Gaussian, y: np.ndarray) -> Gaussian:
-    """The exact conditional of the leading ``joint.dim - len(y)`` components
-    of ``joint`` given that the trailing ``len(y)`` equal y; ValueError unless
-    y is a vector with 0 < len(y) < joint.dim."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    k = joint.dim - y.shape[0]
-    if y.ndim != 1 or not 0 < k < joint.dim:
-        raise ValueError(f"observed vector of shape {y.shape} does not fit inside dimension {joint.dim}")
-    xbar, ybar = joint.mean[:k], joint.mean[k:]
-    shift, shrink = _conditioning_terms(joint.cov[k:, k:], joint.cov[:k, k:], y - ybar)
-    return Gaussian(xbar + shift, symmetrize(joint.cov[:k, :k] - shrink))
 
 
 def quadratic_form(v: np.ndarray, sigma: np.ndarray) -> float:

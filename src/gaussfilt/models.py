@@ -68,20 +68,17 @@ def _stacked_rows(fn: Callable, vectorized: bool, out_dim: int, xs: np.ndarray) 
     return out
 
 
-def _linearized(rows, out_dim, x, basis, jacobian, linearize) -> tuple[np.ndarray, np.ndarray]:
+def _linearized(rows, out_dim, x, basis, linearize) -> tuple[np.ndarray, np.ndarray]:
     """A map at one point x and J @ basis, its Jacobian along the columns of
     ``basis`` (n x k; the identity when None): from one ``linearize(x, basis)``
-    call when that is given, else ``rows`` at x and the analytic
-    ``jacobian(x)`` (checked by ``_along``) or, when None, ``central_difference``
-    of ``rows``.  The one linearization of observation and process maps alike;
-    on every branch raises DimensionMismatch unless the value is (out_dim,) and
-    J @ basis (out_dim, k), DivergedEvaluation if either is not finite."""
+    call when that is given, else ``rows`` at x and ``central_difference`` of
+    ``rows``.  The one linearization of observation and process maps alike;
+    on both branches raises DimensionMismatch unless the value is (out_dim,)
+    and J @ basis (out_dim, k), DivergedEvaluation if either is not finite."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         if linearize is not None:
             value, jac = linearize(x, basis)
-        elif jacobian is not None:
-            value, jac = rows(x[None])[0], _along(jacobian(x), basis, out_dim, len(x))
         else:
             value, jac = rows(x[None])[0], central_difference(rows, x, basis)
     value = as_shape(value, (out_dim,), "value")
@@ -141,7 +138,7 @@ class ProcessModel:
             return value, _along(jac, basis, d, len(z))
 
         rows = lambda zs: self.forward(n, zs)
-        return _linearized(rows, d, z, basis, None, None if self.linearize is None else linearize)
+        return _linearized(rows, d, z, basis, None if self.linearize is None else linearize)
 
     def full_jacobian(self, n: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The Jacobian from ``value_and_jacobian``; kept only because the
@@ -174,13 +171,21 @@ class ObservationModel:
         return self.obs_cov.shape[0]
 
     def at_step(self, n: int) -> "ObsFunction":
-        """The observation map frozen at step n, for measurement updates."""
+        """The observation map frozen at step n, for measurement updates.  An
+        analytic ``jacobian`` becomes the map's ``linearize`` hook: the map's
+        row at x and ``jacobian(n, x)``, checked by ``_along``, times basis."""
+        fn = lambda x: self.observe(n, x)
+
+        def linearize(x, basis):
+            value = _stacked_rows(fn, self.vectorized, self.obs_dim, x[None])[0]
+            return value, _along(self.jacobian(n, x), basis, self.obs_dim, len(x))
+
         return ObsFunction(
-            fn=lambda x: self.observe(n, x),
+            fn=fn,
             out_dim=self.obs_dim,
-            jacobian=None if self.jacobian is None else (lambda x: self.jacobian(n, x)),
             wrap_observation=self.wrap_observation,
             vectorized=self.vectorized,
+            linearize=None if self.jacobian is None else linearize,
         )
 
 
@@ -191,11 +196,11 @@ class ObsFunction:
     which check every shape and also serve ``ProcessModel``'s forward map,
     without an ObsFunction.  When ``vectorized`` is set, fn maps stacked
     points (m, k) to (m, out_dim); otherwise ``rows`` calls it once per row.
+    Its one derivative hook is ``linearize``; without it, rows are differenced.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     out_dim: int
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     wrap_observation: Callable | None = None
     vectorized: bool = False
     linearize: Callable | None = None  # (x, basis) -> (value, Jacobian @ basis) from one evaluation
@@ -215,8 +220,8 @@ class ObsFunction:
     def value_and_jacobian(
         self, x: np.ndarray, basis: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``_linearized`` at x along ``basis``, from this map's rows and hooks."""
-        return _linearized(self.rows, self.out_dim, x, basis, self.jacobian, self.linearize)
+        """``_linearized`` at x along ``basis``, from this map's rows and ``linearize``."""
+        return _linearized(self.rows, self.out_dim, x, basis, self.linearize)
 
 
 @dataclass(frozen=True)

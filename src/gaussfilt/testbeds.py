@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatch, DivergedEvaluation, as_integer, as_real, as_shape
+from .gaussian import symmetrize
 from .models import ObservationModel, ProcessModel, SdeSpec, discretize_sde
 
 IDENTITY_OBS = "identity"
@@ -259,7 +260,7 @@ def psd_sqrt(c: np.ndarray) -> np.ndarray:
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if not c.size:
         return c
-    vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
+    vals, vecs = np.linalg.eigh(symmetrize(c))
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 

@@ -19,7 +19,6 @@ from gaussfilt import (
     VariationalSettings,
     bfgs_minimize,
     bistable_models,
-    condition,
     measurement_update_linear,
     measurement_update_variational,
     run_experiment,
@@ -38,6 +37,7 @@ from gaussfilt.models import (
 )
 from gaussfilt.testbeds import TruthRun
 from moments import moment_defect
+from oracles import condition
 from objectives import with_difference_gradient
 
 
@@ -484,7 +484,7 @@ def test_criterion_9_optimizer_oracle():
         a = rng.standard_normal((2, 2))
         prior = Gaussian(rng.standard_normal(2), a @ a.T + 0.5 * np.eye(2))
         h = rng.standard_normal((1, 2))
-        obs_map = ObsFunction(fn=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h, out_dim=1)
+        obs_map = ObsFunction(fn=lambda x, h=h: h @ x, linearize=lambda x, b, h=h: (h @ x, h @ b), out_dim=1)
         y, r = rng.standard_normal(1), np.array([[0.4 + rng.random()]])
         lin = measurement_update_linear(prior, obs_map, y, r)
         var = measurement_update_variational(

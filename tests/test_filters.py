@@ -14,7 +14,6 @@ from gaussfilt import (
     TurnModelSpec,
     VariationalSettings,
     bistable_models,
-    condition,
     conventional_step,
     run_filter,
     simulate_truth,
@@ -25,6 +24,7 @@ from gaussfilt.errors import DimensionMismatch, DivergedEvaluation, SingularMatr
 from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.models import ObsFunction, ProcessModel, augment, composed_observation
 from gaussfilt.updates import measurement_update_linear
+from oracles import condition
 
 A, GAMMA, R = 0.9, 0.1, 0.5
 

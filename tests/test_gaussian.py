@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import gaussfilt
-from gaussfilt import Gaussian, cholesky_factor, condition, quadratic_form
+from gaussfilt import Gaussian, cholesky_factor, quadratic_form
 from gaussfilt.diagnostics import Diagnostics
 from gaussfilt.errors import NotPositiveDefinite, SingularMatrix
 from gaussfilt.gaussian import _factor_of, _settled, repair_covariance, symmetrize
+from oracles import condition
 
 
 class TestGaussianInvariants:

@@ -651,3 +651,30 @@ class TestValueAndJacobian:
             process.value_and_jacobian(0, z)
         with pytest.raises(DivergedEvaluation, match="not finite"):
             obs.at_step(1).value_and_jacobian(z[:1])[1]
+
+    def test_an_analytic_jacobian_is_the_maps_one_linearize_hook(self):
+        # at_step turns jacobian(n, x) into the map's linearize: one row of
+        # observe for the value and one call of J.  Without J, the value's row
+        # and one stacked call of the 2k central-difference probes.
+        h = np.array([[1.0, -2.0, 0.5]])
+        x, basis = np.array([0.3, -0.7, 1.1]), np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 1.0]])
+        observed, jacobians = [], []
+
+        def observe(n, xs):
+            observed.append((n, xs.shape))
+            return xs @ h.T
+
+        def jacobian(n, x):
+            jacobians.append((n, x.shape))
+            return h
+
+        assert "jacobian" not in {f.name for f in dataclasses.fields(ObsFunction)}
+        hooked = ObservationModel(observe=observe, obs_cov=[[0.1]], jacobian=jacobian, vectorized=True).at_step(4)
+        value, jac = hooked.value_and_jacobian(x, basis)
+        assert observed == [(4, (1, 3))] and jacobians == [(4, (3,))]
+        assert value.tobytes() == (x @ h.T).tobytes() and jac.tobytes() == (h @ basis).tobytes()
+        observed.clear()
+        plain = ObservationModel(observe=observe, obs_cov=[[0.1]], vectorized=True).at_step(4)
+        value, jac = plain.value_and_jacobian(x, basis)
+        assert observed == [(4, (1, 3)), (4, (4, 3))] and len(jacobians) == 1
+        assert np.max(np.abs(jac - h @ basis)) <= 1e-9

@@ -25,7 +25,7 @@ from gaussfilt import (
     turn_models,
 )
 from gaussfilt.errors import DivergedEvaluation, OptimizerStopped
-from gaussfilt.gaussian import _conditioning_terms, _inverse_factor
+from gaussfilt.gaussian import _inverse_factor
 from gaussfilt.models import (
     ObservationModel,
     ObsFunction,
@@ -38,6 +38,7 @@ from gaussfilt.cubature import standard_rule, symmetric_stencil, transform, weig
 from gaussfilt.gaussian import cholesky_factor
 from gaussfilt.updates import WhitenedMisfit, numerical_hessian
 from objectives import with_difference_gradient
+from oracles import _conditioning_terms
 
 
 def linear_process(a, gamma):
@@ -55,7 +56,7 @@ def linear_process(a, gamma):
 def identity_obs(d=1):
     return ObsFunction(
         fn=lambda x: np.atleast_1d(x),
-        jacobian=lambda x: np.eye(d),
+        linearize=lambda x, b: (np.atleast_1d(x), np.eye(d) @ b),
         out_dim=d,
     )
 
@@ -353,7 +354,7 @@ class TestMeasurementUpdatePoints:
             a = rng.standard_normal((d, d))
             prior = Gaussian(rng.standard_normal(d), a @ a.T + 0.5 * np.eye(d))
             h = rng.standard_normal((1, d))
-            obs = ObsFunction(fn=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h, out_dim=1)
+            obs = ObsFunction(fn=lambda x, h=h: h @ x, linearize=lambda x, b, h=h: (h @ x, h @ b), out_dim=1)
             y, r = rng.standard_normal(1), [[0.5]]
             lin = measurement_update_linear(prior, obs, y, r)
             pts = measurement_update_points(prior, obs, y, r, standard_rule(d, degree=3))
@@ -425,7 +426,7 @@ class TestMeasurementUpdateVariational:
             a = rng.standard_normal((d, d))
             prior = Gaussian(rng.standard_normal(d), a @ a.T + 0.5 * np.eye(d))
             h = rng.standard_normal((1, d))
-            obs = ObsFunction(fn=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h, out_dim=1)
+            obs = ObsFunction(fn=lambda x, h=h: h @ x, linearize=lambda x, b, h=h: (h @ x, h @ b), out_dim=1)
             y, r = rng.standard_normal(1), [[0.5]]
             lin = measurement_update_linear(prior, obs, y, r)
             var = measurement_update_variational(prior, obs, y, r)
@@ -441,7 +442,7 @@ class TestMeasurementUpdateVariational:
             a = rng.standard_normal((k, k))
             prior = Gaussian(rng.standard_normal(k), a @ a.T + 0.5 * np.eye(k))
             h = rng.standard_normal((1, k))
-            obs = ObsFunction(fn=lambda x, h=h: h @ x, jacobian=lambda x, h=h: h, out_dim=1)
+            obs = ObsFunction(fn=lambda x, h=h: h @ x, linearize=lambda x, b, h=h: (h @ x, h @ b), out_dim=1)
             y, r = rng.standard_normal(1), np.array([[0.4 + rng.random()]])
             lin = measurement_update_linear(prior, obs, y, r)
             var = measurement_update_variational(prior, obs, y, r, settings)
@@ -450,7 +451,11 @@ class TestMeasurementUpdateVariational:
 
     def test_consistent_observation_keeps_mean(self):
         prior = Gaussian([0.4], [[1.0]])
-        obs = ObsFunction(fn=lambda x: np.atleast_1d(3.0 * x), jacobian=lambda x: [[3.0]], out_dim=1)
+        obs = ObsFunction(
+            fn=lambda x: np.atleast_1d(3.0 * x),
+            linearize=lambda x, b: (np.atleast_1d(3.0 * x), np.array([[3.0]]) @ b),
+            out_dim=1,
+        )
         out = measurement_update_variational(prior, obs, [1.2], [[1.0]])
         assert abs(out.mean[0] - 0.4) <= 1e-6
 
@@ -459,7 +464,7 @@ class TestMeasurementUpdateVariational:
         # conditional-Gaussian posterior on a linear observation map.
         prior = Gaussian([1.0, -0.5], [[2.0, 0.4], [0.4, 1.0]])
         h = np.array([[1.0, 2.0]])
-        obs = ObsFunction(fn=lambda x: h @ x, jacobian=lambda x: h, out_dim=1)
+        obs = ObsFunction(fn=lambda x: h @ x, linearize=lambda x, b: (h @ x, h @ b), out_dim=1)
         y, r = [0.3], [[0.7]]
         lin = measurement_update_linear(prior, obs, y, r)
         for other in (
@@ -546,7 +551,9 @@ class TestWhitenedVariational:
     def test_non_finite_jacobian_scores_inf(self):
         # The value is finite there, but a point without a gradient cannot be
         # accepted, so the line search must back off from it.
-        obs_map = ObsFunction(fn=lambda x: x, out_dim=1, jacobian=lambda x: [[np.nan if x[0] > 1.0 else 1.0]])
+        obs_map = ObsFunction(
+            fn=lambda x: x, out_dim=1, linearize=lambda x, b: (x, np.array([[np.nan if x[0] > 1.0 else 1.0]]) @ b)
+        )
         misfit = WhitenedMisfit(Gaussian([0.0], [[1.0]]), obs_map, [0.5], [[1.0]])
         assert misfit(np.array([2.0])) == (np.inf, None)
         assert np.isfinite(misfit(np.array([0.5]))[0])
