@@ -1,11 +1,14 @@
 """Dense Gaussian algebra: factorization, repair, quadratic forms.
 
-Every belief a kernel returns is symmetrized and factored here, and repaired
-on its per-coordinate variances when it does not factor.  Conditioning is not
-here: every measurement update conditions by one square-root step in
-``updates``.  A matrix a step inverts, S = L L^T, goes through W = L^-1,
-never S^-1, unjittered and applied to every operand as a matrix product.
-The algebra runs on ``numpy.linalg``.
+Every belief a kernel returns carries a square-root factor of its
+covariance to the next kernel.  A belief the kernels form as a covariance is
+symmetrized and factored here, and repaired on its per-coordinate variances
+when it does not factor; the square-root measurement step and ``augment``
+form the factor first and hand it on unfactored.  Conditioning is not here:
+every measurement update conditions by one square-root step in ``updates``.
+A matrix a step inverts, S = L L^T, goes through W = L^-1, never S^-1,
+unjittered and applied to every operand as a matrix product.  The algebra
+runs on ``numpy.linalg``.
 """
 
 from dataclasses import dataclass
@@ -53,7 +56,7 @@ class Gaussian:
 
     mean: np.ndarray
     cov: np.ndarray
-    _factor = None  # cov's Cholesky factor, when a kernel carried it; not a field
+    _factor = None  # cov's square-root factor, when a kernel carried it; not a field
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -68,11 +71,20 @@ class Gaussian:
     def _unchecked(cls, mean: np.ndarray, cov: np.ndarray, factor=None) -> "Gaussian":
         """The kernels' constructor, which skips ``__post_init__``.
 
-        ``mean`` is a float vector (d,) and ``cov`` a (d, d) matrix that
-        ``_settled`` accepted, or a block-diagonal stack of checked
-        covariances.  ``factor``, when given, is ``cholesky_factor(cov)`` to
-        the byte; it is made read-only and handed to the next kernel that
-        factors ``cov`` (``_factor_of``).
+        ``mean`` is a float vector (d,) and ``cov`` a (d, d) matrix.
+        ``factor``, when given, is lower triangular with a nonnegative
+        diagonal and meets one of three exact relations:
+
+        - it is ``cholesky_factor(cov)`` to the byte (``_settled``);
+        - ``cov`` is ``factor @ factor.T`` to the byte (the square-root
+          measurement step);
+        - ``cov`` and ``factor`` are block-diagonal stacks of covariances and
+          the factors they carry, each block meeting one of these relations
+          (``augment``).
+
+        It is made read-only and handed to the next kernel that factors
+        ``cov`` (``_factor_of``).  Without it, ``cov`` is a block-diagonal
+        stack of checked covariances (``augment``).
         """
         g = object.__new__(cls)
         object.__setattr__(g, "mean", mean)

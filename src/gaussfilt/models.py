@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DivergedEvaluation, as_integer, as_real, as_shape
-from .gaussian import Gaussian, as_covariance
+from .gaussian import Gaussian, as_covariance, symmetrize
 
 _EPS = np.finfo(float).eps
 
@@ -94,7 +94,10 @@ class ProcessModel:
 
     ``noise_cov`` is checked once, here, with the tolerances of ``Gaussian``;
     ``augment`` stacks it into the joint belief unchecked.  Its shape gives
-    ``noise_dim``.  ``state_dim`` must be an integer >= 1 (``as_integer``).
+    ``noise_dim``.  It is factored once, here, too: ``_noise_factor`` is its
+    Cholesky factor, as ``cholesky_factor`` forms it, or None where it does
+    not factor as given (a zero noise component).  ``state_dim`` must be an
+    integer >= 1 (``as_integer``).
 
     When ``vectorized`` is set, propagate also accepts stacked inputs of
     shape (m, d) / (m, D) and returns (m, d); otherwise ``forward`` calls it
@@ -106,12 +109,19 @@ class ProcessModel:
     state_dim: int
     vectorized: bool = False
     linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
+    _noise_factor = None  # noise_cov's Cholesky factor, when it has one; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "state_dim", as_integer(self.state_dim, "state_dim"))
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
         object.__setattr__(self, "noise_cov", as_covariance(self.noise_cov, what="noise_cov"))
+        try:
+            factor = np.linalg.cholesky(symmetrize(self.noise_cov))
+        except np.linalg.LinAlgError:
+            return
+        factor.flags.writeable = False
+        object.__setattr__(self, "_noise_factor", factor)
 
     @property
     def noise_dim(self) -> int:
@@ -321,7 +331,10 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
 
 def augment(prior: Gaussian, model: ProcessModel, n: int) -> Gaussian:
     """The joint belief over z = [x, xi]: the state belief stacked with the
-    (zero-mean) driving noise for step n."""
+    (zero-mean) driving noise for step n.  Where the prior carries a factor
+    and ``noise_cov`` has one, the joint carries their block stack
+    [[L_x, 0], [0, L_Q]]; otherwise none, and the next kernel factors the
+    stacked matrix."""
     d, dd = prior.dim, model.noise_dim
     if d != model.state_dim:
         raise DimensionMismatch(f"prior dim {d} does not match model state dim {model.state_dim}")
@@ -329,9 +342,13 @@ def augment(prior: Gaussian, model: ProcessModel, n: int) -> Gaussian:
     mean[:d] = prior.mean
     cov = np.zeros((d + dd, d + dd))
     cov[:d, :d] = prior.cov
-    if dd:
-        cov[d:, d:] = model.noise_cov
-    return Gaussian._unchecked(mean, cov)
+    cov[d:, d:] = model.noise_cov
+    if prior._factor is None or model._noise_factor is None:
+        return Gaussian._unchecked(mean, cov)
+    factor = np.zeros_like(cov)
+    factor[:d, :d] = prior._factor
+    factor[d:, d:] = model._noise_factor
+    return Gaussian._unchecked(mean, cov, factor)
 
 
 def composed_observation(process: ProcessModel, obs: ObservationModel, n: int) -> ObsFunction:

@@ -7,6 +7,7 @@ ordering the prior is the (d+D)-dimensional joint belief over z = [x, xi]
 and the map is the observation composed with one forward step.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_mo
 from .diagnostics import Diagnostics
 from .errors import DivergedEvaluation, OptimizerStopped, SingularMatrix, as_integer, as_real
 from .gaussian import Gaussian, _factor_of, _inverse_factor, _settled, cholesky_factor
-from .models import ObsFunction, ProcessModel, difference_step
+from .models import _EPS, ObsFunction, ProcessModel, difference_step
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,16 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
     count in ``iterations``.  The inverse-Hessian approximation starts at the
     identity; the line search tries steps 1, 1/2, 1/4, ... (at most 40
     halvings) and accepts the first that meets the Armijo condition with
-    c = 1e-4 and strictly lowers f.  A decrease lost in f's rounding thus
-    fails the search instead of passing it vacuously.  Near a minimum f's
-    rounding can hide every decrease, as where the map's input is far from
-    the origin; the search then falls back to the first step that meets
-    Hager and Zhang's approximate Wolfe conditions, which read the slope
-    along p rather than f: f rises by at most 1e-6 |f| and the slope lies in
-    [0.9, -0.8] times the slope at the start.  Only where no step meets
-    either test does the search fail.
+    c = 1e-4 and lowers f by more than 4 eps |f|, f's rounding.  A decrease
+    lost in that rounding thus fails the search instead of passing it
+    vacuously.  Near a minimum f's rounding can hide every decrease, as
+    where the map's input is far from the origin; the search then falls back
+    to the first step that meets Hager and Zhang's approximate Wolfe
+    conditions, which read the slope along p rather than f: f rises by at
+    most 1e-6 |f| and the slope lies in [0.9, -0.8] times the slope at the
+    start.  Such a step cannot follow another: from a point it reached, only
+    an Armijo step goes on.  Where no step is accepted the search fails,
+    rather than wander at the rounding floor.
     """
     settings = settings or DEFAULT_VARIATIONAL
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -93,6 +96,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
     if tol is None:
         tol = 1e-6 * (1.0 + abs(fx))
     h_inv = np.eye(x.shape[0])
+    approximate_allowed = True
     for it in range(settings.max_iter):
         if np.linalg.norm(g) <= tol:
             return x, it
@@ -103,15 +107,17 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
             p = -g
             slope = float(g @ p)
         alpha, ok, approximate = 1.0, False, None
+        floor = fx - 4.0 * _EPS * abs(fx)
         for _ in range(41):
             x_new = x + alpha * p
             f_new, g_new = f(x_new)
             f_new = float(f_new)
-            if np.isfinite(f_new) and f_new < fx and f_new <= fx + 1e-4 * alpha * slope:
+            if np.isfinite(f_new) and f_new < floor and f_new <= fx + 1e-4 * alpha * slope:
                 ok = True
                 break
             if (
                 approximate is None
+                and approximate_allowed
                 and f_new <= fx + 1e-6 * abs(fx)  # False for nan
                 and 0.9 * slope <= float(g_new @ p) <= -0.8 * slope
             ):
@@ -121,6 +127,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
             if approximate is None:
                 raise OptimizerStopped(f"no Armijo step after 40 halvings (grad norm {np.linalg.norm(g):.3e})", it)
             x_new, f_new, g_new = approximate
+        approximate_allowed = ok
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
@@ -146,13 +153,19 @@ def _square_root_update(mean, factor, innovation, a, n, diag, scale):
 
     The QR of [[Â^T, I], [N^½^T, 0]] leaves [[S^½^T, S^-½ Â], [0, Π^½^T]],
     with S = Â Â^T + N and Π = I - Â^T S^-1 Â the covariance of u given y,
-    so the posterior, mean + L Â^T S^-1 v with covariance (L Π^½)(L Π^½)^T,
-    subtracts no covariance from another.  The [Â^T, I] rows come first, so
-    Householder keeps Π^½ where Â is large, as under a diffuse prior.  An N
-    that does not factor enters as N₊, its negative eigenvalues set to zero,
-    and counts a jitter.  A non-finite N or S, which the array never forms,
-    or a singular S^½ raises SingularMatrix; a posterior that does not
-    factor is repaired on ``scale``, the prior's variances."""
+    so the posterior, mean + L Â^T S^-1 v with covariance F F^T for
+    F = L Π^½, subtracts no covariance from another.  The [Â^T, I] rows come
+    first, so Householder keeps Π^½ where Â is large, as under a diffuse
+    prior.  An N that does not factor enters as N₊, its negative eigenvalues
+    set to zero, and counts a jitter.  A non-finite N or S, which the array
+    never forms, or a singular S^½ raises SingularMatrix.
+
+    F, lower triangular as L and Π^½ are, has its columns' signs flipped to
+    a nonnegative diagonal and is carried to the next kernel with F F^T,
+    unfactored.  Where Π^½ has an exactly zero diagonal entry, as an exact
+    observation of a state leaves it, or F F^T is not finite, F F^T goes
+    through ``_settled`` instead, repaired on ``scale``, the prior's
+    variances, when it does not factor."""
     p, k = a.shape
     try:
         n_half = np.linalg.cholesky(n)  # an infinite N may factor; S then is not finite
@@ -174,8 +187,14 @@ def _square_root_update(mean, factor, innovation, a, n, diag, scale):
         w = np.linalg.solve(s_half, innovation)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("innovation covariance is singular") from exc
+    mean = mean + factor @ (upper[:p, p:].T @ w)
+    pivots = upper.diagonal()[p:]
     f = factor @ upper[p:, p:].T
-    return _settled(mean + factor @ (upper[:p, p:].T @ w), f @ f.T, diag, scale)
+    f *= np.copysign(1.0, pivots)
+    cov = f @ f.T
+    if all(pivots.tolist()) and math.isfinite(cov.trace()):
+        return Gaussian._unchecked(mean, cov, f)
+    return _settled(mean, cov, diag, scale)
 
 
 def time_update_linear(
@@ -183,7 +202,7 @@ def time_update_linear(
 ) -> Gaussian:
     """First-order propagation of the joint belief through the forward map:
     the covariance is the Gram matrix B B^T of B = J L, the map's Jacobian
-    along the columns of the joint's Cholesky factor L.  Valid for any joint
+    along the columns of the joint's factor L.  Valid for any joint
     covariance, including the full one left by conditioning on y_{n+1}."""
     mean, b = process.value_and_jacobian(n, joint.mean, _factor_of(joint, diag))
     # a copy: a linearization memo hands out its own value, read-only
@@ -215,7 +234,7 @@ def measurement_update_linear(
     diag: Diagnostics | None = None,
 ) -> Gaussian:
     """Kalman-style update with the observation map linearized at the mean:
-    with L the prior's Cholesky factor, the regression on the whitened state
+    with L the prior's factor, the regression on the whitened state
     is z = h(m) + B u, with B = H L the Jacobian along L's columns, exactly."""
     s = _factor_of(prior, diag)
     z, b = obs_map.value_and_jacobian(prior.mean, s)

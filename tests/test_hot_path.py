@@ -1,8 +1,8 @@
 """Machine-independent counters on the per-step path: the kernels build no
-checked Gaussian, a cubature, sampling or linearized step factors each covariance
-once, the variational update inverts no prior factor, each deterministic cubature rule
-is built once, and the linearized filters run one Euler-Maruyama pass per
-linearization point."""
+checked Gaussian, a cubature, sampling or linearized step factors only the
+covariances no kernel handed on a factor for, the variational update inverts
+no prior factor, each deterministic cubature rule is built once, and the
+linearized filters run one Euler-Maruyama pass per linearization point."""
 
 import math
 
@@ -91,11 +91,13 @@ def _tracking_cubature_run(family):
 
 @pytest.mark.parametrize("family", ["CGF", "CGSF"])
 def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
-    # Per step: the augmented joint's factor, the factor of N = R + Omega,
-    # and one for each of the two covariances the kernels return; the second
-    # kernel takes the first kernel's factor instead of factoring it again.
-    # One QR, of the measurement update's square-root array.  No eigvalsh:
-    # only repair_covariance's abort message reads an eigenvalue.
+    # Per step: the factor of N = R + Omega and the factor of the time
+    # update's moments.  The augmented joint carries the block stack of the
+    # posterior's and the noise's factors, and the square-root step hands on
+    # L Pi^1/2 with its covariance; only the first step, from a prior that
+    # carries no factor, factors the joint.  One QR, of the measurement
+    # update's square-root array.  No eigvalsh: only repair_covariance's
+    # abort message reads an eigenvalue.
     observations, traj, step = _tracking_cubature_run(family)
     counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "qr", "eigvalsh")}
     for n, y in enumerate(observations):
@@ -103,15 +105,17 @@ def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
             calls.clear()
         posterior = step(n, y)
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
-        assert {name: len(calls) for name, calls in counted.items()} == {"cholesky": 4, "qr": 1, "eigvalsh": 0}
+        factored = 3 if n == 0 else 2
+        assert {name: len(calls) for name, calls in counted.items()} == {"cholesky": factored, "qr": 1, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("family, maps", [("CGF", 1), ("CGSF", 2)])
 def test_tracking_step_builds_few_maps_and_converts_no_kernel_array(family, maps, monkeypatch):
     # Per step: the observation map at n + 1, and for CGSF the composed map
     # around it; a push through the forward map builds none.  The one
-    # conversion is cholesky_factor's, of the augmented joint, which carries
-    # no factor; the kernels' own arrays are not converted again.
+    # conversion is cholesky_factor's, of the first step's augmented joint,
+    # whose prior carries no factor; the kernels' own arrays are not
+    # converted again.
     observations, traj, step = _tracking_cubature_run(family)
     built, converted = [], []
     original_init = ObsFunction.__init__
@@ -135,7 +139,7 @@ def test_tracking_step_builds_few_maps_and_converts_no_kernel_array(family, maps
         converted.clear()
         posterior = step(n, y)
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
-        assert (len(built), converted) == (maps, ["atleast_2d"])
+        assert (len(built), converted) == (maps, ["atleast_2d"] if n == 0 else [])
 
 
 @pytest.mark.parametrize(
@@ -171,16 +175,18 @@ def test_bistable_step_builds_one_observation_map(family, maps, monkeypatch):
 
 @pytest.mark.parametrize(
     "family, factored, inverted, square_root",
-    [("LGF", 4, 0, 1), ("LGSF", 4, 0, 1), ("VGF", 5, 2, 0), ("VGSF", 5, 2, 0)],
+    [("LGF", 2, 0, 1), ("LGSF", 2, 0, 1), ("VGF", 4, 2, 0), ("VGSF", 4, 2, 0)],
     ids=["LGF-4-1", "LGSF-4-1", "VGF-5-2", "VGSF-5-2"],  # the ids these cases had before square_root
 )
 def test_bistable_linearized_step_factors_each_covariance_once(family, factored, inverted, square_root, monkeypatch):
-    # Per step: the augmented joint's factor, which the linearizations take
-    # as their basis, and one for each covariance the kernels return; R's
-    # factor, one QR of the square-root array and one solve against S^1/2
-    # (LGF, LGSF), or the factors of R and I + H_d and their inverses (VGF,
-    # VGSF).  The second kernel takes the first kernel's factor instead of
-    # factoring it again.
+    # Per step: the factor of the time update's covariance, and R's factor,
+    # one QR of the square-root array and one solve against S^1/2 (LGF,
+    # LGSF), or the factors of R, of I + H_d and of the posterior covariance
+    # and the first two's inverses (VGF, VGSF).  The augmented joint, whose
+    # factor the linearizations take as their basis, carries the block stack
+    # of the posterior's and the noise's factors, and the square-root step
+    # hands on its factor; only the first step, from a prior that carries no
+    # factor, factors the joint.
     process, obs = bistable_models(BistableSpec())
     prior = Gaussian([0.8], [[0.02]])
     truth = simulate_truth(process, obs, prior.mean, 5, np.random.default_rng(5))
@@ -196,26 +202,36 @@ def test_bistable_linearized_step_factors_each_covariance_once(family, factored,
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
         assert traj.records[n + 1].diagnostics.fallbacks == 0
         assert {name: len(calls) for name, calls in counted.items()} == {
-            "cholesky": factored, "inv": inverted, "solve": square_root, "qr": square_root
+            "cholesky": factored + (n == 0), "inv": inverted, "solve": square_root, "qr": square_root
         }
 
 
 @pytest.mark.parametrize("family", ["PGF", "PGSF"])
 def test_bistable_sampling_step_factors_each_covariance_once(family, monkeypatch):
-    # One step from the bistable prior: the augmented joint's factor, the
-    # sample covariance's factor and its inverse, the factor of N = R + Omega,
-    # one QR of the square-root array and one solve against S^1/2, and one
-    # factor for each of the two covariances the kernels return.
+    # Per step: the sample covariance's factor and its inverse, the factor of
+    # N = R + Omega, one QR of the square-root array and one solve against
+    # S^1/2, and the factor of the time update's covariance.  The augmented
+    # joint carries the block stack of the posterior's and the noise's
+    # factors, and the square-root step hands on its factor; only the first
+    # step, from a prior that carries no factor, factors the joint.  The
+    # steps replay the run's draws from a generator seeded alike.
     process, obs = bistable_models(BistableSpec())
     prior, kind = Gaussian([0.8], [[0.02]]), FilterKind(family)
+    truth = simulate_truth(process, obs, prior.mean, 5, np.random.default_rng(5))
+    traj = run_filter(kind, process, obs, prior, truth.observations, np.random.default_rng(7))
+    assert traj.error is None
     step = smoothing_step if kind.is_smoothing else conventional_step
     names = ("cholesky", "inv", "solve", "qr", "eigvalsh")
     counted = {name: _counting_linalg(monkeypatch, name) for name in names}
-    posterior = step(kind, prior, process, obs, np.array([0.95]), 0, np.random.default_rng(5))
-    assert posterior.dim == 1
-    assert {name: len(calls) for name, calls in counted.items()} == {
-        "cholesky": 5, "inv": 1, "solve": 1, "qr": 1, "eigvalsh": 0
-    }
+    rng = np.random.default_rng(7)
+    for n, y in enumerate(truth.observations):
+        for calls in counted.values():
+            calls.clear()
+        posterior = step(kind, traj.records[n].posterior, process, obs, y, n, rng)
+        assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
+        assert {name: len(calls) for name, calls in counted.items()} == {
+            "cholesky": 4 if n == 0 else 3, "inv": 1, "solve": 1, "qr": 1, "eigvalsh": 0
+        }
 
 
 def test_variational_update_inverts_no_prior_factor(monkeypatch):

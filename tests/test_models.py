@@ -23,6 +23,7 @@ from gaussfilt import (
     turn_models,
 )
 from gaussfilt.errors import DimensionMismatch, DivergedEvaluation
+from gaussfilt.gaussian import cholesky_factor
 from gaussfilt.models import ObsFunction, central_difference, difference_step
 
 
@@ -240,6 +241,36 @@ class TestAugment:
         )
         with pytest.raises(DimensionMismatch):
             augment(Gaussian([0.0, 0.0], np.eye(2)), model, 0)
+
+    @staticmethod
+    def _carrying(mean, cov):
+        """A belief as a kernel returns it, carrying its Cholesky factor."""
+        cov = np.asarray(cov, dtype=float)
+        return Gaussian._unchecked(np.asarray(mean, dtype=float), cov, np.linalg.cholesky(cov))
+
+    def test_carries_the_block_stack_of_factors(self):
+        noise_cov = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.2], [0.0, 0.2, 0.3]])
+        model = ProcessModel(propagate=lambda n, x, xi: x + xi[..., :2], noise_cov=noise_cov, state_dim=2)
+        assert model._noise_factor.tobytes() == cholesky_factor(noise_cov).tobytes()
+        assert not model._noise_factor.flags.writeable
+        prior = self._carrying([1.0, -1.0], [[2.0, 0.3], [0.3, 1.0]])
+        aug = augment(prior, model, 0)
+        want = np.zeros((5, 5))
+        want[:2, :2], want[2:, 2:] = prior._factor, model._noise_factor
+        assert aug._factor.tobytes() == want.tobytes()
+        assert not aug._factor.flags.writeable
+        assert aug.cov.tobytes() == np.block([[prior.cov, np.zeros((2, 3))], [np.zeros((3, 2)), noise_cov]]).tobytes()
+
+    def test_carries_no_factor_without_both_parts(self):
+        model = ProcessModel(propagate=lambda n, x, xi: x + xi, noise_cov=np.eye(1), state_dim=1)
+        # a checked prior carries no factor
+        assert augment(Gaussian([0.8], [[0.02]]), model, 0)._factor is None
+        # a noise component with zero variance does not factor as given
+        degenerate = ProcessModel(propagate=lambda n, x, xi: x + xi[..., :1], noise_cov=np.diag([1.0, 0.0]), state_dim=1)
+        assert degenerate._noise_factor is None
+        assert augment(self._carrying([0.8], [[0.02]]), degenerate, 0)._factor is None
+        process, _ = turn_models(TurnModelSpec(q=0.0))
+        assert process._noise_factor is None
 
 
 class TestProcessModelNoiseCov:

@@ -16,22 +16,28 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaussfilt import (
+    BistableSpec,
     Diagnostics,
     FilterKind,
     Gaussian,
     ObservationModel,
     ProcessModel,
+    TurnModelSpec,
     augment,
+    bistable_models,
     cholesky_factor,
     gaussian,
     measurement_update_linear,
     measurement_update_points,
     run_filter,
+    simulate_truth,
     standard_rule,
     time_update_linear,
     time_update_points,
+    turn_models,
 )
 from gaussfilt.errors import NotPositiveDefinite
+from gaussfilt.filters import ALL_FAMILIES
 from gaussfilt.gaussian import repair_covariance
 from gaussfilt.models import ObsFunction
 from oracles import condition
@@ -132,12 +138,33 @@ def test_condition_is_the_closed_form_conditional(case, data):
     assert_agree(condition(joint, y), want)
 
 
+def carried_relation(cov: np.ndarray, factor: np.ndarray) -> str | None:
+    """Which of the exact relations ``Gaussian._unchecked`` admits ties a
+    carried factor to its covariance: "cholesky" (the factor is
+    ``cholesky_factor(cov)`` to the byte), "gram" (cov is factor @ factor.T
+    to the byte) or "block" (both are block-diagonal, each block pair in one
+    of these relations); None where none holds."""
+    if factor.tobytes() == cholesky_factor(cov).tobytes():
+        return "cholesky"
+    if cov.tobytes() == (factor @ factor.T).tobytes():
+        return "gram"
+    for d in range(1, cov.shape[0]):
+        if cov[:d, d:].any() or cov[d:, :d].any() or factor[:d, d:].any() or factor[d:, :d].any():
+            continue
+        blocks = (np.s_[:d, :d], np.s_[d:, d:])
+        if all(carried_relation(np.ascontiguousarray(cov[b]), np.ascontiguousarray(factor[b])) for b in blocks):
+            return "block"
+    return None
+
+
 def assert_passes_public_check(g: Gaussian):
     checked = Gaussian(g.mean, g.cov)
     assert checked.mean.tobytes() == g.mean.tobytes() and checked.cov.tobytes() == g.cov.tobytes()
-    # A factor carried to the next kernel is the one that kernel would form.
+    # A factor carried to the next kernel is a lower-triangular square root
+    # of the covariance with a nonnegative diagonal, tied to it exactly.
     if g._factor is not None:
-        assert g._factor.tobytes() == cholesky_factor(g.cov).tobytes()
+        assert not np.triu(g._factor, 1).any() and (np.diagonal(g._factor) >= 0.0).all()
+        assert carried_relation(g.cov, g._factor) is not None
         assert not g._factor.flags.writeable
 
 
@@ -190,16 +217,57 @@ def test_augment_and_time_updates_pass_the_public_check(case, data):
     state = Gaussian(joint.mean[:d], joint.cov[:d, :d])
     assert_passes_public_check(augment(state, process, 0))
     for belief in (joint, conditioned):
-        assert_passes_public_check(time_update_linear(belief, process, 0))
+        predicted = time_update_linear(belief, process, 0)
+        assert_passes_public_check(predicted)
+        # the joint of a belief that carries a factor carries one too
+        assert_passes_public_check(augment(predicted, process, 0))
         for degree in DEGREES:
             assert_passes_public_check(time_update_points(belief, process, 0, standard_rule(belief.dim, degree)))
 
 
+@pytest.mark.parametrize("testbed", ["bistable", "tracking"])
+def test_every_carried_factor_meets_an_exact_relation(testbed, monkeypatch):
+    # Four steps of all eight families: every Gaussian a kernel or augment
+    # builds with a factor meets one of the three relations, and from the
+    # first step on every posterior carries one.
+    if testbed == "bistable":
+        (process, obs), prior = bistable_models(BistableSpec()), Gaussian([0.8], [[0.02]])
+    else:
+        (process, obs) = turn_models(TurnModelSpec())
+        prior = Gaussian([1e3, 3e2, 1e3, 0.0, -0.05], np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]))
+    truth = simulate_truth(process, obs, prior.mean, 4, np.random.default_rng(3))
+    built, relations = [], set()
+    original = Gaussian._unchecked
+
+    def recorded(cls, *args, **kwargs):
+        g = original(*args, **kwargs)
+        built.append(g)
+        return g
+
+    monkeypatch.setattr(Gaussian, "_unchecked", classmethod(recorded))
+    for family in ALL_FAMILIES:
+        built.clear()
+        traj = run_filter(FilterKind(family), process, obs, prior, truth.observations, np.random.default_rng(5))
+        assert traj.error is None and len(traj.records) == 5
+        assert all(rec.posterior._factor is not None for rec in traj.records[1:])
+        for g in built:
+            if g._factor is not None:
+                assert_passes_public_check(g)
+                relations.add(carried_relation(g.cov, g._factor))
+    # On the bistable testbed the block stack of a 1 x 1 factor and sqrt(dt) I
+    # is the joint's Cholesky factor to the byte.
+    assert relations == {"cholesky", "gram"} | ({"block"} if testbed == "tracking" else set())
+
+
 def test_exact_observations_exercise_the_repair(monkeypatch):
     # The property tests above include covariances that repair_covariance
-    # jittered: with exact observations, every measurement kernel jitters some.
-    # Only repair_covariance's own jitters count, not those of N+ (R = 0 does
-    # not factor, so every square-root step clips it).
+    # jittered: with exact observations, the linear and the degree-3 kernels
+    # leave Pi^1/2 with an exactly zero pivot in some cases, and the
+    # posterior goes through the repair.  Only repair_covariance's own
+    # jitters count, not those of N+ (R = 0 does not factor, so every
+    # square-root step clips it).  The degree-5 rule's Omega, rounding
+    # though it is, leaves no zero pivot: its factor is carried unrepaired,
+    # and its posterior is the closed-form conditional to rounding.
     repaired = Diagnostics()
     original = gaussian.repair_covariance
     monkeypatch.setattr(gaussian, "repair_covariance", lambda c, scale, diag=None: original(c, scale, repaired))
@@ -210,13 +278,20 @@ def test_exact_observations_exercise_the_repair(monkeypatch):
             a = rng.uniform(-2.0, 2.0, (k, k))
             prior = Gaussian(rng.uniform(-5.0, 5.0, k), a @ a.T + 0.1 * np.eye(k))
             out = min(k, 2)
-            obs_map = _full_rank_map(rng.uniform(-2.0, 2.0, (out, k)), out)
+            h = rng.uniform(-2.0, 2.0, (out, k))
+            obs_map = _full_rank_map(h, out)  # h gains its dominant block in place
             y, r = rng.uniform(-10.0, 10.0, out), np.zeros((out, out))
+            gain = np.linalg.solve(h @ prior.cov @ h.T, h @ prior.cov).T
+            mean = prior.mean + gain @ (y - h @ prior.mean)
+            cov = prior.cov - gain @ h @ prior.cov
             for i, update in enumerate(MEASUREMENT_UPDATES):
                 repaired.jitters = 0
-                assert_passes_public_check(update(prior, obs_map, y, r, Diagnostics()))
+                posterior = update(prior, obs_map, y, r, Diagnostics())
                 jittered[i] += repaired.jitters
-    assert min(jittered) > 0, jittered
+                assert_passes_public_check(posterior)
+            assert np.max(np.abs(posterior.mean - mean)) <= 1e-13 * max(1.0, np.max(np.abs(mean)))
+            assert np.max(np.abs(posterior.cov - cov)) <= 1e-13 * max(1.0, np.max(np.abs(cov)))
+    assert jittered[0] > 0 and jittered[1] > 0 and jittered[2] == 0, jittered
 
 
 @st.composite

@@ -255,6 +255,25 @@ class TestBfgsMinimize:
         with pytest.raises(OptimizerStopped, match="no Armijo step after 40 halvings"):
             bfgs_minimize(lambda v: (1.0, np.array([1e-10])), np.array([0.0]), VariationalSettings(grad_tol=1e-12))
 
+    def test_decrease_within_rounding_is_rejected(self):
+        # Every step lowers f by one ulp, below 4 eps |f|: no step counts as
+        # a decrease, and no approximate Wolfe step exists, the slope along
+        # p staying at its starting value.
+        def ulp_lower(v):
+            return (np.nextafter(1.0, 0.0) if v.any() else 1.0), np.array([-1e-10])
+
+        with pytest.raises(OptimizerStopped, match="no Armijo step after 40 halvings") as raised:
+            bfgs_minimize(ulp_lower, np.array([0.0]), VariationalSettings(grad_tol=1e-12))
+        assert raised.value.iterations == 0
+
+    def test_approximate_wolfe_steps_do_not_chain(self):
+        # f is flat, so only the approximate Wolfe conditions accept a step:
+        # the first full step toward the gradient's zero at v = 10 is taken,
+        # the second, from the point the first reached, is not.
+        with pytest.raises(OptimizerStopped, match="no Armijo step") as raised:
+            bfgs_minimize(lambda v: (1.0, 0.5 * (v - 10.0)), np.array([0.0]))
+        assert raised.value.iterations == 1
+
     def test_decrease_hidden_by_rounding_takes_an_approximate_wolfe_step(self):
         # f is 1/2 v^2 rounded to multiples of 1e-10, so from v = 1e-6 no
         # step strictly lowers it; the full step lands on the minimum, where
@@ -344,6 +363,31 @@ class TestMeasurementUpdateLinear:
         out = measurement_update_linear(prior, identity_obs(), [0.7], [[1.0]])
         assert np.allclose(out.mean, [0.7])
         assert out.cov[0, 0] < prior.cov[0, 0]
+
+    def test_posterior_carries_its_square_root_factor(self):
+        # F = L Pi^1/2, lower triangular with a nonnegative diagonal, carried
+        # with F F^T unfactored: to rounding, the posterior's Cholesky factor.
+        rng = np.random.default_rng(4)
+        a, h = rng.standard_normal((6, 6)), rng.standard_normal((2, 6))
+        prior = Gaussian(rng.standard_normal(6), a @ a.T + 0.1 * np.eye(6))
+        obs_map = ObsFunction(fn=lambda xs: xs @ h.T, out_dim=2, vectorized=True,
+                              linearize=lambda x, b: (x @ h.T, h @ b))
+        out = measurement_update_linear(prior, obs_map, rng.standard_normal(2), np.diag([0.3, 0.5]))
+        f = out._factor
+        assert not np.triu(f, 1).any() and (np.diagonal(f) >= 0.0).all()
+        assert out.cov.tobytes() == (f @ f.T).tobytes()
+        assert not f.flags.writeable
+        assert np.allclose(f, np.linalg.cholesky(out.cov), rtol=0.0, atol=1e-14 * np.max(np.abs(f)))
+
+    def test_exact_observation_of_a_state_repairs_the_posterior(self):
+        # Observing the whole state exactly leaves Pi^1/2 with zero pivots:
+        # the zero posterior variance goes through the repair, jittered on
+        # the prior's, and is factored afresh.  R = 0 enters as N+, a jitter.
+        diag = Diagnostics()
+        out = measurement_update_linear(Gaussian([0.3], [[1.5]]), identity_obs(), [2.0], [[0.0]], diag)
+        assert out.mean.tobytes() == np.array([2.0]).tobytes()
+        assert out.cov[0, 0] == 1e-12 * 1.5 and diag.jitters == 2
+        assert out._factor.tobytes() == cholesky_factor(out.cov).tobytes()
 
 
 class TestMeasurementUpdatePoints:
@@ -588,13 +632,15 @@ class TestWhitenedVariational:
         iterations = [rec.diagnostics.bfgs_iterations for rec in traj.records[1:]]
         assert np.mean(iterations) <= 6.0
 
-    def test_tolerance_below_noise_floor_falls_back_quickly(self):
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_tolerance_below_noise_floor_falls_back_quickly(self, seed):
         # grad_tol = 1e-8 is below the gradient's rounding at positions ~1e3:
-        # BFGS must give up when no step lowers the misfit, not iterate on
-        # steps whose decrease is lost in rounding.
+        # BFGS must give up when no step lowers the misfit beyond its
+        # rounding, not iterate on steps whose decrease is lost in it, nor
+        # chain approximate Wolfe steps at the rounding floor.
         process, obs = turn_models(TurnModelSpec())
         x0 = np.array([1e3, 3e2, 1e3, 0.0, -3.0 * np.pi / 180.0])
-        truth = simulate_truth(process, obs, x0, 20, np.random.default_rng(7))
+        truth = simulate_truth(process, obs, x0, 20, np.random.default_rng(seed))
         calls = [0]
 
         def counted(n, x, xi):
