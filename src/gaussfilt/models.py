@@ -94,9 +94,10 @@ class ProcessModel:
 
     ``noise_cov`` is checked once, here, with the tolerances of ``Gaussian``;
     ``augment`` stacks it into the joint belief unchecked.  Its shape gives
-    ``noise_dim``.  It is factored once, here, too: ``_noise_factor`` is its
-    Cholesky factor, as ``cholesky_factor`` forms it, or None where it does
-    not factor as given (a zero noise component).  ``state_dim`` must be an
+    ``noise_dim``.  It is factored once, here, too: ``_noise_factor`` is
+    ``cholesky_factor(noise_cov)``, read-only, or None where ``noise_cov``
+    does not factor as given (a zero noise component) and would need a
+    repair.  ``state_dim`` must be an
     integer >= 1 (``as_integer``).
 
     When ``vectorized`` is set, propagate also accepts stacked inputs of
@@ -119,8 +120,9 @@ class ProcessModel:
         try:
             factor = np.linalg.cholesky(symmetrize(self.noise_cov))
         except np.linalg.LinAlgError:
-            return
-        factor.flags.writeable = False
+            factor = None
+        else:
+            factor.flags.writeable = False
         object.__setattr__(self, "_noise_factor", factor)
 
     @property

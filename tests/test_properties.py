@@ -233,7 +233,7 @@ def test_every_carried_factor_meets_an_exact_relation(testbed, monkeypatch):
     if testbed == "bistable":
         (process, obs), prior = bistable_models(BistableSpec()), Gaussian([0.8], [[0.02]])
     else:
-        (process, obs) = turn_models(TurnModelSpec())
+        process, obs = turn_models(TurnModelSpec())
         prior = Gaussian([1e3, 3e2, 1e3, 0.0, -0.05], np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]))
     truth = simulate_truth(process, obs, prior.mean, 4, np.random.default_rng(3))
     built, relations = [], set()
