@@ -155,7 +155,7 @@ def conventional_step(
 ) -> Gaussian:
     """Time update to the predictive belief, then assimilate y_{n+1}."""
     diag = diag if diag is not None else Diagnostics()
-    predictive = _time_update(kind, augment(posterior_n, process, n), process, n, rng, diag)
+    predictive = _time_update(kind, augment(posterior_n, process, n, diag), process, n, rng, diag)
     return _measurement_update(
         kind, predictive, obs.at_step(n + 1), y_next, obs.obs_cov, rng, diag
     )
@@ -180,7 +180,7 @@ def smoothing_step(
     diag = diag if diag is not None else Diagnostics()
     psi = composed_observation(process, obs, n)
     conditioned = _measurement_update(
-        kind, augment(posterior_n, process, n), psi, y_next, obs.obs_cov, rng, diag
+        kind, augment(posterior_n, process, n, diag), psi, y_next, obs.obs_cov, rng, diag
     )
     return _time_update(kind, conditioned, process, n, rng, diag)
 

@@ -1,10 +1,11 @@
 """Dense Gaussian algebra: factorization, repair, quadratic forms.
 
-Every belief a kernel returns carries a square-root factor of its
-covariance to the next kernel.  A belief the kernels form as a covariance is
-symmetrized and factored here, and repaired on its per-coordinate variances
-when it does not factor; the square-root measurement step and ``augment``
-form the factor first and hand it on unfactored.  Conditioning is not here:
+A belief a kernel builds is its mean and a square-root factor F of its
+covariance, lower triangular with a nonnegative diagonal, carried to the next
+kernel; the covariance is F F^T, formed on its first read.  A covariance a
+kernel forms is symmetrized and factored here, and repaired on its
+per-coordinate variances when it does not factor; the square-root measurement
+step and ``augment`` form the factor directly.  Conditioning is not here:
 every measurement update conditions by one square-root step in ``updates``.
 A matrix a step inverts, S = L L^T, goes through W = L^-1, never S^-1,
 unjittered and applied to every operand as a matrix product.  The algebra
@@ -56,7 +57,7 @@ class Gaussian:
 
     mean: np.ndarray
     cov: np.ndarray
-    _factor = None  # cov's square-root factor, when a kernel carried it; not a field
+    _factor = None  # cov's square-root factor, when a kernel built the belief; not a field
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -68,31 +69,24 @@ class Gaussian:
         object.__setattr__(self, "cov", as_covariance(self.cov, mean.shape[0]))
 
     @classmethod
-    def _unchecked(cls, mean: np.ndarray, cov: np.ndarray, factor=None) -> "Gaussian":
-        """The kernels' constructor, which skips ``__post_init__``.
-
-        ``mean`` is a float vector (d,) and ``cov`` a (d, d) matrix.
-        ``factor``, when given, is lower triangular with a nonnegative
-        diagonal and meets one of three exact relations:
-
-        - it is ``cholesky_factor(cov)`` to the byte (``_settled``);
-        - ``cov`` is ``factor @ factor.T`` to the byte (the square-root
-          measurement step);
-        - ``cov`` and ``factor`` are block-diagonal stacks of covariances and
-          the factors they carry, each block meeting one of these relations
-          (``augment``).
-
-        It is made read-only and handed to the next kernel that factors
-        ``cov`` (``_factor_of``).  Without it, ``cov`` is a block-diagonal
-        stack of checked covariances (``augment``).
-        """
+    def _unchecked(cls, mean: np.ndarray, factor: np.ndarray) -> "Gaussian":
+        """The kernels' constructor, which skips ``__post_init__``: the belief
+        N(mean, F F^T) for a float vector ``mean`` (d,) and F = ``factor``
+        (d, d), lower triangular with a nonnegative diagonal.  F is made
+        read-only and handed to the next kernel (``_factor_of``)."""
+        factor.flags.writeable = False
         g = object.__new__(cls)
         object.__setattr__(g, "mean", mean)
-        object.__setattr__(g, "cov", cov)
-        if factor is not None:
-            factor.flags.writeable = False
-            object.__setattr__(g, "_factor", factor)
+        object.__setattr__(g, "_factor", factor)
         return g
+
+    def __getattr__(self, name):
+        # Only a kernel-built belief lacks ``cov``: F F^T, formed and kept on its first read.
+        if name != "cov":
+            raise AttributeError(name)
+        cov = self._factor @ self._factor.T
+        object.__setattr__(self, "cov", cov)
+        return cov
 
     @property
     def dim(self) -> int:
@@ -102,7 +96,7 @@ class Gaussian:
 def cholesky_factor(c: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
     """Lower-triangular S with S S^T = C, or, if C does not factor, the factor
     ``repair_covariance`` gives (or raises) on C's own |diagonal|."""
-    return _factored(np.atleast_2d(np.asarray(c, dtype=float)), None, diag)[1]
+    return _factored(np.atleast_2d(np.asarray(c, dtype=float)), diag)
 
 
 def repair_covariance(c: np.ndarray, scale: np.ndarray, diag: Diagnostics | None = None):
@@ -142,34 +136,24 @@ def repair_covariance(c: np.ndarray, scale: np.ndarray, diag: Diagnostics | None
     raise NotPositiveDefinite(f"covariance has eigenvalue {lo:g}, beyond repair")
 
 
-def _factored(c: np.ndarray, scale, diag: Diagnostics | None):
-    """symmetrize(c) and its Cholesky factor, or, if it does not factor,
-    ``repair_covariance`` with ``scale`` (None: its own diagonal)."""
+def _factored(c: np.ndarray, diag: Diagnostics | None, scale=None) -> np.ndarray:
+    """The Cholesky factor of symmetrize(c), or, if it does not factor, the
+    factor ``repair_covariance`` gives with ``scale`` (None: its own
+    diagonal).  A finite matrix that factors is accepted as it is, even where
+    ``eigvalsh`` would read a rounding-level negative eigenvalue: a
+    backward-stable factorization puts such a matrix far above
+    ``as_covariance``'s floor."""
     s = symmetrize(c)
     if np.isfinite(s).all():
         try:
-            return s, np.linalg.cholesky(s)
+            return np.linalg.cholesky(s)
         except np.linalg.LinAlgError:
             pass
-    return repair_covariance(s, np.diagonal(s) if scale is None else scale, diag)
-
-
-def _settled(mean: np.ndarray, c: np.ndarray, diag: Diagnostics | None = None, scale=None) -> Gaussian:
-    """The Gaussian a kernel returns, with covariance ``c`` symmetrized and its
-    Cholesky factor carried to the next kernel.
-
-    A finite ``c`` whose factorization succeeds is accepted as it is, even
-    where ``eigvalsh`` would read a rounding-level negative eigenvalue: a
-    backward-stable factorization puts such a matrix far above
-    ``as_covariance``'s floor.  Otherwise ``repair_covariance`` runs with
-    ``scale``, the per-coordinate variances c came from (None: c's own
-    |diagonal|).
-    """
-    return Gaussian._unchecked(mean, *_factored(c, scale, diag))
+    return repair_covariance(s, np.diagonal(s) if scale is None else scale, diag)[1]
 
 
 def _factor_of(g: Gaussian, diag: Diagnostics | None = None) -> np.ndarray:
-    """``cholesky_factor(g.cov, diag)``, or the factor ``g`` carries."""
+    """The factor a kernel-built ``g`` carries, or ``cholesky_factor(g.cov, diag)``."""
     return g._factor if g._factor is not None else cholesky_factor(g.cov, diag)
 
 

@@ -13,7 +13,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DivergedEvaluation, as_integer, as_real, as_shape
-from .gaussian import Gaussian, as_covariance, symmetrize
+from .diagnostics import Diagnostics
+from .gaussian import Gaussian, _factor_of, as_covariance, cholesky_factor
 
 _EPS = np.finfo(float).eps
 
@@ -92,13 +93,14 @@ def _linearized(rows, out_dim, x, basis, linearize) -> tuple[np.ndarray, np.ndar
 class ProcessModel:
     """Forward map x_{n+1} = propagate(n, x, xi) with xi ~ N(0, noise_cov).
 
-    ``noise_cov`` is checked once, here, with the tolerances of ``Gaussian``;
-    ``augment`` stacks it into the joint belief unchecked.  Its shape gives
-    ``noise_dim``.  It is factored once, here, too: ``_noise_factor`` is
-    ``cholesky_factor(noise_cov)``, read-only, or None where ``noise_cov``
-    does not factor as given (a zero noise component) and would need a
-    repair.  ``state_dim`` must be an
-    integer >= 1 (``as_integer``).
+    ``noise_cov`` is checked once, here, with the tolerances of ``Gaussian``.
+    Its shape gives ``noise_dim``.  It is factored once, here, too:
+    ``_noise_factor`` is ``cholesky_factor(noise_cov)``, read-only, which
+    ``augment`` stacks into the joint belief's factor.  A zero-variance
+    component gets a zero row, with no jitter; a rank-deficient
+    ``noise_cov`` is repaired here, once, and one beyond repair raises
+    NotPositiveDefinite.  ``state_dim`` must be an integer >= 1
+    (``as_integer``).
 
     When ``vectorized`` is set, propagate also accepts stacked inputs of
     shape (m, d) / (m, D) and returns (m, d); otherwise ``forward`` calls it
@@ -110,19 +112,15 @@ class ProcessModel:
     state_dim: int
     vectorized: bool = False
     linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
-    _noise_factor = None  # noise_cov's Cholesky factor, when it has one; not a field
+    _noise_factor = None  # noise_cov's Cholesky factor, set in __post_init__; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "state_dim", as_integer(self.state_dim, "state_dim"))
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
         object.__setattr__(self, "noise_cov", as_covariance(self.noise_cov, what="noise_cov"))
-        try:
-            factor = np.linalg.cholesky(symmetrize(self.noise_cov))
-        except np.linalg.LinAlgError:
-            factor = None
-        else:
-            factor.flags.writeable = False
+        factor = cholesky_factor(self.noise_cov)
+        factor.flags.writeable = False
         object.__setattr__(self, "_noise_factor", factor)
 
     @property
@@ -331,26 +329,20 @@ def discretize_sde(spec: SdeSpec) -> ProcessModel:
     )
 
 
-def augment(prior: Gaussian, model: ProcessModel, n: int) -> Gaussian:
+def augment(prior: Gaussian, model: ProcessModel, n: int, diag: Diagnostics | None = None) -> Gaussian:
     """The joint belief over z = [x, xi]: the state belief stacked with the
-    (zero-mean) driving noise for step n.  Where the prior carries a factor
-    and ``noise_cov`` has one, the joint carries their block stack
-    [[L_x, 0], [0, L_Q]]; otherwise none, and the next kernel factors the
-    stacked matrix."""
+    (zero-mean) driving noise for step n, carrying the block stack
+    [[L_x, 0], [0, L_Q]] of the prior's factor (``_factor_of``, which counts
+    a repair in ``diag``) and the noise's."""
     d, dd = prior.dim, model.noise_dim
     if d != model.state_dim:
         raise DimensionMismatch(f"prior dim {d} does not match model state dim {model.state_dim}")
     mean = np.zeros(d + dd)
     mean[:d] = prior.mean
-    cov = np.zeros((d + dd, d + dd))
-    cov[:d, :d] = prior.cov
-    cov[d:, d:] = model.noise_cov
-    if prior._factor is None or model._noise_factor is None:
-        return Gaussian._unchecked(mean, cov)
-    factor = np.zeros_like(cov)
-    factor[:d, :d] = prior._factor
+    factor = np.zeros((d + dd, d + dd))
+    factor[:d, :d] = _factor_of(prior, diag)
     factor[d:, d:] = model._noise_factor
-    return Gaussian._unchecked(mean, cov, factor)
+    return Gaussian._unchecked(mean, factor)
 
 
 def composed_observation(process: ProcessModel, obs: ObservationModel, n: int) -> ObsFunction:

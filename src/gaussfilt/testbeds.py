@@ -276,14 +276,17 @@ def simulate_truth(
     finite, or not of its shape, raises DivergedEvaluation, or DimensionMismatch,
     naming the truth rollout and its step.
     Stacked x0 (R, d) with R generators, one per row, gives (R, ...) arrays
-    from one model call per step; row r draws xi_n, then eta_n, from rng[r]."""
+    from one model call per step; row r draws xi_n, then eta_n, from rng[r].
+    Any other number of generators, a lone one counting as one, raises ValueError."""
     steps = as_integer(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     s_gamma = psd_sqrt(process.noise_cov)
     s_r = psd_sqrt(obs.obs_cov)
     x = np.atleast_2d(np.asarray(x0, dtype=float))
-    rngs = list(rng) if np.ndim(x0) == 2 else [rng]
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if len(rngs) != len(x):
+        raise ValueError(f"stacked x0 has {len(x)} rows but {len(rngs)} generator(s); give one per row")
     # one product per row: a stacked Z @ S.T rounds differently
     draw = lambda sqrt_cov: np.array([sqrt_cov @ g.standard_normal(len(sqrt_cov)) for g in rngs])
     truth = [x]

@@ -7,7 +7,6 @@ ordering the prior is the (d+D)-dimensional joint belief over z = [x, xi]
 and the map is the observation composed with one forward step.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
 from .errors import DivergedEvaluation, OptimizerStopped, SingularMatrix, as_integer, as_real
-from .gaussian import Gaussian, _factor_of, _inverse_factor, _settled, cholesky_factor
+from .gaussian import Gaussian, _factor_of, _factored, _inverse_factor, cholesky_factor
 from .models import _EPS, ObsFunction, ProcessModel, difference_step
 
 
@@ -145,7 +144,7 @@ def bfgs_minimize(f, x0, settings: VariationalSettings | None = None):
     )
 
 
-def _square_root_update(mean, factor, innovation, a, n, diag, scale):
+def _square_root_update(mean, factor, innovation, a, n, diag):
     """The update of the prior N(mean, L L^T), L = ``factor``, by the
     regression z = z̄ + Â u + e, e ~ N(0, Ω), of the predicted observation on
     the whitened state u = L^-1 (x - mean), given v = y - z̄ (``innovation``),
@@ -161,11 +160,11 @@ def _square_root_update(mean, factor, innovation, a, n, diag, scale):
     never forms, or a singular S^½ raises SingularMatrix.
 
     F, lower triangular as L and Π^½ are, has its columns' signs flipped to
-    a nonnegative diagonal and is carried to the next kernel with F F^T,
-    unfactored.  Where Π^½ has an exactly zero diagonal entry, as an exact
-    observation of a state leaves it, or F F^T is not finite, F F^T goes
-    through ``_settled`` instead, repaired on ``scale``, the prior's
-    variances, when it does not factor."""
+    a nonnegative diagonal and is the posterior's factor.  Where Π^½ has an
+    exactly zero diagonal entry, as an exact observation of a state leaves
+    it, or F is not finite, the factor is ``_factored(F F^T)`` instead,
+    repaired on the prior's variances, the row norms² of L, when F F^T does
+    not factor."""
     p, k = a.shape
     try:
         n_half = np.linalg.cholesky(n)  # an infinite N may factor; S then is not finite
@@ -191,10 +190,9 @@ def _square_root_update(mean, factor, innovation, a, n, diag, scale):
     pivots = upper.diagonal()[p:]
     f = factor @ upper[p:, p:].T
     f *= np.copysign(1.0, pivots)
-    cov = f @ f.T
-    if all(pivots.tolist()) and math.isfinite(cov.trace()):
-        return Gaussian._unchecked(mean, cov, f)
-    return _settled(mean, cov, diag, scale)
+    if not (all(pivots.tolist()) and np.isfinite(np.vdot(f, f))):
+        f = _factored(f @ f.T, diag, np.sum(factor**2, axis=1))
+    return Gaussian._unchecked(mean, f)
 
 
 def time_update_linear(
@@ -206,7 +204,7 @@ def time_update_linear(
     covariance, including the full one left by conditioning on y_{n+1}."""
     mean, b = process.value_and_jacobian(n, joint.mean, _factor_of(joint, diag))
     # a copy: a linearization memo hands out its own value, read-only
-    return _settled(mean.copy(), b @ b.T, diag)
+    return Gaussian._unchecked(mean.copy(), _factored(b @ b.T, diag))
 
 
 def time_update_points(
@@ -219,11 +217,11 @@ def time_update_points(
     """Transport ``mu``, a discrete measure for the joint's dimension from
     ``cubature.standard_rule``, to the joint belief, push it through the
     forward map and return the Gaussian with the push-forward's first two
-    moments; ``_settled`` symmetrizes the covariance."""
+    moments, carrying the factor of the covariance's symmetrized form."""
     s = _factor_of(joint, diag)
     mu = transform(mu, joint.mean, s)
     mean, cov = weighted_moments(mu.weights, process.forward(n, mu.points))
-    return _settled(mean, cov, diag)
+    return Gaussian._unchecked(mean, _factored(cov, diag))
 
 
 def measurement_update_linear(
@@ -238,7 +236,7 @@ def measurement_update_linear(
     is z = h(m) + B u, with B = H L the Jacobian along L's columns, exactly."""
     s = _factor_of(prior, diag)
     z, b = obs_map.value_and_jacobian(prior.mean, s)
-    return _square_root_update(prior.mean, s, obs_map.residual(y, z), b, r, diag, prior.cov.diagonal())
+    return _square_root_update(prior.mean, s, obs_map.residual(y, z), b, r, diag)
 
 
 def measurement_update_points(
@@ -278,7 +276,7 @@ def measurement_update_points(
         mean, s = mean + s @ xi_mean, s @ l_xi
     e = dz - xi @ b.T
     omega = (mu.weights * e.T) @ e
-    return _square_root_update(mean, s, obs_map.residual(y, z_mean), a, r + omega, diag, prior.cov.diagonal())
+    return _square_root_update(mean, s, obs_map.residual(y, z_mean), a, r + omega, diag)
 
 
 class WhitenedMisfit:
@@ -352,7 +350,8 @@ def measurement_update_variational(
     BFGS runs in whitened coordinates from u = 0 (the prior mean), where the
     prior term's Hessian is the identity BFGS starts from, and takes the
     misfit's chain-rule gradient.  With G G^T the unjittered Cholesky factorization
-    of I + H_d (SingularMatrix if none), the covariance is F F^T for F = L G^-T.
+    of I + H_d (SingularMatrix if none), the covariance is F F^T for F = L G^-T,
+    which is not triangular: the posterior carries the factor of F F^T.
     """
     settings = settings or DEFAULT_VARIATIONAL
     misfit = WhitenedMisfit(prior, obs_map, y, r, diag)
@@ -366,4 +365,4 @@ def measurement_update_variational(
         diag.bfgs_iterations += iters
     minimizer = misfit.to_x(u_min)
     f = misfit.l_prior @ _inverse_factor(misfit.hessian(minimizer), "misfit Hessian").T
-    return _settled(minimizer, f @ f.T, diag)
+    return Gaussian._unchecked(minimizer, _factored(f @ f.T, diag))

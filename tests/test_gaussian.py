@@ -13,7 +13,7 @@ import gaussfilt
 from gaussfilt import Gaussian, cholesky_factor, quadratic_form
 from gaussfilt.diagnostics import Diagnostics
 from gaussfilt.errors import NotPositiveDefinite, SingularMatrix
-from gaussfilt.gaussian import _factor_of, _settled, repair_covariance, symmetrize
+from gaussfilt.gaussian import _factor_of, _factored, repair_covariance, symmetrize
 from oracles import condition
 
 
@@ -204,46 +204,53 @@ class TestRepairCovariance:
         assert diag.jitters == 0
 
 
-class TestSettled:
-    """The one factorization that settles every covariance a kernel returns."""
+class TestFactored:
+    """The one factorization that settles every covariance a kernel forms,
+    and the belief built from the factor it gives."""
 
-    def test_factorable_matrix_is_returned_with_its_factor(self):
+    def test_factorable_matrix_gives_its_cholesky_factor(self):
         c = np.array([[2.0, 0.5], [0.5, 1.0]])
         diag = Diagnostics()
-        g = _settled(np.zeros(2), c, diag)
-        assert g.cov.tobytes() == c.tobytes() and diag.jitters == 0
-        assert g._factor.tobytes() == np.linalg.cholesky(c).tobytes()
+        g = Gaussian._unchecked(np.zeros(2), _factored(c, diag))
+        assert g._factor.tobytes() == np.linalg.cholesky(c).tobytes() and diag.jitters == 0
         assert _factor_of(g, diag) is g._factor and diag.jitters == 0
         with pytest.raises(ValueError, match="read-only"):
             g._factor[0, 0] = 1.0
 
+    def test_covariance_is_formed_on_first_read_and_kept(self):
+        factor = np.array([[2.0, 0.0], [0.5, 1.0]])
+        g = Gaussian._unchecked(np.zeros(2), factor)
+        assert "cov" not in vars(g)
+        assert g.cov.tobytes() == (factor @ factor.T).tobytes()
+        assert vars(g)["cov"] is g.cov
+        with pytest.raises(AttributeError):
+            g.variance
+
     def test_unfactorable_matrix_takes_the_repair_path(self):
-        # Singular and PSD: the factorization fails, repair_covariance jitters
-        # it once on its own |diagonal|, and the factor of the repaired
-        # matrix travels with it, so the next kernel does not factor again.
+        # Singular and PSD: the factorization fails, and repair_covariance
+        # jitters it once on its own |diagonal|.
         c = np.array([[1.0, 1.0], [1.0, 1.0]])
         diag = Diagnostics()
-        g = _settled(np.zeros(2), c, diag)
-        cov, factor = repair_covariance(c, np.abs(np.diagonal(c)))
-        assert g.cov.tobytes() == cov.tobytes() and g._factor.tobytes() == factor.tobytes()
-        assert g._factor.tobytes() == cholesky_factor(g.cov).tobytes()
+        factor = _factored(c, diag)
+        assert factor.tobytes() == repair_covariance(c, np.abs(np.diagonal(c)))[1].tobytes()
         assert diag.jitters == 1
-        assert _factor_of(g, diag) is g._factor and diag.jitters == 1
 
     def test_repair_takes_the_scale_given(self):
         # A posterior left all rounding by an exact observation is repaired on
         # the scale of the prior it came from, not on its own diagonal.
         c = np.array([[-1e-17, 0.0], [0.0, 1.0]])
         diag = Diagnostics()
-        g = _settled(np.zeros(2), c, diag, np.array([4.0, 1.0]))
-        assert np.array_equal(g.cov, c + 1e-12 * np.diag([4.0, 1.0])) and diag.jitters == 1
+        factor = _factored(c, diag, np.array([4.0, 1.0]))
+        assert factor.tobytes() == np.linalg.cholesky(c + np.diag(1e-12 * np.array([4.0, 1.0]))).tobytes()
+        assert diag.jitters == 1
         with pytest.raises(NotPositiveDefinite, match="beyond repair"):
-            _settled(np.zeros(2), c)
+            _factored(c, None)
 
     def test_factorable_matrix_with_a_negative_eigenvalue_is_accepted_as_is(self):
         # Products B B^T of rank k - 1 whose rounding leaves eigvalsh a
         # negative least eigenvalue and the factorization a positive pivot:
-        # the contract accepts them unshifted, and they pass the public check.
+        # the contract accepts them unshifted, and the belief they give
+        # passes the public check.
         rng = np.random.default_rng(0)
         accepted = 0
         for _ in range(200):
@@ -257,8 +264,8 @@ class TestSettled:
             if np.linalg.eigvalsh(c)[0] >= 0.0:
                 continue
             diag = Diagnostics()
-            g = _settled(np.zeros(k), c, diag)
-            assert g.cov.tobytes() == c.tobytes() and g._factor.tobytes() == factor.tobytes()
+            g = Gaussian._unchecked(np.zeros(k), _factored(c, diag))
+            assert g._factor.tobytes() == factor.tobytes()
             assert diag.jitters == 0
             Gaussian(g.mean, g.cov)
             accepted += 1
@@ -267,7 +274,7 @@ class TestSettled:
     def test_non_finite_matrix_raises_as_repair_does(self):
         diag = Diagnostics()
         with pytest.raises(NotPositiveDefinite, match="not finite"):
-            _settled(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), diag)
+            _factored(np.array([[1.0, np.nan], [np.nan, 1.0]]), diag)
         assert diag.jitters == 0
 
 

@@ -94,8 +94,8 @@ def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
     # Per step: the factor of N = R + Omega and the factor of the time
     # update's moments.  The augmented joint carries the block stack of the
     # posterior's and the noise's factors, and the square-root step hands on
-    # L Pi^1/2 with its covariance; only the first step, from a prior that
-    # carries no factor, factors the joint.  One QR, of the measurement
+    # L Pi^1/2; only the first step, from a prior that carries no factor,
+    # factors the prior in ``augment``.  One QR, of the measurement
     # update's square-root array.  No eigvalsh: only repair_covariance's
     # abort message reads an eigenvalue.
     observations, traj, step = _tracking_cubature_run(family)
@@ -113,9 +113,8 @@ def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
 def test_tracking_step_builds_few_maps_and_converts_no_kernel_array(family, maps, monkeypatch):
     # Per step: the observation map at n + 1, and for CGSF the composed map
     # around it; a push through the forward map builds none.  The one
-    # conversion is cholesky_factor's, of the first step's augmented joint,
-    # whose prior carries no factor; the kernels' own arrays are not
-    # converted again.
+    # conversion is cholesky_factor's, of the first step's prior, which
+    # carries no factor; the kernels' own arrays are not converted again.
     observations, traj, step = _tracking_cubature_run(family)
     built, converted = [], []
     original_init = ObsFunction.__init__
@@ -186,7 +185,7 @@ def test_bistable_linearized_step_factors_each_covariance_once(family, factored,
     # factor the linearizations take as their basis, carries the block stack
     # of the posterior's and the noise's factors, and the square-root step
     # hands on its factor; only the first step, from a prior that carries no
-    # factor, factors the joint.
+    # factor, factors the prior in ``augment``.
     process, obs = bistable_models(BistableSpec())
     prior = Gaussian([0.8], [[0.02]])
     truth = simulate_truth(process, obs, prior.mean, 5, np.random.default_rng(5))
@@ -213,8 +212,8 @@ def test_bistable_sampling_step_factors_each_covariance_once(family, monkeypatch
     # S^1/2, and the factor of the time update's covariance.  The augmented
     # joint carries the block stack of the posterior's and the noise's
     # factors, and the square-root step hands on its factor; only the first
-    # step, from a prior that carries no factor, factors the joint.  The
-    # steps replay the run's draws from a generator seeded alike.
+    # step, from a prior that carries no factor, factors the prior in
+    # ``augment``.  The steps replay the run's draws from a generator seeded alike.
     process, obs = bistable_models(BistableSpec())
     prior, kind = Gaussian([0.8], [[0.02]]), FilterKind(family)
     truth = simulate_truth(process, obs, prior.mean, 5, np.random.default_rng(5))
@@ -236,14 +235,14 @@ def test_bistable_sampling_step_factors_each_covariance_once(family, monkeypatch
 
 def test_variational_update_inverts_no_prior_factor(monkeypatch):
     # One bistable VGSF measurement update, in the 21-dim joint: Cholesky
-    # factors of the prior, of R, of I + H_d and of the posterior covariance,
-    # and the inverses of R's factor and of I + H_d's.  The Hessian is taken
-    # in the prior's whitened coordinates, so the prior's factor is never
-    # inverted and nothing is solved against it.
+    # factors of the prior state's (in ``augment``), of R, of I + H_d and of
+    # the posterior covariance, and the inverses of R's factor and of
+    # I + H_d's.  The Hessian is taken in the prior's whitened coordinates,
+    # so the prior's factor is never inverted and nothing is solved against it.
     process, obs = bistable_models(BistableSpec())
-    prior = augment(Gaussian([0.8], [[0.02]]), process, 0)
     psi = composed_observation(process, obs, 0)
     counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve")}
+    prior = augment(Gaussian([0.8], [[0.02]]), process, 0)
     posterior = measurement_update_variational(prior, psi, np.array([0.95]), obs.obs_cov)
     assert posterior.dim == 21
     assert {name: len(calls) for name, calls in counted.items()} == {"cholesky": 4, "inv": 2, "solve": 0}

@@ -20,10 +20,14 @@ from gaussfilt import (
     discretize_sde,
     lorenz63_models,
     run_filter,
+    simulate_truth,
     turn_models,
 )
-from gaussfilt.errors import DimensionMismatch, DivergedEvaluation
-from gaussfilt.gaussian import cholesky_factor
+from gaussfilt import gaussian
+from gaussfilt.diagnostics import Diagnostics
+from gaussfilt.errors import DimensionMismatch, DivergedEvaluation, NotPositiveDefinite
+from gaussfilt.filters import ALL_FAMILIES
+from gaussfilt.gaussian import cholesky_factor, repair_covariance
 from gaussfilt.models import ObsFunction, central_difference, difference_step
 
 
@@ -230,8 +234,9 @@ class TestAugment:
         aug = augment(prior, model, 0)
         assert aug.dim == 5
         assert np.array_equal(aug.mean[:2], prior.mean)
-        assert np.array_equal(aug.cov[:2, :2], prior.cov)
-        assert np.allclose(aug.cov[:2, 2:], 0.0)
+        # the state block of the joint's factor is the prior's, and nothing couples it to the noise
+        assert aug._factor[:2, :2].tobytes() == cholesky_factor(prior.cov).tobytes()
+        assert not aug._factor[2:, :2].any()
 
     def test_dimension_mismatch(self):
         model = ProcessModel(
@@ -245,8 +250,7 @@ class TestAugment:
     @staticmethod
     def _carrying(mean, cov):
         """A belief as a kernel returns it, carrying its Cholesky factor."""
-        cov = np.asarray(cov, dtype=float)
-        return Gaussian._unchecked(np.asarray(mean, dtype=float), cov, np.linalg.cholesky(cov))
+        return Gaussian._unchecked(np.asarray(mean, dtype=float), np.linalg.cholesky(cov))
 
     def test_carries_the_block_stack_of_factors(self):
         noise_cov = np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.2], [0.0, 0.2, 0.3]])
@@ -259,18 +263,51 @@ class TestAugment:
         want[:2, :2], want[2:, 2:] = prior._factor, model._noise_factor
         assert aug._factor.tobytes() == want.tobytes()
         assert not aug._factor.flags.writeable
-        assert aug.cov.tobytes() == np.block([[prior.cov, np.zeros((2, 3))], [np.zeros((3, 2)), noise_cov]]).tobytes()
+        assert "cov" not in vars(aug)
 
-    def test_carries_no_factor_without_both_parts(self):
-        model = ProcessModel(propagate=lambda n, x, xi: x + xi, noise_cov=np.eye(1), state_dim=1)
-        # a checked prior carries no factor
-        assert augment(Gaussian([0.8], [[0.02]]), model, 0)._factor is None
-        # a noise component with zero variance does not factor as given
-        degenerate = ProcessModel(propagate=lambda n, x, xi: x + xi[..., :1], noise_cov=np.diag([1.0, 0.0]), state_dim=1)
-        assert degenerate._noise_factor is None
-        assert augment(self._carrying([0.8], [[0.02]]), degenerate, 0)._factor is None
-        process, _ = turn_models(TurnModelSpec(q=0.0))
-        assert process._noise_factor is None
+    @staticmethod
+    def _counting_repairs(monkeypatch):
+        """Diagnostics that count every repair ``repair_covariance`` jitters."""
+        repaired = Diagnostics()
+        original = gaussian.repair_covariance
+        monkeypatch.setattr(gaussian, "repair_covariance", lambda c, scale, diag=None: original(c, scale, repaired))
+        return repaired
+
+    def test_zero_noise_variance_gets_a_zero_factor_row(self, monkeypatch):
+        # With no turn-rate noise (q = 0) noise_cov has a zero row: its factor
+        # gets a zero row, with no jitter, the joint carries it, and a 3-step
+        # grid of all eight families counts no jitter.
+        repaired = self._counting_repairs(monkeypatch)
+        process, obs = turn_models(TurnModelSpec(q=0.0))
+        factor, zero = process._noise_factor, np.diagonal(process.noise_cov) == 0.0
+        keep = np.ix_(~zero, ~zero)
+        assert zero.any() and not factor[zero].any() and not factor[:, zero].any()
+        assert factor[keep].tobytes() == np.linalg.cholesky(process.noise_cov[keep]).tobytes()
+        assert repaired.jitters == 0
+        prior = Gaussian([1e3, 3e2, 1e3, 0.0, -0.05], np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]))
+        assert augment(prior, process, 0)._factor[5:, 5:].tobytes() == factor.tobytes()
+        truth = simulate_truth(process, obs, prior.mean, 3, np.random.default_rng(3))
+        for family in ALL_FAMILIES:
+            traj = run_filter(FilterKind(family), process, obs, prior, truth.observations, np.random.default_rng(1))
+            assert traj.error is None and all(rec.diagnostics.jitters == 0 for rec in traj.records)
+        assert repaired.jitters == 0
+
+    def test_rank_deficient_noise_is_repaired_once_at_construction(self, monkeypatch):
+        # A noise_cov of rank one does not factor as given: it is repaired
+        # once, when the model is built, and no step of any family jitters.
+        repaired = self._counting_repairs(monkeypatch)
+        process = ProcessModel(
+            propagate=lambda n, x, xi: x + xi, noise_cov=[[0.1, 0.1], [0.1, 0.1]], state_dim=2, vectorized=True
+        )
+        assert repaired.jitters == 1
+        assert process._noise_factor.tobytes() == repair_covariance(process.noise_cov, [0.1, 0.1])[1].tobytes()
+        obs = ObservationModel(observe=lambda n, x: x, obs_cov=np.eye(2), vectorized=True)
+        prior = Gaussian([0.0, 1.0], np.eye(2))
+        observations = [[0.1, 0.8], [0.2, 0.6], [0.3, 0.4]]
+        for family in ALL_FAMILIES:
+            traj = run_filter(FilterKind(family), process, obs, prior, observations, np.random.default_rng(1))
+            assert traj.error is None and all(rec.diagnostics.jitters == 0 for rec in traj.records)
+        assert repaired.jitters == 1
 
 
 class TestProcessModelNoiseCov:
@@ -290,6 +327,12 @@ class TestProcessModelNoiseCov:
     def test_rejected_at_construction(self, noise_cov, match):
         with pytest.raises(ValueError, match=match):
             ProcessModel(propagate=lambda n, x, xi: x, noise_cov=noise_cov, state_dim=1)
+
+    def test_beyond_repair_raises_at_construction(self):
+        # PSD within as_covariance's tolerance, but a zero variance beside a
+        # nonzero covariance: no factor, so no filter step could run.
+        with pytest.raises(NotPositiveDefinite, match="beyond repair"):
+            ProcessModel(propagate=lambda n, x, xi: x, noise_cov=[[1.0, 1e-6], [1e-6, 0.0]], state_dim=1)
 
     def test_accepted_as_nested_lists(self):
         model = ProcessModel(propagate=lambda n, x, xi: x, noise_cov=[[0.5]], state_dim=1)

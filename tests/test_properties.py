@@ -138,33 +138,14 @@ def test_condition_is_the_closed_form_conditional(case, data):
     assert_agree(condition(joint, y), want)
 
 
-def carried_relation(cov: np.ndarray, factor: np.ndarray) -> str | None:
-    """Which of the exact relations ``Gaussian._unchecked`` admits ties a
-    carried factor to its covariance: "cholesky" (the factor is
-    ``cholesky_factor(cov)`` to the byte), "gram" (cov is factor @ factor.T
-    to the byte) or "block" (both are block-diagonal, each block pair in one
-    of these relations); None where none holds."""
-    if factor.tobytes() == cholesky_factor(cov).tobytes():
-        return "cholesky"
-    if cov.tobytes() == (factor @ factor.T).tobytes():
-        return "gram"
-    for d in range(1, cov.shape[0]):
-        if cov[:d, d:].any() or cov[d:, :d].any() or factor[:d, d:].any() or factor[d:, :d].any():
-            continue
-        blocks = (np.s_[:d, :d], np.s_[d:, d:])
-        if all(carried_relation(np.ascontiguousarray(cov[b]), np.ascontiguousarray(factor[b])) for b in blocks):
-            return "block"
-    return None
-
-
 def assert_passes_public_check(g: Gaussian):
     checked = Gaussian(g.mean, g.cov)
     assert checked.mean.tobytes() == g.mean.tobytes() and checked.cov.tobytes() == g.cov.tobytes()
-    # A factor carried to the next kernel is a lower-triangular square root
-    # of the covariance with a nonnegative diagonal, tied to it exactly.
+    # A kernel-built belief is its factor: lower triangular with a
+    # nonnegative diagonal, read-only, and the covariance is its Gram matrix.
     if g._factor is not None:
         assert not np.triu(g._factor, 1).any() and (np.diagonal(g._factor) >= 0.0).all()
-        assert carried_relation(g.cov, g._factor) is not None
+        assert g.cov.tobytes() == (g._factor @ g._factor.T).tobytes()
         assert not g._factor.flags.writeable
 
 
@@ -226,17 +207,17 @@ def test_augment_and_time_updates_pass_the_public_check(case, data):
 
 
 @pytest.mark.parametrize("testbed", ["bistable", "tracking"])
-def test_every_carried_factor_meets_an_exact_relation(testbed, monkeypatch):
+def test_every_kernel_built_belief_is_its_factor(testbed, monkeypatch):
     # Four steps of all eight families: every Gaussian a kernel or augment
-    # builds with a factor meets one of the three relations, and from the
-    # first step on every posterior carries one.
+    # builds carries a factor, and the run forms no posterior's covariance
+    # until the check below reads it.
     if testbed == "bistable":
         (process, obs), prior = bistable_models(BistableSpec()), Gaussian([0.8], [[0.02]])
     else:
         process, obs = turn_models(TurnModelSpec())
         prior = Gaussian([1e3, 3e2, 1e3, 0.0, -0.05], np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]))
     truth = simulate_truth(process, obs, prior.mean, 4, np.random.default_rng(3))
-    built, relations = [], set()
+    built = []
     original = Gaussian._unchecked
 
     def recorded(cls, *args, **kwargs):
@@ -249,14 +230,11 @@ def test_every_carried_factor_meets_an_exact_relation(testbed, monkeypatch):
         built.clear()
         traj = run_filter(FilterKind(family), process, obs, prior, truth.observations, np.random.default_rng(5))
         assert traj.error is None and len(traj.records) == 5
-        assert all(rec.posterior._factor is not None for rec in traj.records[1:])
+        assert all("cov" not in vars(rec.posterior) for rec in traj.records[1:])
+        assert {id(rec.posterior) for rec in traj.records[1:]} <= {id(g) for g in built}
         for g in built:
-            if g._factor is not None:
-                assert_passes_public_check(g)
-                relations.add(carried_relation(g.cov, g._factor))
-    # On the bistable testbed the block stack of a 1 x 1 factor and sqrt(dt) I
-    # is the joint's Cholesky factor to the byte.
-    assert relations == {"cholesky", "gram"} | ({"block"} if testbed == "tracking" else set())
+            assert g._factor is not None
+            assert_passes_public_check(g)
 
 
 def test_exact_observations_exercise_the_repair(monkeypatch):

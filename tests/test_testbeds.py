@@ -463,10 +463,19 @@ class TestStackedTruth:
         assert one_row.truth.shape == (1, 7, 3) and one_row.observations.shape == (1, 6, 1)
         assert one_row.truth[0].tobytes() == alone.truth.tobytes()
 
-    def test_one_generator_per_row(self):
+    @pytest.mark.parametrize(
+        "rows, rng, given",
+        [
+            (3, [np.random.default_rng(0)] * 2, 2),
+            (1, [np.random.default_rng(0)] * 3, 3),
+            (3, np.random.default_rng(0), 1),
+        ],
+        ids=["too-few", "too-many", "one-generator"],
+    )
+    def test_one_generator_per_row(self, rows, rng, given):
         process, obs = bistable_models(BistableSpec())
-        with pytest.raises(ValueError):
-            simulate_truth(process, obs, np.zeros((3, 1)), 2, [np.random.default_rng(0)] * 2)
+        with pytest.raises(ValueError, match=rf"^stacked x0 has {rows} rows but {given} generator\(s\)"):
+            simulate_truth(process, obs, np.zeros((rows, 1)), 2, rng)
 
     def test_one_diverging_row_raises_diverged(self):
         process = ProcessModel(

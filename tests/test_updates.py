@@ -366,7 +366,8 @@ class TestMeasurementUpdateLinear:
 
     def test_posterior_carries_its_square_root_factor(self):
         # F = L Pi^1/2, lower triangular with a nonnegative diagonal, carried
-        # with F F^T unfactored: to rounding, the posterior's Cholesky factor.
+        # unfactored, its Gram matrix formed only when read: to rounding, the
+        # posterior's Cholesky factor.
         rng = np.random.default_rng(4)
         a, h = rng.standard_normal((6, 6)), rng.standard_normal((2, 6))
         prior = Gaussian(rng.standard_normal(6), a @ a.T + 0.1 * np.eye(6))
@@ -375,6 +376,7 @@ class TestMeasurementUpdateLinear:
         out = measurement_update_linear(prior, obs_map, rng.standard_normal(2), np.diag([0.3, 0.5]))
         f = out._factor
         assert not np.triu(f, 1).any() and (np.diagonal(f) >= 0.0).all()
+        assert "cov" not in vars(out)
         assert out.cov.tobytes() == (f @ f.T).tobytes()
         assert not f.flags.writeable
         assert np.allclose(f, np.linalg.cholesky(out.cov), rtol=0.0, atol=1e-14 * np.max(np.abs(f)))
@@ -382,12 +384,13 @@ class TestMeasurementUpdateLinear:
     def test_exact_observation_of_a_state_repairs_the_posterior(self):
         # Observing the whole state exactly leaves Pi^1/2 with zero pivots:
         # the zero posterior variance goes through the repair, jittered on
-        # the prior's, and is factored afresh.  R = 0 enters as N+, a jitter.
+        # the prior's, the squared row of its factor L, and is factored
+        # afresh.  R = 0 enters as N+, a jitter.
         diag = Diagnostics()
         out = measurement_update_linear(Gaussian([0.3], [[1.5]]), identity_obs(), [2.0], [[0.0]], diag)
         assert out.mean.tobytes() == np.array([2.0]).tobytes()
-        assert out.cov[0, 0] == 1e-12 * 1.5 and diag.jitters == 2
-        assert out._factor.tobytes() == cholesky_factor(out.cov).tobytes()
+        l = np.sqrt(1.5)
+        assert out._factor.tobytes() == np.array([[np.sqrt(1e-12 * l**2)]]).tobytes() and diag.jitters == 2
 
 
 class TestMeasurementUpdatePoints:
