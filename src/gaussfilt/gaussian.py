@@ -8,14 +8,16 @@ per-coordinate variances when it does not factor; the square-root measurement
 step and ``augment`` form the factor directly.  Conditioning is not here:
 every measurement update conditions by one square-root step in ``updates``.
 A matrix a step inverts, S = L L^T, goes through W = L^-1, never S^-1,
-unjittered and applied to every operand as a matrix product.  The algebra
-runs on ``numpy.linalg``.
+unjittered and applied to every operand as a matrix product.  Every
+factorization and inverse goes through ``lapack``; ``numpy.linalg`` serves
+only the rare paths (an eigenvalue for a boundary check or an abort message).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .diagnostics import Diagnostics
 from .errors import NotPositiveDefinite, SingularMatrix
 
@@ -124,11 +126,11 @@ def repair_covariance(c: np.ndarray, scale: np.ndarray, diag: Diagnostics | None
         keep = np.ix_(~zero, ~zero)
         for eps in (0.0,) + JITTER_LADDER:
             cov = c + np.diag(eps * scale)
-            factor = np.zeros_like(c)
-            try:
-                factor[keep] = np.linalg.cholesky(cov[keep])
-            except np.linalg.LinAlgError:
+            root = lapack.cholesky(cov[keep])
+            if root is None:
                 continue
+            factor = np.zeros_like(c)
+            factor[keep] = root
             if eps and diag is not None:
                 diag.jitters += 1
             return cov, factor
@@ -144,11 +146,9 @@ def _factored(c: np.ndarray, diag: Diagnostics | None, scale=None) -> np.ndarray
     backward-stable factorization puts such a matrix far above
     ``as_covariance``'s floor."""
     s = symmetrize(c)
-    if np.isfinite(s).all():
-        try:
-            return np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            pass
+    factor = lapack.cholesky(s) if np.isfinite(s).all() else None
+    if factor is not None:
+        return factor
     return repair_covariance(s, np.diagonal(s) if scale is None else scale, diag)[1]
 
 
@@ -162,10 +162,11 @@ def _inverse_factor(s, what):
     SingularMatrix if s is not finite or not positive definite."""
     if not np.isfinite(s).all():
         raise SingularMatrix(f"{what} is not finite")
-    try:
-        return np.linalg.inv(np.linalg.cholesky(s))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"{what} is singular") from exc
+    factor = lapack.cholesky(s)
+    w = None if factor is None else lapack.inv(factor)
+    if w is None:
+        raise SingularMatrix(f"{what} is singular")
+    return w
 
 
 def quadratic_form(v: np.ndarray, sigma: np.ndarray) -> float:

@@ -99,7 +99,9 @@ class ProcessModel:
     ``augment`` stacks into the joint belief's factor.  A zero-variance
     component gets a zero row, with no jitter; a rank-deficient
     ``noise_cov`` is repaired here, once, and one beyond repair raises
-    NotPositiveDefinite.  ``state_dim`` must be an integer >= 1
+    NotPositiveDefinite.  The repair's jitters are kept in
+    ``_noise_jitters``, which ``augment`` counts at every step, since every
+    joint carries the repaired factor.  ``state_dim`` must be an integer >= 1
     (``as_integer``).
 
     When ``vectorized`` is set, propagate also accepts stacked inputs of
@@ -113,15 +115,18 @@ class ProcessModel:
     vectorized: bool = False
     linearize: Callable | None = None  # (n, x, xi) -> (x_next, d x (d+D)) from one pass
     _noise_factor = None  # noise_cov's Cholesky factor, set in __post_init__; not a field
+    _noise_jitters = 0  # the jitters the factor's repair took, set in __post_init__; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "state_dim", as_integer(self.state_dim, "state_dim"))
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
         object.__setattr__(self, "noise_cov", as_covariance(self.noise_cov, what="noise_cov"))
-        factor = cholesky_factor(self.noise_cov)
+        repairs = Diagnostics()
+        factor = cholesky_factor(self.noise_cov, repairs)
         factor.flags.writeable = False
         object.__setattr__(self, "_noise_factor", factor)
+        object.__setattr__(self, "_noise_jitters", repairs.jitters)
 
     @property
     def noise_dim(self) -> int:
@@ -333,7 +338,8 @@ def augment(prior: Gaussian, model: ProcessModel, n: int, diag: Diagnostics | No
     """The joint belief over z = [x, xi]: the state belief stacked with the
     (zero-mean) driving noise for step n, carrying the block stack
     [[L_x, 0], [0, L_Q]] of the prior's factor (``_factor_of``, which counts
-    a repair in ``diag``) and the noise's."""
+    a repair in ``diag``) and the noise's, whose repair at construction
+    ``diag`` counts too."""
     d, dd = prior.dim, model.noise_dim
     if d != model.state_dim:
         raise DimensionMismatch(f"prior dim {d} does not match model state dim {model.state_dim}")
@@ -342,6 +348,8 @@ def augment(prior: Gaussian, model: ProcessModel, n: int, diag: Diagnostics | No
     factor = np.zeros((d + dd, d + dd))
     factor[:d, :d] = _factor_of(prior, diag)
     factor[d:, d:] = model._noise_factor
+    if diag is not None:
+        diag.jitters += model._noise_jitters
     return Gaussian._unchecked(mean, factor)
 
 

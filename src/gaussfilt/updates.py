@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .cubature import DiscreteMeasure, symmetric_stencil, transform, weighted_moments
 from .diagnostics import Diagnostics
 from .errors import DivergedEvaluation, OptimizerStopped, SingularMatrix, as_integer, as_real
@@ -157,7 +158,10 @@ def _square_root_update(mean, factor, innovation, a, n, diag):
     first, so Householder keeps Π^½ where Â is large, as under a diffuse
     prior.  An N that does not factor enters as N₊, its negative eigenvalues
     set to zero, and counts a jitter.  A non-finite N or S, which the array
-    never forms, or a singular S^½ raises SingularMatrix.
+    never forms, a QR that fails on a non-finite array, or a singular S^½
+    raises SingularMatrix.  The factorization of N, the QR and the solve
+    against S^½ call ``lapack``; the array is built fresh, as the QR
+    overwrites it.
 
     F, lower triangular as L and Π^½ are, has its columns' signs flipped to
     a nonnegative diagonal and is the posterior's factor.  Where Π^½ has an
@@ -166,11 +170,10 @@ def _square_root_update(mean, factor, innovation, a, n, diag):
     repaired on the prior's variances, the row norms² of L, when F F^T does
     not factor."""
     p, k = a.shape
-    try:
-        n_half = np.linalg.cholesky(n)  # an infinite N may factor; S then is not finite
-    except np.linalg.LinAlgError:
+    n_half = lapack.cholesky(n)  # an infinite N may factor; S then is not finite
+    if n_half is None:
         if not np.isfinite(n).all():
-            raise SingularMatrix("innovation covariance is not finite") from None
+            raise SingularMatrix("innovation covariance is not finite")
         lam, vec = np.linalg.eigh(n)
         n_half = vec * np.sqrt(np.maximum(lam, 0.0))
         if diag is not None:
@@ -178,14 +181,13 @@ def _square_root_update(mean, factor, innovation, a, n, diag):
     array = np.eye(k + p, p + k, p)  # [[0, I], [0, 0]]
     array[:k, :p] = a.T
     array[k:, :p] = n_half.T
-    upper = np.linalg.qr(array, mode="r")
-    s_half = upper[:p, :p].T
-    if not np.isfinite(np.vdot(s_half, s_half)):  # trace(S), finite where S is
+    upper = lapack.qr_r(array)
+    s_half = None if upper is None else upper[:p, :p].T
+    if s_half is None or not np.isfinite(np.vdot(s_half, s_half)):  # trace(S), finite where S is
         raise SingularMatrix("innovation covariance is not finite")
-    try:
-        w = np.linalg.solve(s_half, innovation)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("innovation covariance is singular") from exc
+    w = lapack.solve(s_half, innovation)
+    if w is None:
+        raise SingularMatrix("innovation covariance is singular")
     mean = mean + factor @ (upper[:p, p:].T @ w)
     pivots = upper.diagonal()[p:]
     f = factor @ upper[p:, p:].T
@@ -270,7 +272,9 @@ def measurement_update_points(
         xi_mean = mu.weights @ xi
         xi = xi - xi_mean
         l_xi = cholesky_factor(xi.T @ (mu.weights[:, None] * xi), diag)
-        w_xi = np.linalg.inv(l_xi)
+        w_xi = lapack.inv(l_xi)
+        if w_xi is None:
+            raise SingularMatrix("sample covariance is singular")
         a = a @ w_xi.T
         b = a @ w_xi  # the regression on ξ - ξ̄ rather than on η
         mean, s = mean + s @ xi_mean, s @ l_xi

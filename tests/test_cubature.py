@@ -134,6 +134,20 @@ class TestTransform:
         assert np.max(np.abs(mean - m)) <= 1e-12 * (1 + np.max(np.abs(m)))
         assert np.max(np.abs(cov - a @ a.T)) <= 1e-12 * (1 + np.max(np.abs(a @ a.T)))
 
+    @pytest.mark.parametrize("measure", ["degree-5", "sample"])
+    def test_points_are_contiguous_and_the_plain_product(self, measure):
+        # S^T is made C-ordered before the product, which BLAS then runs
+        # faster; the points keep the bytes of m + points @ S^T.
+        rng = np.random.default_rng(2)
+        k = 21
+        mu = standard_rule(k, 5) if measure == "degree-5" else standard_rule(k, samples=1000, rng=rng)
+        for _ in range(20):
+            s = np.linalg.cholesky(np.cov(rng.standard_normal((k, 2 * k))))  # C-ordered, as a kernel's factor
+            m = rng.standard_normal(k)
+            out = transform(mu, m, s)
+            assert out.points.flags.c_contiguous
+            assert out.points.tobytes() == (m + mu.points @ s.T).tobytes()
+
     def test_dimension_mismatch(self):
         mu = standard_rule(2, degree=3)
         with pytest.raises(DimensionMismatch):

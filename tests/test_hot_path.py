@@ -1,8 +1,10 @@
 """Machine-independent counters on the per-step path: the kernels build no
 checked Gaussian, a cubature, sampling or linearized step factors only the
 covariances no kernel handed on a factor for, the variational update inverts
-no prior factor, each deterministic cubature rule is built once, and the
-linearized filters run one Euler-Maruyama pass per linearization point."""
+no prior factor, each deterministic cubature rule is built once, the
+linearized filters run one Euler-Maruyama pass per linearization point, and
+no step calls numpy.linalg's Cholesky, QR, solve or inverse: ``lapack``
+counts them instead."""
 
 import math
 
@@ -25,8 +27,9 @@ from gaussfilt import (
     standard_rule,
     turn_models,
 )
+from gaussfilt import lapack
 from gaussfilt.cubature import symmetric_stencil
-from gaussfilt.filters import conventional_step, smoothing_step
+from gaussfilt.filters import ALL_FAMILIES, conventional_step, smoothing_step
 from gaussfilt.models import ObsFunction, augment, composed_observation
 
 
@@ -61,17 +64,36 @@ def test_tracking_run_checks_no_gaussian(family, monkeypatch):
     assert len(checked) == 0
 
 
-def _counting_linalg(monkeypatch, name):
-    """Count the calls of ``np.linalg.<name>`` for the rest of the test."""
+def _counting_linalg(monkeypatch, name, module=lapack):
+    """Count the calls of ``module.<name>`` for the rest of the test; every
+    factorization, solve and inverse of a step goes through ``lapack``."""
     calls = []
-    original = getattr(np.linalg, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("testbed", ["bistable", "tracking"])
+def test_no_step_calls_numpy_linalg_factorizations(testbed, monkeypatch):
+    # The steps of all eight families factor, solve and invert through
+    # ``lapack`` only, never through numpy.linalg's wrappers.
+    if testbed == "bistable":
+        process, obs = bistable_models(BistableSpec())
+        prior = Gaussian([0.8], [[0.02]])
+    else:
+        process, obs = turn_models(TurnModelSpec())
+        prior = Gaussian([1e3, 3e2, 1e3, 0.0, -0.05], np.diag([100.0, 10.0, 100.0, 10.0, 1e-4]))
+    truth = simulate_truth(process, obs, prior.mean, 5, np.random.default_rng(5))
+    counted = {name: _counting_linalg(monkeypatch, name, np.linalg) for name in ("cholesky", "qr", "solve", "inv")}
+    for family in ALL_FAMILIES:
+        traj = run_filter(FilterKind(family), process, obs, prior, truth.observations, np.random.default_rng(7))
+        assert traj.error is None and len(traj.records) == 6
+    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 0)
 
 
 def _tracking_cubature_run(family):
@@ -99,14 +121,15 @@ def test_tracking_step_factors_each_covariance_once(family, monkeypatch):
     # update's square-root array.  No eigvalsh: only repair_covariance's
     # abort message reads an eigenvalue.
     observations, traj, step = _tracking_cubature_run(family)
-    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "qr", "eigvalsh")}
+    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "qr_r")}
+    counted["eigvalsh"] = _counting_linalg(monkeypatch, "eigvalsh", np.linalg)
     for n, y in enumerate(observations):
         for calls in counted.values():
             calls.clear()
         posterior = step(n, y)
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
         factored = 3 if n == 0 else 2
-        assert {name: len(calls) for name, calls in counted.items()} == {"cholesky": factored, "qr": 1, "eigvalsh": 0}
+        assert {name: len(calls) for name, calls in counted.items()} == {"cholesky": factored, "qr_r": 1, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("family, maps", [("CGF", 1), ("CGSF", 2)])
@@ -193,7 +216,7 @@ def test_bistable_linearized_step_factors_each_covariance_once(family, factored,
     traj = run_filter(kind, process, obs, prior, truth.observations)
     assert traj.error is None
     step = smoothing_step if kind.is_smoothing else conventional_step
-    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve", "qr")}
+    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve", "qr_r")}
     for n, y in enumerate(truth.observations):
         for calls in counted.values():
             calls.clear()
@@ -201,7 +224,7 @@ def test_bistable_linearized_step_factors_each_covariance_once(family, factored,
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
         assert traj.records[n + 1].diagnostics.fallbacks == 0
         assert {name: len(calls) for name, calls in counted.items()} == {
-            "cholesky": factored + (n == 0), "inv": inverted, "solve": square_root, "qr": square_root
+            "cholesky": factored + (n == 0), "inv": inverted, "solve": square_root, "qr_r": square_root
         }
 
 
@@ -220,8 +243,8 @@ def test_bistable_sampling_step_factors_each_covariance_once(family, monkeypatch
     traj = run_filter(kind, process, obs, prior, truth.observations, np.random.default_rng(7))
     assert traj.error is None
     step = smoothing_step if kind.is_smoothing else conventional_step
-    names = ("cholesky", "inv", "solve", "qr", "eigvalsh")
-    counted = {name: _counting_linalg(monkeypatch, name) for name in names}
+    counted = {name: _counting_linalg(monkeypatch, name) for name in ("cholesky", "inv", "solve", "qr_r")}
+    counted["eigvalsh"] = _counting_linalg(monkeypatch, "eigvalsh", np.linalg)
     rng = np.random.default_rng(7)
     for n, y in enumerate(truth.observations):
         for calls in counted.values():
@@ -229,7 +252,7 @@ def test_bistable_sampling_step_factors_each_covariance_once(family, monkeypatch
         posterior = step(kind, traj.records[n].posterior, process, obs, y, n, rng)
         assert posterior.mean.tobytes() == traj.records[n + 1].posterior.mean.tobytes()
         assert {name: len(calls) for name, calls in counted.items()} == {
-            "cholesky": 4 if n == 0 else 3, "inv": 1, "solve": 1, "qr": 1, "eigvalsh": 0
+            "cholesky": 4 if n == 0 else 3, "inv": 1, "solve": 1, "qr_r": 1, "eigvalsh": 0
         }
 
 

@@ -270,7 +270,16 @@ class TestAugment:
         """Diagnostics that count every repair ``repair_covariance`` jitters."""
         repaired = Diagnostics()
         original = gaussian.repair_covariance
-        monkeypatch.setattr(gaussian, "repair_covariance", lambda c, scale, diag=None: original(c, scale, repaired))
+
+        def counted(c, scale, diag=None):
+            seen = Diagnostics()
+            result = original(c, scale, seen)
+            repaired.jitters += seen.jitters
+            if diag is not None:
+                diag.jitters += seen.jitters
+            return result
+
+        monkeypatch.setattr(gaussian, "repair_covariance", counted)
         return repaired
 
     def test_zero_noise_variance_gets_a_zero_factor_row(self, monkeypatch):
@@ -294,7 +303,8 @@ class TestAugment:
 
     def test_rank_deficient_noise_is_repaired_once_at_construction(self, monkeypatch):
         # A noise_cov of rank one does not factor as given: it is repaired
-        # once, when the model is built, and no step of any family jitters.
+        # once, when the model is built, and every step of every family
+        # counts that jitter once, as its joint carries the repaired factor.
         repaired = self._counting_repairs(monkeypatch)
         process = ProcessModel(
             propagate=lambda n, x, xi: x + xi, noise_cov=[[0.1, 0.1], [0.1, 0.1]], state_dim=2, vectorized=True
@@ -306,7 +316,7 @@ class TestAugment:
         observations = [[0.1, 0.8], [0.2, 0.6], [0.3, 0.4]]
         for family in ALL_FAMILIES:
             traj = run_filter(FilterKind(family), process, obs, prior, observations, np.random.default_rng(1))
-            assert traj.error is None and all(rec.diagnostics.jitters == 0 for rec in traj.records)
+            assert traj.error is None and all(rec.diagnostics.jitters == 1 for rec in traj.records[1:])
         assert repaired.jitters == 1
 
 

@@ -24,7 +24,8 @@ from gaussfilt import (
     time_update_points,
     turn_models,
 )
-from gaussfilt.errors import DivergedEvaluation, OptimizerStopped
+from gaussfilt import lapack
+from gaussfilt.errors import DivergedEvaluation, OptimizerStopped, SingularMatrix
 from gaussfilt.gaussian import _inverse_factor
 from gaussfilt.models import (
     ObservationModel,
@@ -392,6 +393,14 @@ class TestMeasurementUpdateLinear:
         l = np.sqrt(1.5)
         assert out._factor.tobytes() == np.array([[np.sqrt(1e-12 * l**2)]]).tobytes() and diag.jitters == 2
 
+    @pytest.mark.parametrize("failing, match", [("qr_r", "not finite"), ("solve", "singular")])
+    def test_failed_factorization_raises_singular_matrix(self, failing, match, monkeypatch):
+        # A QR or solve that ``lapack`` reports failed is a package error,
+        # never an exception from numpy.linalg.
+        monkeypatch.setattr(lapack, failing, lambda *args: None)
+        with pytest.raises(SingularMatrix, match=f"innovation covariance is {match}"):
+            measurement_update_linear(Gaussian([0.0], [[1.0]]), identity_obs(), [2.0], [[1.0]])
+
 
 class TestMeasurementUpdatePoints:
     def test_matches_linear_on_linear_map(self):
@@ -414,6 +423,14 @@ class TestMeasurementUpdatePoints:
         out = measurement_update_points(prior, obs, [10.0], [[1.0]], standard_rule(1, degree=3))
         assert np.allclose(out.mean, prior.mean)
         assert np.allclose(out.cov, prior.cov)
+
+    def test_singular_sample_whitening_raises_singular_matrix(self, monkeypatch):
+        # A sample's own covariance factor that ``lapack`` cannot invert is a
+        # package error, never an exception from numpy.linalg.
+        mu = standard_rule(1, samples=10, rng=np.random.default_rng(0))
+        monkeypatch.setattr(lapack, "inv", lambda a: None)
+        with pytest.raises(SingularMatrix, match="sample covariance is singular"):
+            measurement_update_points(Gaussian([0.0], [[1.0]]), identity_obs(), [1.0], [[1.0]], mu)
 
     def test_even_map_odd_moment_cancellation(self):
         # For a symmetric measure and phi(x) = x^2, the cross-covariance
