@@ -3,8 +3,8 @@ checked Gaussian, a cubature, sampling or linearized step factors only the
 covariances no kernel handed on a factor for, the variational update inverts
 no prior factor, each deterministic cubature rule is built once, the
 linearized filters run one Euler-Maruyama pass per linearization point, and
-no step calls numpy.linalg's Cholesky, QR, solve or inverse: ``lapack``
-counts them instead."""
+no step calls numpy.linalg's Cholesky, QR, solve or inverse: the counters
+count the calls of ``lapack``'s."""
 
 import math
 
